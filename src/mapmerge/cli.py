@@ -77,7 +77,12 @@ def _workers(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
     env = os.environ.get("MAPMERGE_WORKERS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigurationError(f"MAPMERGE_WORKERS must be an integer, got {env!r}") from None
 
 
 def _config(args):
@@ -189,7 +194,11 @@ def cmd_scenarios(args) -> int:
     scenarios = list(builtin_scenarios())
     if args.scenario_file:
         with open(args.scenario_file) as f:
-            scenarios.extend(load_scenarios(f.read()))
+            text = f.read()
+        try:
+            scenarios.extend(load_scenarios(text))
+        except ValueError as exc:  # malformed JSON, scenario or event objects
+            raise InvalidEventError(f"{args.scenario_file}: {exc}") from exc
     if args.name:
         scenarios = [s for s in scenarios if s.name == args.name]
         if not scenarios:

@@ -9,13 +9,26 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .events import EventLabel, is_internal, label, sort_events
-from .world import (
+from .events import (
+    ConfirmMerge,
+    EventLabel,
+    MergeCancelled,
+    MergeCompleted,
+    MergeConfirmed,
+    is_internal,
+    label,
+)
+from .processes import AwaitCompletion, BeingMerged, Considering
+# apply_event and enabled_events are unused here but stay importable as
+# explorer attributes, which perfbench/tracer.py wraps.
+from .world import (  # noqa: F401
     Configuration,
+    ConfigurationError,
     apply_event,
     enabled_events,
     is_terminal,
     quiescent_partition_violation,
+    successors,
 )
 
 # A witness path alternates configurations and events, starting and ending
@@ -49,7 +62,11 @@ class StateGraph:
     index: dict = field(default_factory=dict)  # Configuration -> int
     parent: list = field(default_factory=list)  # idx -> (parent_idx, event) | None
     violations: list = field(default_factory=list)
-    complete: bool = True
+    truncated: set = field(default_factory=set)  # idx whose successors a bound cut
+
+    @property
+    def complete(self) -> bool:
+        return not self.truncated
 
     @property
     def state_count(self) -> int:
@@ -72,9 +89,6 @@ class StateGraph:
             path.append(self.states[i])
         return path
 
-    def successors(self, idx: int) -> list:
-        return [(e, j) for i, e, j in self.transitions if i == idx]
-
 
 def _local_state_violation(c: Configuration, enabled: Sequence[EventLabel]) -> Optional[str]:
     for a in c.agents:
@@ -89,25 +103,18 @@ def _local_state_violation(c: Configuration, enabled: Sequence[EventLabel]) -> O
 
 
 def _req1_violation(src: Configuration, e: EventLabel, dst: Configuration) -> Optional[str]:
-    from .events import ConfirmMerge
-
     if isinstance(e, ConfirmMerge) and e.req_leader.index >= e.other_leader.index:
         return f"confirm_merge from {e.req_leader} to higher-priority {e.other_leader}"
     return None
 
 
 def _req2_confirm_violation(src: Configuration, e: EventLabel, dst: Configuration) -> Optional[str]:
-    from .events import MergeConfirmed
-
     if isinstance(e, MergeConfirmed) and not src.leader(e.other_leader).active:
         return f"demoted leader {e.other_leader} emitted merge_confirmed"
     return None
 
 
 def _req2_cancel_violation(c: Configuration, enabled: Sequence[EventLabel]) -> Optional[str]:
-    from .events import MergeCancelled
-    from .processes import AwaitCompletion, BeingMerged, Considering
-
     enabled_set = set(enabled)
     for l in c.leaders:
         for rq in l.pending_cancels:
@@ -123,8 +130,6 @@ def _quiescent_violation(c: Configuration, enabled: Sequence[EventLabel]) -> Opt
 
 
 def _monotone_violation(src: Configuration, e: EventLabel, dst: Configuration) -> Optional[str]:
-    from .events import MergeCompleted
-
     for pre, post in zip(src.leaders, dst.leaders):
         if post.active and not pre.agent_set <= post.agent_set:
             return f"active leader {post.id}'s agent set shrank"
@@ -154,7 +159,7 @@ def explore(
     checks: Optional[Iterable[Check]] = None,
     workers: int = 1,
 ) -> StateGraph:
-    """Breadth-first closure of apply_event over enabled_events.
+    """Breadth-first closure of the successor relation (`world.successors`).
 
     Every registered invariant is evaluated at every state and transition;
     BFS order makes every violation witness minimal in length.  Hitting a
@@ -162,7 +167,7 @@ def explore(
     how successor sets are computed, never the resulting graph.
     """
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
-        raise ValueError("exploration bounds must be positive")
+        raise ConfigurationError("exploration bounds must be positive")
     checks = list(default_checks() if checks is None else checks)
     state_checks = [c for c in checks if c.kind == "state"]
     trans_checks = [c for c in checks if c.kind == "transition"]
@@ -177,8 +182,7 @@ def explore(
 
     def expand(idx: int):
         c = g.states[idx]
-        enabled = enabled_events(c)
-        return idx, c, enabled, [apply_event(c, e) for e in enabled]
+        return idx, c, successors(c)
 
     try:
         while frontier:
@@ -190,19 +194,19 @@ def explore(
                 expanded = list(pool.map(expand, layer))
             else:
                 expanded = [expand(i) for i in layer]
-            for idx, c, enabled, succs in expanded:
+            for idx, c, succs in expanded:
+                enabled = [e for e, _ in succs]
                 for chk in state_checks:
                     msg = chk.fn(c, enabled)
                     if msg is not None:
                         g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
-                for e, c2 in zip(enabled, succs):
+                for e, c2 in succs:
                     j = g.index.get(c2)
                     if j is None:
-                        if max_states is not None and len(g.states) >= max_states:
-                            g.complete = False
-                            continue
-                        if max_depth is not None and depth[idx] >= max_depth:
-                            g.complete = False
+                        if (max_states is not None and len(g.states) >= max_states) or (
+                            max_depth is not None and depth[idx] >= max_depth
+                        ):
+                            g.truncated.add(idx)
                             continue
                         j = len(g.states)
                         g.states.append(c2)
@@ -284,14 +288,14 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
         expanded += 1
         if max_states is not None and expanded > max_states:
             return TraceResult(False, None, complete=False)
-        for e in enabled_events(c):
+        for e, c2 in successors(c):
             if e in q.alphabet:
                 if k < target and e == q.trace[k]:
-                    nxt = (apply_event(c, e), k + 1)
+                    nxt = (c2, k + 1)
                 else:
                     continue
             else:
-                nxt = (apply_event(c, e), k)
+                nxt = (c2, k)
             if nxt in visited:
                 continue
             visited[nxt] = (key, e)
@@ -311,7 +315,7 @@ def find_deadlocks(
     c0: Configuration, *, max_states: Optional[int] = None, graph: Optional[StateGraph] = None
 ) -> list:
     """Witness paths to every reachable non-terminal state with no enabled
-    events."""
+    events.  States whose successors a bound cut are not deadlocks."""
     g = graph if graph is not None else explore(c0, max_states=max_states, checks=[])
     out_degree = [0] * g.state_count
     for i, _, _ in g.transitions:
@@ -319,7 +323,7 @@ def find_deadlocks(
     return [
         g.path_to(i)
         for i in range(g.state_count)
-        if out_degree[i] == 0 and not is_terminal(g.states[i])
+        if out_degree[i] == 0 and i not in g.truncated and not is_terminal(g.states[i])
     ]
 
 

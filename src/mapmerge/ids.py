@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import NamedTuple
 
 
@@ -29,6 +30,7 @@ class AgentId(NamedTuple):
         return cls(int(m.group(1)))
 
 
+@cache
 def universe(n: int) -> tuple[AgentId, ...]:
     """All agent ids A1..An."""
     return tuple(AgentId(i) for i in range(1, n + 1))

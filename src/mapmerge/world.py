@@ -3,7 +3,9 @@ and leader process composed in parallel, stepping jointly on shared events."""
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .events import (
@@ -24,7 +26,7 @@ from .events import (
     UpdateIdentified,
     UpdateIdentifiedSameGroup,
     participants,
-    sort_events,
+    sort_key,
 )
 from .ids import AgentId, universe
 from .processes import (
@@ -53,7 +55,7 @@ MAX_AGENTS = 8
 
 
 class ConfigurationError(ValueError):
-    """Raised for out-of-bounds model parameters."""
+    """Raised for out-of-bounds model or exploration parameters."""
 
 
 class RefusedEventError(ValueError):
@@ -140,16 +142,16 @@ def joint_participants(c: Configuration, e: EventLabel) -> frozenset[ProcessRef]
     return refs
 
 
-def _step_of(c: Configuration, ref: ProcessRef, e: EventLabel, full_set: frozenset):
-    if ref.kind == "agent":
-        return agent_step(c.agent(ref.id), e)
-    return leader_step(c.leader(ref.id), e, full_set, c.params)
+@cache
+def _full_set(n: int) -> frozenset:
+    """The whole agent universe A1..An as a set."""
+    return frozenset(universe(n))
 
 
 def _propose(c: Configuration) -> Iterator[EventLabel]:
     """Candidate labels, generated from process states; a candidate is
     enabled only if every participant's step is defined."""
-    full = frozenset(c.universe)
+    full = _full_set(c.params.n)
     for l in c.leaders:
         ph = l.phase
         if isinstance(ph, StartMerge):
@@ -193,38 +195,109 @@ def _propose(c: Configuration) -> Iterator[EventLabel]:
                 yield RequestMerge(a.id, a.believed_leader, frozenset(combo))
 
 
-def is_enabled(c: Configuration, e: EventLabel) -> bool:
-    full = frozenset(c.universe)
-    refs = joint_participants(c, e)
-    if isinstance(e, RemoveReasoningAbout) and len(refs) < 2:
-        return False
-    return all(_step_of(c, r, e, full) is not None for r in refs)
+# Step tables, filled lazily and shared by every caller in the process,
+# explore's worker threads included.  A local step depends only on the local
+# state and the label (plus the model parameters for leaders), and each key
+# holds all of them, so a shared entry never changes a result; two threads
+# missing on one step both compute the same successor.  Successor states are
+# interned so that equal local states are one shared object.  The tables
+# grow with the model's distinct local steps: about 4,100 at n=4.
+_AGENT_STEPS: dict = {}  # (agent state, event) -> agent state | None
+_LEADER_STEPS: dict = {}  # (leader state, event, params) -> leader state | None
+_LOCAL_STATES: dict = {}  # local state -> its shared instance
+_EVENTS: dict = {}  # event -> (sort key, agent slots, leader slots)
+_MISS = object()
+
+
+def _event_entry(e: EventLabel) -> tuple:
+    refs = participants(e)
+    entry = (
+        sort_key(e),
+        tuple(r.id.index - 1 for r in sorted(refs) if r.kind == "agent"),
+        tuple(r.id.index - 1 for r in sorted(refs) if r.kind == "leader"),
+    )
+    _EVENTS[e] = entry
+    return entry
+
+
+def _intern(s):
+    return None if s is None else _LOCAL_STATES.setdefault(s, s)
+
+
+def successors(c: Configuration) -> list[tuple[EventLabel, Configuration]]:
+    """Every enabled event with its successor configuration, in canonical
+    order.  Each participant of each candidate is stepped once."""
+    params = c.params
+    full = _full_set(params.n)
+    found: dict = {}  # event -> (sort key, event, successor), once per label
+    for e in _propose(c):
+        entry = _EVENTS.get(e) or _event_entry(e)
+        leader_slots = entry[2]
+        if isinstance(e, RemoveReasoningAbout):
+            l = _refusing_leader(c, e)
+            if l is None:
+                continue
+            leader_slots = (l.id.index - 1,)
+        agents = c.agents
+        for i in entry[1]:
+            key = (agents[i], e)
+            nxt = _AGENT_STEPS.get(key, _MISS)
+            if nxt is _MISS:
+                nxt = _AGENT_STEPS[key] = _intern(agent_step(agents[i], e))
+            if nxt is None:
+                break
+            agents = agents[:i] + (nxt,) + agents[i + 1 :]
+        else:
+            leaders = c.leaders
+            for i in leader_slots:
+                key = (leaders[i], e, params)
+                nxt = _LEADER_STEPS.get(key, _MISS)
+                if nxt is _MISS:
+                    nxt = _LEADER_STEPS[key] = _intern(leader_step(leaders[i], e, full, params))
+                if nxt is None:
+                    break
+                leaders = leaders[:i] + (nxt,) + leaders[i + 1 :]
+            else:
+                found[e] = (entry[0], e, Configuration(agents, leaders, params))
+    return [(e, c2) for _, e, c2 in sorted(found.values(), key=itemgetter(0))]
 
 
 def enabled_events(c: Configuration) -> list[EventLabel]:
     """All globally enabled events, in canonical order."""
-    out = [e for e in _propose(c) if is_enabled(c, e)]
-    return sort_events(set(out))
+    return [e for e, _ in successors(c)]
 
 
 def apply_event(c: Configuration, e: EventLabel) -> Configuration:
     """Advance every participant simultaneously; refuse with the blocking
-    process named otherwise."""
-    full = frozenset(c.universe)
+    process named otherwise.
+
+    This is the uncached single-event reference path; `successors` computes
+    the same steps through the step tables.
+    """
+    full = _full_set(c.params.n)
     refs = joint_participants(c, e)
     if isinstance(e, RemoveReasoningAbout) and len(refs) < 2:
         raise RefusedEventError(e, None)
     agents = list(c.agents)
     leaders = list(c.leaders)
     for r in sorted(refs):
-        nxt = _step_of(c, r, e, full)
+        i = r.id.index - 1
+        if r.kind == "agent":
+            nxt = agents[i] = agent_step(c.agents[i], e)
+        else:
+            nxt = leaders[i] = leader_step(c.leaders[i], e, full, c.params)
         if nxt is None:
             raise RefusedEventError(e, r)
-        if r.kind == "agent":
-            agents[r.id.index - 1] = nxt
-        else:
-            leaders[r.id.index - 1] = nxt
     return Configuration(tuple(agents), tuple(leaders), c.params)
+
+
+def is_enabled(c: Configuration, e: EventLabel) -> bool:
+    """Whether apply_event accepts `e` in `c`."""
+    try:
+        apply_event(c, e)
+    except RefusedEventError:
+        return False
+    return True
 
 
 def is_quiescent(c: Configuration) -> bool:
@@ -241,7 +314,7 @@ def quiescent_partition_violation(c: Configuration) -> Optional[str]:
     None."""
     if not is_quiescent(c):
         return None
-    full = frozenset(c.universe)
+    full = _full_set(c.params.n)
     seen: set[AgentId] = set()
     for l in c.leaders:
         if not l.active:
@@ -266,7 +339,7 @@ def is_terminal(c: Configuration) -> bool:
     With the harness disabled there is no done/terminate pair; the fully
     merged quiescent configuration counts as terminal instead.
     """
-    full = frozenset(c.universe)
+    full = _full_set(c.params.n)
     winner = None
     for l in c.leaders:
         if l.active and l.agent_set == full:

@@ -55,6 +55,42 @@ def test_explore_bounded_fails_incomplete(capsys):
     assert json.loads(out)["complete"] is False
 
 
+def test_explore_depth_bounded_reports_no_deadlocks(capsys):
+    # The unexpanded frontier of a bounded run is not a set of deadlocks.
+    code, out, _ = run(capsys, "explore", "--agents", "3", "--max-depth", "4")
+    assert code == 1
+    assert "[pass] deadlock-freedom" in out
+    assert "exploration incomplete" in out
+    assert "verdict: fail" in out
+
+
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("mapmerge: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_explore_zero_max_states_usage_error(capsys):
+    code, _, err = run(capsys, "explore", "--agents", "2", "--max-states", "0")
+    assert_one_line_usage_error(code, err)
+    assert "bounds" in err
+
+
+def test_workers_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("MAPMERGE_WORKERS", "x")
+    code, _, err = run(capsys, "explore", "--agents", "2")
+    assert_one_line_usage_error(code, err)
+    assert "MAPMERGE_WORKERS" in err
+
+
+def test_scenario_file_without_trace_usage_error(capsys, tmp_path):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([{"name": "no-trace"}]))
+    code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path))
+    assert_one_line_usage_error(code, err)
+    assert "'trace'" in err
+
+
 def test_agents_out_of_bounds_usage_error(capsys):
     code, _, err = run(capsys, "explore", "--agents", "1")
     assert code == 2

@@ -71,6 +71,13 @@ def test_bounds_leave_graph_incomplete():
     assert not g.complete
 
 
+def test_truncated_states_are_not_deadlocks():
+    c0 = initial_config(3)
+    g = explore(c0, max_depth=4, checks=[])
+    assert g.truncated and not g.complete
+    assert find_deadlocks(c0, graph=g) == []
+
+
 def test_bad_bounds_rejected():
     with pytest.raises(ValueError):
         explore(initial_config(2), max_states=0)
