@@ -8,12 +8,13 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
 
-from .events import InvalidEventError, from_json, is_internal, label
+from .events import InvalidEventError, from_json, is_internal, label, validate_event
 from .explorer import (
     ALL_VISIBLE,
     TraceQuery,
@@ -231,7 +232,8 @@ def cmd_scenarios(args) -> int:
     return 0 if report["verdict"] == "pass" else CHECK_FAILED
 
 
-def _read_jsonl_events(path: str) -> list:
+def _read_jsonl_events(path: str, n: int) -> list:
+    """The events of a JSONL file; each must lie in the n-agent universe."""
     events = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -239,17 +241,19 @@ def _read_jsonl_events(path: str) -> list:
             if not line:
                 continue
             try:
-                events.append(from_json(json.loads(line)))
+                e = from_json(json.loads(line))
+                validate_event(e, n)
             except (json.JSONDecodeError, InvalidEventError) as exc:
                 raise InvalidEventError(f"{path}:{lineno}: {exc}") from exc
+            events.append(e)
     return events
 
 
 def cmd_trace_check(args) -> int:
-    trace = _read_jsonl_events(args.trace_file)
+    trace = _read_jsonl_events(args.trace_file, args.agents)
     alphabet = ALL_VISIBLE
     if args.alphabet_file:
-        alphabet = frozenset(_read_jsonl_events(args.alphabet_file))
+        alphabet = frozenset(_read_jsonl_events(args.alphabet_file, args.agents))
     c0 = _config(args)
     t0 = time.perf_counter()
     result = has_trace(c0, TraceQuery(tuple(trace), alphabet), max_states=args.max_states)
@@ -290,6 +294,9 @@ def cmd_export(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Safe to pause: the model builds immutable, acyclic data that refcounting frees.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "explore":
             return cmd_explore(args)
@@ -309,6 +316,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mapmerge: {exc}", file=sys.stderr)
         return CHECK_FAILED
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return USAGE_ERROR
 
 

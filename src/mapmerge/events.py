@@ -4,13 +4,14 @@ synchronization sets that say which processes must jointly take each event."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .ids import AgentId
 
 
 class InvalidEventError(ValueError):
-    """Raised for event payloads naming agents outside the universe."""
+    """Raised for malformed events, events outside the universe, and traces
+    with events outside their alphabet."""
 
 
 class ProcessRef(NamedTuple):
@@ -253,8 +254,8 @@ def to_json(e: EventLabel) -> dict:
 
 def from_json(d: dict) -> EventLabel:
     """Parse one event object; raises InvalidEventError on malformed input."""
-    if not isinstance(d, dict) or "type" not in d:
-        raise InvalidEventError(f"event object must carry a 'type' field: {d!r}")
+    if not isinstance(d, dict) or not isinstance(d.get("type"), str):
+        raise InvalidEventError(f"event object must carry a string 'type' field: {d!r}")
     cls = EVENT_TYPES.get(d["type"])
     if cls is None:
         raise InvalidEventError(f"unknown event type {d['type']!r}")
@@ -274,7 +275,3 @@ def from_json(d: dict) -> EventLabel:
     if extra:
         raise InvalidEventError(f"{d['type']}: unexpected fields {sorted(extra)}")
     return cls(**kwargs)
-
-
-def sort_events(events: Iterable[EventLabel]) -> list[EventLabel]:
-    return sorted(events, key=sort_key)

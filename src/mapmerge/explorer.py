@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .events import (
     ConfirmMerge,
     EventLabel,
+    InvalidEventError,
     MergeCancelled,
     MergeCompleted,
     MergeConfirmed,
@@ -255,7 +256,7 @@ class TraceQuery:
     def __post_init__(self):
         for e in self.trace:
             if e not in self.alphabet:
-                raise ValueError(f"trace event {label(e)} not in the visible alphabet")
+                raise InvalidEventError(f"trace event {label(e)} not in the visible alphabet")
 
 
 @dataclass

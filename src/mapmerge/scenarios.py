@@ -260,6 +260,9 @@ def scenario_to_json(s: Scenario) -> dict:
 
 
 def scenario_from_json(d: dict) -> Scenario:
+    """Parse one scenario object; raises ValueError on malformed input."""
+    if not isinstance(d, dict) or not isinstance(d.get("name", ""), str):
+        raise ValueError(f"scenario must be an object with a string 'name': {d!r}")
     try:
         alphabet = d.get("alphabet", "all_visible")
         if alphabet == "all_visible":
@@ -276,6 +279,8 @@ def scenario_from_json(d: dict) -> Scenario:
         )
     except KeyError as exc:
         raise ValueError(f"scenario object missing field {exc}") from exc
+    except TypeError as exc:  # a field of the wrong JSON type, e.g. "trace": 5
+        raise ValueError(f"malformed scenario object: {exc}") from exc
 
 
 def load_scenarios(text: str) -> list:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .events import (
     BeginMerge,
@@ -131,93 +131,88 @@ def _refusing_leader(c: Configuration, e: RemoveReasoningAbout) -> Optional[Lead
     return None
 
 
-def joint_participants(c: Configuration, e: EventLabel) -> frozenset[ProcessRef]:
-    """participants(e), plus the configuration-resolved co-participant for
-    remove_reasoning_about: the leader currently refusing that request."""
-    refs = participants(e)
-    if isinstance(e, RemoveReasoningAbout):
-        l = _refusing_leader(c, e)
-        if l is not None:
-            refs = refs | {ProcessRef("leader", l.id)}
-    return refs
-
-
 @cache
 def _full_set(n: int) -> frozenset:
     """The whole agent universe A1..An as a set."""
     return frozenset(universe(n))
 
 
-def _propose(c: Configuration) -> Iterator[EventLabel]:
-    """Candidate labels, generated from process states; a candidate is
-    enabled only if every participant's step is defined."""
-    full = _full_set(c.params.n)
-    for l in c.leaders:
-        ph = l.phase
-        if isinstance(ph, StartMerge):
-            yield BeginMerge(l.id)
-        elif isinstance(ph, AwaitReplyLeader):
-            if ph.current is None:
-                if ph.queue:
-                    yield RequestLeader(l.id, ph.queue[0])
-            else:
-                yield ReplyLeader(ph.current, l.id, c.agent(ph.current).believed_leader)
-        elif isinstance(ph, Confirming):
-            yield ConfirmMerge(l.id, ph.other_leader)
-        elif isinstance(ph, Considering):
-            yield MergeConfirmed(ph.req_leader, l.id, l.agent_set)
-        elif isinstance(ph, Merging):
-            yield MergeMaps(l.id, ph.other_leader)
-        elif isinstance(ph, Completing):
-            yield MergeCompleted(l.id, ph.other_leader, ph.union_set)
-        elif isinstance(ph, Updating):
-            if ph.same_group_pending:
-                yield UpdateIdentifiedSameGroup(l.id, ph.same_group_pending[0], ph.new_set)
-            elif ph.other_group_pending:
-                yield UpdateIdentified(l.id, ph.other_group_pending[0], ph.new_set)
-        elif isinstance(ph, Refusing):
-            yield RemoveReasoningAbout(ph.requesting_agent, ph.other_agent)
-        elif isinstance(ph, DonePhase):
-            yield Done(l.id)
-        elif isinstance(ph, Terminating):
-            yield Terminate(l.id)
-        for rq in sorted(l.pending_cancels):
-            yield MergeCancelled(rq, l.id)
-    # Spontaneous merge requests stand in for the identification strategy:
-    # any agent may ask its leader to merge with agents it does not know.
-    for a in c.agents:
-        if a.has_outstanding_request:
-            continue
-        eligible = sorted(full - a.known_group)
-        k = min(c.params.merge_set_max, len(eligible))
-        for size in range(1, k + 1):
-            for combo in combinations(eligible, size):
-                yield RequestMerge(a.id, a.believed_leader, frozenset(combo))
-
-
-# Step tables, filled lazily and shared by every caller in the process,
-# explore's worker threads included.  A local step depends only on the local
-# state and the label (plus the model parameters for leaders), and each key
-# holds all of them, so a shared entry never changes a result; two threads
-# missing on one step both compute the same successor.  Successor states are
-# interned so that equal local states are one shared object.  The tables
-# grow with the model's distinct local steps: about 4,100 at n=4.
+# Offer and step tables, filled lazily and shared by every caller in the
+# process, explore's worker threads included.  Each key holds everything its
+# entry depends on, so a shared entry never changes a result; two threads
+# missing on one key both compute the same entry.  Local states are interned,
+# and each label is one shared object, the one the state graph stores.  The
+# step tables grow with the model's distinct local steps: about 4,100 at n=4.
+_AGENT_OFFERS: dict = {}  # (agent state, params) -> offers the agent initiates
+_LEADER_OFFERS: dict = {}  # leader state -> offers the leader initiates
 _AGENT_STEPS: dict = {}  # (agent state, event) -> agent state | None
 _LEADER_STEPS: dict = {}  # (leader state, event, params) -> leader state | None
 _LOCAL_STATES: dict = {}  # local state -> its shared instance
-_EVENTS: dict = {}  # event -> (sort key, agent slots, leader slots)
+_EVENTS: dict = {}  # event -> its offer: (shared event, sort key, agent slots, leader slots)
 _MISS = object()
 
 
-def _event_entry(e: EventLabel) -> tuple:
-    refs = participants(e)
-    entry = (
-        sort_key(e),
-        tuple(r.id.index - 1 for r in sorted(refs) if r.kind == "agent"),
-        tuple(r.id.index - 1 for r in sorted(refs) if r.kind == "leader"),
-    )
-    _EVENTS[e] = entry
-    return entry
+def _offer(e: EventLabel) -> tuple:
+    offer = _EVENTS.get(e)
+    if offer is None:
+        refs = sorted(participants(e))
+        agent_slots = tuple(r.id.index - 1 for r in refs if r.kind == "agent")
+        leader_slots = tuple(r.id.index - 1 for r in refs if r.kind == "leader")
+        offer = _EVENTS.setdefault(e, (e, sort_key(e), agent_slots, leader_slots))
+    return offer
+
+
+def _leader_offers(l: LeaderProcState) -> tuple:
+    """The offers leader `l` initiates in its current state, except
+    reply_leader, whose label carries the target agent's belief."""
+    ph = l.phase
+    e = None
+    if isinstance(ph, StartMerge):
+        e = BeginMerge(l.id)
+    elif isinstance(ph, AwaitReplyLeader):
+        if ph.current is None and ph.queue:
+            e = RequestLeader(l.id, ph.queue[0])
+    elif isinstance(ph, Confirming):
+        e = ConfirmMerge(l.id, ph.other_leader)
+    elif isinstance(ph, Considering):
+        e = MergeConfirmed(ph.req_leader, l.id, l.agent_set)
+    elif isinstance(ph, Merging):
+        e = MergeMaps(l.id, ph.other_leader)
+    elif isinstance(ph, Completing):
+        e = MergeCompleted(l.id, ph.other_leader, ph.union_set)
+    elif isinstance(ph, Updating):
+        if ph.same_group_pending:
+            e = UpdateIdentifiedSameGroup(l.id, ph.same_group_pending[0], ph.new_set)
+        elif ph.other_group_pending:
+            e = UpdateIdentified(l.id, ph.other_group_pending[0], ph.new_set)
+    elif isinstance(ph, Refusing):
+        e = RemoveReasoningAbout(ph.requesting_agent, ph.other_agent)
+    elif isinstance(ph, DonePhase):
+        e = Done(l.id)
+    elif isinstance(ph, Terminating):
+        e = Terminate(l.id)
+    offers = [] if e is None else [_offer(e)]
+    if isinstance(ph, Refusing):
+        # The label does not name its leader; apply_event resolves it to the
+        # first refusing leader, and successors keeps the first offer.
+        offers[0] = offers[0][:3] + ((l.id.index - 1,),)
+    offers += [_offer(MergeCancelled(rq, l.id)) for rq in sorted(l.pending_cancels)]
+    return _LEADER_OFFERS.setdefault(l, tuple(offers))
+
+
+def _agent_offers(a: AgentProcState, params: ModelParams) -> tuple:
+    """The offers agent `a` initiates.  Spontaneous merge requests stand in
+    for the identification strategy: any agent may ask its leader to merge
+    with agents it does not know."""
+    offers = ()
+    if not a.has_outstanding_request:
+        eligible = sorted(_full_set(params.n) - a.known_group)
+        offers = tuple(
+            _offer(RequestMerge(a.id, a.believed_leader, frozenset(combo)))
+            for size in range(1, min(params.merge_set_max, len(eligible)) + 1)
+            for combo in combinations(eligible, size)
+        )
+    return _AGENT_OFFERS.setdefault((a, params), offers)
 
 
 def _intern(s):
@@ -226,39 +221,44 @@ def _intern(s):
 
 def successors(c: Configuration) -> list[tuple[EventLabel, Configuration]]:
     """Every enabled event with its successor configuration, in canonical
-    order.  Each participant of each candidate is stepped once."""
+    order.  Each participant of each offer is stepped once."""
     params = c.params
     full = _full_set(params.n)
-    found: dict = {}  # event -> (sort key, event, successor), once per label
-    for e in _propose(c):
-        entry = _EVENTS.get(e) or _event_entry(e)
-        leader_slots = entry[2]
-        if isinstance(e, RemoveReasoningAbout):
-            l = _refusing_leader(c, e)
-            if l is None:
-                continue
-            leader_slots = (l.id.index - 1,)
+    offers: list = []
+    for l in c.leaders:
+        own = _LEADER_OFFERS.get(l, _MISS)
+        offers += _leader_offers(l) if own is _MISS else own
+        ph = l.phase
+        if isinstance(ph, AwaitReplyLeader) and ph.current is not None:
+            offers.append(_offer(ReplyLeader(ph.current, l.id, c.agent(ph.current).believed_leader)))
+    for a in c.agents:
+        own = _AGENT_OFFERS.get((a, params), _MISS)
+        offers += _agent_offers(a, params) if own is _MISS else own
+    # Leaders refusing the same request offer one remove_reasoning_about
+    # label; the first of them takes it, as in apply_event.
+    found: dict = {}  # event -> (sort key, event, successor), first per label
+    for e, key, agent_slots, leader_slots in offers:
         agents = c.agents
-        for i in entry[1]:
-            key = (agents[i], e)
-            nxt = _AGENT_STEPS.get(key, _MISS)
+        for i in agent_slots:
+            k = (agents[i], e)
+            nxt = _AGENT_STEPS.get(k, _MISS)
             if nxt is _MISS:
-                nxt = _AGENT_STEPS[key] = _intern(agent_step(agents[i], e))
+                nxt = _AGENT_STEPS[k] = _intern(agent_step(agents[i], e))
             if nxt is None:
                 break
             agents = agents[:i] + (nxt,) + agents[i + 1 :]
         else:
             leaders = c.leaders
             for i in leader_slots:
-                key = (leaders[i], e, params)
-                nxt = _LEADER_STEPS.get(key, _MISS)
+                k = (leaders[i], e, params)
+                nxt = _LEADER_STEPS.get(k, _MISS)
                 if nxt is _MISS:
-                    nxt = _LEADER_STEPS[key] = _intern(leader_step(leaders[i], e, full, params))
+                    nxt = _LEADER_STEPS[k] = _intern(leader_step(leaders[i], e, full, params))
                 if nxt is None:
                     break
                 leaders = leaders[:i] + (nxt,) + leaders[i + 1 :]
             else:
-                found[e] = (entry[0], e, Configuration(agents, leaders, params))
+                found.setdefault(e, (key, e, Configuration(agents, leaders, params)))
     return [(e, c2) for _, e, c2 in sorted(found.values(), key=itemgetter(0))]
 
 
@@ -275,9 +275,13 @@ def apply_event(c: Configuration, e: EventLabel) -> Configuration:
     the same steps through the step tables.
     """
     full = _full_set(c.params.n)
-    refs = joint_participants(c, e)
-    if isinstance(e, RemoveReasoningAbout) and len(refs) < 2:
-        raise RefusedEventError(e, None)
+    refs = participants(e)
+    if isinstance(e, RemoveReasoningAbout):
+        # The co-participant is the first leader refusing that request.
+        l = _refusing_leader(c, e)
+        if l is None:
+            raise RefusedEventError(e, None)
+        refs = refs | {ProcessRef("leader", l.id)}
     agents = list(c.agents)
     leaders = list(c.leaders)
     for r in sorted(refs):

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from mapmerge import cli
 from mapmerge.cli import main
 from mapmerge.events import to_json
 from mapmerge.scenarios import builtin_scenarios, scenario_to_json
@@ -89,6 +91,63 @@ def test_scenario_file_without_trace_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path))
     assert_one_line_usage_error(code, err)
     assert "'trace'" in err
+
+
+def test_scenario_file_wrong_field_type_usage_error(capsys, tmp_path):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([{"name": "int-trace", "trace": 5}]))
+    code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path))
+    assert_one_line_usage_error(code, err)
+    assert "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "trace, alphabet, message",
+    [
+        ({"type": "done", "leader": "A7"}, None, "outside universe of size 3"),
+        ({"type": "request_merge", "agent": "A1", "leader": "A1", "merge_set": []}, None, "empty merge_set"),
+        ({"type": []}, None, "string 'type'"),
+        ({"type": "done", "leader": "A1"}, {"type": "done", "leader": "A4"}, "outside universe of size 3"),
+        ({"type": "done", "leader": "A1"}, {"type": "done", "leader": "A2"}, "not in the visible alphabet"),
+    ],
+    ids=["outside-universe", "empty-merge-set", "type-not-string", "alphabet-outside-universe", "outside-alphabet"],
+)
+def test_trace_check_event_outside_model_usage_error(capsys, tmp_path, trace, alphabet, message):
+    argv = ["trace-check", "--agents", "3"]
+    if alphabet is not None:
+        (tmp_path / "alphabet.jsonl").write_text(json.dumps(alphabet) + "\n")
+        argv += ["--alphabet-file", str(tmp_path / "alphabet.jsonl")]
+    (tmp_path / "trace.jsonl").write_text(json.dumps(trace) + "\n")
+    code, _, err = run(capsys, *argv, str(tmp_path / "trace.jsonl"))
+    assert_one_line_usage_error(code, err)
+    assert err.startswith("mapmerge: parse error: ") and message in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("explore", "--agents", "2"), 0),
+        (("explore", "--agents", "3", "--max-states", "40"), 1),
+        (("explore", "--agents", "2", "--max-states", "0"), 2),
+    ],
+)
+def test_main_restores_collector_state(capsys, argv, expected, enabled):
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == expected
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_main_pauses_collector_while_dispatching(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_explore", lambda args: seen.append(gc.isenabled()) or 0)
+    assert gc.isenabled()
+    assert main(["explore", "--agents", "2"]) == 0
+    assert seen == [False] and gc.isenabled()
 
 
 def test_agents_out_of_bounds_usage_error(capsys):

@@ -79,3 +79,43 @@ def test_step_tables_filled_by_threads():
         sys.setswitchinterval(interval)
     assert g.states == expected.states
     assert g.transitions == expected.transitions
+
+
+def test_each_label_is_one_shared_object():
+    # With every table emptied, sequential and threaded runs both store one
+    # object per distinct label in the graph.
+    c0 = initial_config(3)
+    graphs = []
+    for workers in (1, 4):
+        for table in (
+            world._AGENT_OFFERS,
+            world._LEADER_OFFERS,
+            world._AGENT_STEPS,
+            world._LEADER_STEPS,
+            world._LOCAL_STATES,
+            world._EVENTS,
+        ):
+            table.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            graphs.append(explore(c0, checks=[], workers=workers))
+        finally:
+            sys.setswitchinterval(interval)
+    assert graphs[0].transitions == graphs[1].transitions
+    for g in graphs:
+        events = [e for _, e, _ in g.transitions]
+        assert len({id(e) for e in events}) == len(set(events))
+
+
+def test_successors_of_replayed_configuration(graph_n3):
+    # apply_event builds fresh local states; the tables match them by value.
+    for idx in range(1, graph_n3.state_count, 47):
+        path = graph_n3.path_to(idx)
+        c = path[0]
+        for e in path[1::2]:
+            c = apply_event(c, e)
+        stored = graph_n3.states[idx]
+        assert c == stored
+        assert any(x is not y for x, y in zip(c.agents + c.leaders, stored.agents + stored.leaders))
+        assert successors(c) == successors(stored)
