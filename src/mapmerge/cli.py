@@ -197,7 +197,10 @@ def cmd_scenarios(args) -> int:
         with open(args.scenario_file) as f:
             text = f.read()
         try:
-            scenarios.extend(load_scenarios(text))
+            for s in load_scenarios(text):
+                for e in s.trace + tuple(s.alphabet if isinstance(s.alphabet, frozenset) else ()):
+                    validate_event(e, args.agents)
+                scenarios.append(s)
         except ValueError as exc:  # malformed JSON, scenario or event objects
             raise InvalidEventError(f"{args.scenario_file}: {exc}") from exc
     if args.name:

@@ -265,7 +265,7 @@ def from_json(d: dict) -> EventLabel:
             raise InvalidEventError(f"{d['type']}: missing field {f.name!r}")
         v = d[f.name]
         try:
-            if f.type == "frozenset" or f.name in ("merge_set", "other_agent_set", "union_set", "new_set"):
+            if f.type == "frozenset":
                 kwargs[f.name] = frozenset(AgentId.parse(x) for x in v)
             else:
                 kwargs[f.name] = AgentId.parse(v)

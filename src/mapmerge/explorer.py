@@ -7,9 +7,12 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .events import (
+    EVENT_TYPES,
     ConfirmMerge,
     EventLabel,
     InvalidEventError,
@@ -28,8 +31,8 @@ from .world import (  # noqa: F401
     apply_event,
     enabled_events,
     is_terminal,
+    model,
     quiescent_partition_violation,
-    successors,
 )
 
 # A witness path alternates configurations and events, starting and ending
@@ -44,6 +47,7 @@ class Check:
     name: str
     kind: str  # "state" | "transition"
     fn: Callable
+    on: tuple = ()  # event types a transition check inspects; () means all
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,8 @@ class StateGraph:
 
     initial: Configuration
     states: list = field(default_factory=list)
-    transitions: list = field(default_factory=list)  # (src_idx, event, dst_idx)
-    index: dict = field(default_factory=dict)  # Configuration -> int
+    transitions: list = field(default_factory=list)  # (src_idx, event, dst_idx), one run per src_idx
+    index: dict = field(default_factory=dict)  # code of world.model(initial.params) -> int
     parent: list = field(default_factory=list)  # idx -> (parent_idx, event) | None
     violations: list = field(default_factory=list)
     truncated: set = field(default_factory=set)  # idx whose successors a bound cut
@@ -131,10 +135,13 @@ def _quiescent_violation(c: Configuration, enabled: Sequence[EventLabel]) -> Opt
 
 
 def _monotone_violation(src: Configuration, e: EventLabel, dst: Configuration) -> Optional[str]:
+    drop = 0
     for pre, post in zip(src.leaders, dst.leaders):
+        if pre is post:
+            continue
         if post.active and not pre.agent_set <= post.agent_set:
             return f"active leader {post.id}'s agent set shrank"
-    drop = sum(l.active for l in src.leaders) - sum(l.active for l in dst.leaders)
+        drop += pre.active - post.active
     expected = 1 if isinstance(e, MergeCompleted) else 0
     if drop != expected:
         return f"active leader count changed by {drop} on {label(e)}"
@@ -146,8 +153,8 @@ def default_checks() -> list[Check]:
         Check("local-state", "state", _local_state_violation),
         Check("req2-cancel-answered", "state", _req2_cancel_violation),
         Check("quiescent-partition", "state", _quiescent_violation),
-        Check("req1-priority", "transition", _req1_violation),
-        Check("req2-confirm-active", "transition", _req2_confirm_violation),
+        Check("req1-priority", "transition", _req1_violation, (ConfirmMerge,)),
+        Check("req2-confirm-active", "transition", _req2_confirm_violation, (MergeConfirmed,)),
         Check("active-monotone", "transition", _monotone_violation),
     ]
 
@@ -160,66 +167,65 @@ def explore(
     checks: Optional[Iterable[Check]] = None,
     workers: int = 1,
 ) -> StateGraph:
-    """Breadth-first closure of the successor relation (`world.successors`).
+    """Breadth-first closure of `world.Model.successors` over integer codes.
 
-    Every registered invariant is evaluated at every state and transition;
-    BFS order makes every violation witness minimal in length.  Hitting a
-    bound leaves the graph flagged incomplete.  Worker count affects only
-    how successor sets are computed, never the resulting graph.
+    Every registered invariant is evaluated at every state and at every
+    transition of a type it inspects; BFS order makes every violation
+    witness minimal in length.  Hitting a bound leaves the graph flagged
+    incomplete.  Workers change how successor sets are computed, never the graph.
     """
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
     checks = list(default_checks() if checks is None else checks)
     state_checks = [c for c in checks if c.kind == "state"]
     trans_checks = [c for c in checks if c.kind == "transition"]
+    checks_on = {t: [k for k in trans_checks if not k.on or issubclass(t, k.on)] for t in EVENT_TYPES.values()}
 
+    m = model(c0.params)
+    code0 = m.encode(c0)
     g = StateGraph(initial=c0)
-    g.states.append(c0)
-    g.index[c0] = 0
+    states, index = g.states, g.index
+    states.append(c0)
+    index[code0] = 0
     g.parent.append(None)
     depth = [0]
-    frontier = deque([0])
+    frontier = [(0, code0)]  # (idx, code) of the states to expand
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def expand(idx: int):
-        c = g.states[idx]
-        return idx, c, successors(c)
-
     try:
         while frontier:
             # One BFS layer at a time; layer order is deterministic and
             # independent of how the expansion work is scheduled.
-            layer = list(frontier)
-            frontier.clear()
-            if pool is not None:
-                expanded = list(pool.map(expand, layer))
-            else:
-                expanded = [expand(i) for i in layer]
-            for idx, c, succs in expanded:
-                enabled = [e for e, _ in succs]
-                for chk in state_checks:
-                    msg = chk.fn(c, enabled)
-                    if msg is not None:
-                        g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
-                for e, c2 in succs:
-                    j = g.index.get(c2)
+            layer, frontier = frontier, []
+            codes = [code for _, code in layer]
+            expanded = map(m.successors, codes) if pool is None else list(pool.map(m.successors, codes))
+            for (idx, _), succs in zip(layer, expanded):
+                c = states[idx]
+                if state_checks:
+                    enabled = [m.labels[ev] for ev, _ in succs]
+                    for chk in state_checks:
+                        msg = chk.fn(c, enabled)
+                        if msg is not None:
+                            g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
+                for ev, code2 in succs:
+                    e = m.labels[ev]
+                    j = index.get(code2)
                     if j is None:
-                        if (max_states is not None and len(g.states) >= max_states) or (
+                        if (max_states is not None and len(states) >= max_states) or (
                             max_depth is not None and depth[idx] >= max_depth
                         ):
                             g.truncated.add(idx)
                             continue
-                        j = len(g.states)
-                        g.states.append(c2)
-                        g.index[c2] = j
+                        j = len(states)
+                        states.append(m.decode(code2))
+                        index[code2] = j
                         g.parent.append((idx, e))
                         depth.append(depth[idx] + 1)
-                        frontier.append(j)
+                        frontier.append((j, code2))  # j shared with index and transitions
                     g.transitions.append((idx, e, j))
-                    for chk in trans_checks:
-                        msg = chk.fn(c, e, c2)
+                    for chk in checks_on[type(e)]:
+                        msg = chk.fn(c, e, states[j])
                         if msg is not None:
-                            g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [e, c2]))
+                            g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [e, states[j]]))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -277,37 +283,42 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     sequence of a matching execution.
     """
     target = len(q.trace)
-    start = (c0, 0)
-    visited = {start: None}  # (config, matched) -> (parent_key, event) | None
-    frontier = deque([start])
     if target == 0:
         return TraceResult(True, [])
+    m = model(c0.params)
+    matches: dict = {}  # event int -> trace positions it matches, or None if hidden
+    start = (m.encode(c0), 0)
+    visited = {start: None}  # (code, matched) -> (parent_key, event int) | None
+    frontier = deque([start])
     expanded = 0
     while frontier:
         key = frontier.popleft()
-        c, k = key
+        code, k = key
         expanded += 1
         if max_states is not None and expanded > max_states:
             return TraceResult(False, None, complete=False)
-        for e, c2 in successors(c):
-            if e in q.alphabet:
-                if k < target and e == q.trace[k]:
-                    nxt = (c2, k + 1)
-                else:
-                    continue
+        for ev, code2 in m.successors(code):
+            if ev not in matches:
+                e = m.labels[ev]
+                matches[ev] = frozenset(i for i, t in enumerate(q.trace) if t == e) if e in q.alphabet else None
+            at = matches[ev]
+            if at is None:
+                nxt = (code2, k)
+            elif k in at:
+                nxt = (code2, k + 1)
             else:
-                nxt = (c2, k)
+                continue
             if nxt in visited:
                 continue
-            visited[nxt] = (key, e)
+            visited[nxt] = (key, ev)
             if nxt[1] == target:
-                steps = [e]
+                steps = [ev]
                 back = key
                 while visited[back] is not None:
                     pkey, pe = visited[back]
                     steps.append(pe)
                     back = pkey
-                return TraceResult(True, list(reversed(steps)))
+                return TraceResult(True, [m.labels[s] for s in reversed(steps)])
             frontier.append(nxt)
     return TraceResult(False, None)
 
@@ -426,8 +437,5 @@ def check_inevitable(
 def label_nondeterminism_report(g: StateGraph) -> dict:
     """States offering several distinct labels (external choice), reported
     for information; label determinism itself is an assertable invariant."""
-    out_labels: dict = {}
-    for i, e, _ in g.transitions:
-        out_labels.setdefault(i, set()).add(e)
-    multi = sum(1 for labels in out_labels.values() if len(labels) > 1)
+    multi = sum(1 for _, run in groupby(g.transitions, itemgetter(0)) if len({e for _, e, _ in run}) > 1)
     return {"states_with_choice": multi, "states_total": g.state_count}

@@ -49,6 +49,7 @@ def to_dot(g: StateGraph) -> str:
 
 def to_json_graph(g: StateGraph) -> str:
     """JSON rendering per the mapmerge-graph/1 schema."""
+    event_json = {e: to_json(e) for e in {e for _, e, _ in g.transitions}}  # one object per label
     doc = {
         "schema": GRAPH_SCHEMA,
         "agents": g.initial.params.n,
@@ -65,7 +66,7 @@ def to_json_graph(g: StateGraph) -> str:
             for i, c in enumerate(g.states)
         ],
         "transitions": [
-            {"src": i, "event": to_json(e), "dst": j} for i, e, j in g.transitions
+            {"src": i, "event": event_json[e], "dst": j} for i, e, j in g.transitions
         ],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

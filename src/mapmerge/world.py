@@ -3,6 +3,7 @@ and leader process composed in parallel, stepping jointly on shared events."""
 
 from __future__ import annotations
 
+import threading
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
@@ -137,134 +138,159 @@ def _full_set(n: int) -> frozenset:
     return frozenset(universe(n))
 
 
-# Offer and step tables, filled lazily and shared by every caller in the
-# process, explore's worker threads included.  Each key holds everything its
-# entry depends on, so a shared entry never changes a result; two threads
-# missing on one key both compute the same entry.  Local states are interned,
-# and each label is one shared object, the one the state graph stores.  The
-# step tables grow with the model's distinct local steps: about 4,100 at n=4.
-_AGENT_OFFERS: dict = {}  # (agent state, params) -> offers the agent initiates
-_LEADER_OFFERS: dict = {}  # leader state -> offers the leader initiates
-_AGENT_STEPS: dict = {}  # (agent state, event) -> agent state | None
-_LEADER_STEPS: dict = {}  # (leader state, event, params) -> leader state | None
-_LOCAL_STATES: dict = {}  # local state -> its shared instance
-_EVENTS: dict = {}  # event -> its offer: (shared event, sort key, agent slots, leader slots)
-_MISS = object()
+class Model:
+    """One model compiled to integer tables, filled lazily and shared by
+    every caller in the process, explore's worker threads included.  A code
+    is a flat tuple of local-state ints: agents at slots 0..n-1, leaders at
+    n..2n-1.  Each local state and each label is one shared object with a
+    small int.  A table miss takes the lock, so threads agree on every int;
+    a hit takes none.  About 4,100 steps fill the n=4 tables."""
 
+    def __init__(self, params: ModelParams):
+        self.params, self.n = params, params.n
+        self.locals: list = []  # int -> local state
+        self.labels: list = []  # int -> the shared label object
+        self._local_ids: dict = {}  # local state -> int
+        self._label_offers: dict = {}  # label -> (event int, sort key, slots)
+        self._offers: list = []  # local int -> (own offers, slot of the agent it awaits a reply from)
+        self._steps: list = []  # local int -> {event int: next local int, or -1 if refused}
+        self._replies: dict = {}  # (leader int, agent int) -> reply_leader offer
+        self._lock = threading.Lock()
 
-def _offer(e: EventLabel) -> tuple:
-    offer = _EVENTS.get(e)
-    if offer is None:
-        refs = sorted(participants(e))
-        agent_slots = tuple(r.id.index - 1 for r in refs if r.kind == "agent")
-        leader_slots = tuple(r.id.index - 1 for r in refs if r.kind == "leader")
-        offer = _EVENTS.setdefault(e, (e, sort_key(e), agent_slots, leader_slots))
-    return offer
+    def _offer(self, e: EventLabel) -> tuple:
+        offer = self._label_offers.get(e)
+        if offer is None:
+            slots = tuple(r.id.index - 1 + (self.n if r.kind == "leader" else 0) for r in sorted(participants(e)))
+            offer = self._label_offers[e] = (len(self.labels), sort_key(e), slots)
+            self.labels.append(e)
+        return offer
 
+    def _intern(self, s) -> int:
+        """The int of local state `s`; the caller holds the lock."""
+        i = self._local_ids.get(s)
+        if i is None:
+            leader = isinstance(s, LeaderProcState)
+            self._offers.append(self._leader_offers(s) if leader else (self._agent_offers(s), None))
+            self._steps.append({})
+            self.locals.append(s)
+            i = self._local_ids[s] = len(self.locals) - 1
+        return i
 
-def _leader_offers(l: LeaderProcState) -> tuple:
-    """The offers leader `l` initiates in its current state, except
-    reply_leader, whose label carries the target agent's belief."""
-    ph = l.phase
-    e = None
-    if isinstance(ph, StartMerge):
-        e = BeginMerge(l.id)
-    elif isinstance(ph, AwaitReplyLeader):
-        if ph.current is None and ph.queue:
-            e = RequestLeader(l.id, ph.queue[0])
-    elif isinstance(ph, Confirming):
-        e = ConfirmMerge(l.id, ph.other_leader)
-    elif isinstance(ph, Considering):
-        e = MergeConfirmed(ph.req_leader, l.id, l.agent_set)
-    elif isinstance(ph, Merging):
-        e = MergeMaps(l.id, ph.other_leader)
-    elif isinstance(ph, Completing):
-        e = MergeCompleted(l.id, ph.other_leader, ph.union_set)
-    elif isinstance(ph, Updating):
-        if ph.same_group_pending:
-            e = UpdateIdentifiedSameGroup(l.id, ph.same_group_pending[0], ph.new_set)
-        elif ph.other_group_pending:
-            e = UpdateIdentified(l.id, ph.other_group_pending[0], ph.new_set)
-    elif isinstance(ph, Refusing):
-        e = RemoveReasoningAbout(ph.requesting_agent, ph.other_agent)
-    elif isinstance(ph, DonePhase):
-        e = Done(l.id)
-    elif isinstance(ph, Terminating):
-        e = Terminate(l.id)
-    offers = [] if e is None else [_offer(e)]
-    if isinstance(ph, Refusing):
-        # The label does not name its leader; apply_event resolves it to the
-        # first refusing leader, and successors keeps the first offer.
-        offers[0] = offers[0][:3] + ((l.id.index - 1,),)
-    offers += [_offer(MergeCancelled(rq, l.id)) for rq in sorted(l.pending_cancels)]
-    return _LEADER_OFFERS.setdefault(l, tuple(offers))
+    def _leader_offers(self, l: LeaderProcState) -> tuple:
+        """The offers leader `l` initiates in its current state, and the slot
+        of the agent whose reply_leader it awaits: that label carries the
+        agent's belief."""
+        ph = l.phase
+        e = reply = None
+        if isinstance(ph, StartMerge):
+            e = BeginMerge(l.id)
+        elif isinstance(ph, AwaitReplyLeader):
+            if ph.current is not None:
+                reply = ph.current.index - 1
+            elif ph.queue:
+                e = RequestLeader(l.id, ph.queue[0])
+        elif isinstance(ph, Confirming):
+            e = ConfirmMerge(l.id, ph.other_leader)
+        elif isinstance(ph, Considering):
+            e = MergeConfirmed(ph.req_leader, l.id, l.agent_set)
+        elif isinstance(ph, Merging):
+            e = MergeMaps(l.id, ph.other_leader)
+        elif isinstance(ph, Completing):
+            e = MergeCompleted(l.id, ph.other_leader, ph.union_set)
+        elif isinstance(ph, Updating):
+            if ph.same_group_pending:
+                e = UpdateIdentifiedSameGroup(l.id, ph.same_group_pending[0], ph.new_set)
+            elif ph.other_group_pending:
+                e = UpdateIdentified(l.id, ph.other_group_pending[0], ph.new_set)
+        elif isinstance(ph, Refusing):
+            e = RemoveReasoningAbout(ph.requesting_agent, ph.other_agent)
+        elif isinstance(ph, DonePhase):
+            e = Done(l.id)
+        elif isinstance(ph, Terminating):
+            e = Terminate(l.id)
+        offers = [] if e is None else [self._offer(e)]
+        if isinstance(ph, Refusing):
+            # The label names no leader; like apply_event, successors keeps the first refusing one.
+            offers[0] = offers[0][:2] + (offers[0][2] + (self.n + l.id.index - 1,),)
+        offers += [self._offer(MergeCancelled(rq, l.id)) for rq in sorted(l.pending_cancels)]
+        return tuple(offers), reply
 
-
-def _agent_offers(a: AgentProcState, params: ModelParams) -> tuple:
-    """The offers agent `a` initiates.  Spontaneous merge requests stand in
-    for the identification strategy: any agent may ask its leader to merge
-    with agents it does not know."""
-    offers = ()
-    if not a.has_outstanding_request:
-        eligible = sorted(_full_set(params.n) - a.known_group)
-        offers = tuple(
-            _offer(RequestMerge(a.id, a.believed_leader, frozenset(combo)))
-            for size in range(1, min(params.merge_set_max, len(eligible)) + 1)
+    def _agent_offers(self, a: AgentProcState) -> tuple:
+        """The offers agent `a` initiates.  Spontaneous merge requests stand in
+        for the identification strategy: any agent may ask its leader to merge
+        with agents it does not know."""
+        eligible = () if a.has_outstanding_request else sorted(_full_set(self.n) - a.known_group)
+        return tuple(
+            self._offer(RequestMerge(a.id, a.believed_leader, frozenset(combo)))
+            for size in range(1, min(self.params.merge_set_max, len(eligible)) + 1)
             for combo in combinations(eligible, size)
         )
-    return _AGENT_OFFERS.setdefault((a, params), offers)
+
+    def _reply_offer(self, l: int, a: int) -> tuple:
+        with self._lock:
+            leader, agent = self.locals[l], self.locals[a]
+            offer = self._offer(ReplyLeader(agent.id, leader.id, agent.believed_leader))
+            return self._replies.setdefault((l, a), offer)
+
+    def _step(self, s: int, ev: int) -> int:
+        with self._lock:
+            steps = self._steps[s]
+            if ev not in steps:
+                local, e = self.locals[s], self.labels[ev]
+                leader = isinstance(local, LeaderProcState)
+                nxt = leader_step(local, e, _full_set(self.n), self.params) if leader else agent_step(local, e)
+                steps[ev] = -1 if nxt is None else self._intern(nxt)
+            return steps[ev]
+
+    def encode(self, c: Configuration) -> tuple:
+        with self._lock:
+            return tuple(map(self._intern, c.agents + c.leaders))
+
+    def decode(self, code: tuple) -> Configuration:
+        local, n = self.locals.__getitem__, self.n
+        return Configuration(tuple(map(local, code[:n])), tuple(map(local, code[n:])), self.params)
+
+    def successors(self, code: tuple) -> list[tuple[int, tuple]]:
+        """Every enabled event int with its successor code, in canonical order; one step per participant."""
+        n, offers_of, steps_of, replies = self.n, self._offers, self._steps, self._replies
+        offers: list = []
+        for l in code[n:]:
+            own, t = offers_of[l]
+            offers += own
+            if t is not None:
+                offers.append(replies.get((l, code[t])) or self._reply_offer(l, code[t]))
+        for a in code[:n]:
+            offers += offers_of[a][0]
+        # Leaders refusing the same request offer one remove_reasoning_about
+        # label; the first of them takes it, as in apply_event.
+        found: dict = {}  # event int -> (sort key, event int, successor), first per label
+        for ev, key, slots in offers:
+            nxt_code = code
+            for i in slots:
+                nxt = steps_of[code[i]].get(ev)
+                if nxt is None:
+                    nxt = self._step(code[i], ev)
+                if nxt < 0:
+                    break
+                nxt_code = nxt_code[:i] + (nxt,) + nxt_code[i + 1 :]
+            else:
+                found.setdefault(ev, (key, ev, nxt_code))
+        return [(ev, nxt_code) for _, ev, nxt_code in sorted(found.values(), key=itemgetter(0))]
 
 
-def _intern(s):
-    return None if s is None else _LOCAL_STATES.setdefault(s, s)
+model = cache(Model)  # the one compiled model of each ModelParams in the process
 
 
 def successors(c: Configuration) -> list[tuple[EventLabel, Configuration]]:
-    """Every enabled event with its successor configuration, in canonical
-    order.  Each participant of each offer is stepped once."""
-    params = c.params
-    full = _full_set(params.n)
-    offers: list = []
-    for l in c.leaders:
-        own = _LEADER_OFFERS.get(l, _MISS)
-        offers += _leader_offers(l) if own is _MISS else own
-        ph = l.phase
-        if isinstance(ph, AwaitReplyLeader) and ph.current is not None:
-            offers.append(_offer(ReplyLeader(ph.current, l.id, c.agent(ph.current).believed_leader)))
-    for a in c.agents:
-        own = _AGENT_OFFERS.get((a, params), _MISS)
-        offers += _agent_offers(a, params) if own is _MISS else own
-    # Leaders refusing the same request offer one remove_reasoning_about
-    # label; the first of them takes it, as in apply_event.
-    found: dict = {}  # event -> (sort key, event, successor), first per label
-    for e, key, agent_slots, leader_slots in offers:
-        agents = c.agents
-        for i in agent_slots:
-            k = (agents[i], e)
-            nxt = _AGENT_STEPS.get(k, _MISS)
-            if nxt is _MISS:
-                nxt = _AGENT_STEPS[k] = _intern(agent_step(agents[i], e))
-            if nxt is None:
-                break
-            agents = agents[:i] + (nxt,) + agents[i + 1 :]
-        else:
-            leaders = c.leaders
-            for i in leader_slots:
-                k = (leaders[i], e, params)
-                nxt = _LEADER_STEPS.get(k, _MISS)
-                if nxt is _MISS:
-                    nxt = _LEADER_STEPS[k] = _intern(leader_step(leaders[i], e, full, params))
-                if nxt is None:
-                    break
-                leaders = leaders[:i] + (nxt,) + leaders[i + 1 :]
-            else:
-                found.setdefault(e, (key, e, Configuration(agents, leaders, params)))
-    return [(e, c2) for _, e, c2 in sorted(found.values(), key=itemgetter(0))]
+    """Every enabled event with its successor configuration, in canonical order."""
+    m = model(c.params)
+    return [(m.labels[ev], m.decode(code)) for ev, code in m.successors(m.encode(c))]
 
 
 def enabled_events(c: Configuration) -> list[EventLabel]:
     """All globally enabled events, in canonical order."""
-    return [e for e, _ in successors(c)]
+    m = model(c.params)
+    return [m.labels[ev] for ev, _ in m.successors(m.encode(c))]
 
 
 def apply_event(c: Configuration, e: EventLabel) -> Configuration:

@@ -102,6 +102,36 @@ def test_scenario_file_wrong_field_type_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (
+            {"name": "empty", "trace": [{"type": "request_merge", "agent": "A1", "leader": "A1", "merge_set": []}]},
+            "empty merge_set",
+        ),
+        (
+            {
+                "name": "far",
+                "trace": [{"type": "confirm_merge", "req_leader": "A1", "other_leader": "A2"}],
+                "alphabet": [
+                    {"type": "confirm_merge", "req_leader": "A1", "other_leader": "A2"},
+                    {"type": "confirm_merge", "req_leader": "A9", "other_leader": "A1"},
+                ],
+            },
+            "A9, outside universe of size 3",
+        ),
+    ],
+    ids=["empty-merge-set", "alphabet-outside-universe"],
+)
+def test_scenario_file_event_outside_model_usage_error(capsys, tmp_path, scenario, message):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([scenario]))
+    code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path))
+    assert_one_line_usage_error(code, err)
+    assert err.startswith(f"mapmerge: parse error: {path}: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "trace, alphabet, message",
     [
         ({"type": "done", "leader": "A7"}, None, "outside universe of size 3"),

@@ -9,8 +9,11 @@ from mapmerge.events import (
 from mapmerge.export import export_graph, to_dot, to_json_graph
 from mapmerge.explorer import (
     ALL_VISIBLE,
+    Check,
     TraceQuery,
+    _monotone_violation,
     check_inevitable,
+    default_checks,
     explore,
     find_deadlocks,
     find_hidden_divergence,
@@ -18,7 +21,7 @@ from mapmerge.explorer import (
     label_nondeterminism_report,
 )
 from mapmerge.ids import AgentId
-from mapmerge.world import apply_event, enabled_events, initial_config, is_terminal
+from mapmerge.world import Configuration, apply_event, enabled_events, initial_config, is_terminal, model
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
@@ -48,7 +51,8 @@ def test_n3_graph_clean(graph_n3):
 
 def test_states_deduplicated(graph_n2):
     assert len(set(graph_n2.states)) == graph_n2.state_count
-    assert all(graph_n2.index[c] == i for i, c in enumerate(graph_n2.states))
+    m = model(graph_n2.initial.params)
+    assert all(graph_n2.index[m.encode(c)] == i for i, c in enumerate(graph_n2.states))
 
 
 def test_witness_paths_replay(graph_n2):
@@ -198,6 +202,56 @@ def test_choice_report(graph_n2):
     rep = label_nondeterminism_report(graph_n2)
     assert rep["states_total"] == graph_n2.state_count
     assert 0 < rep["states_with_choice"] < rep["states_total"]
+
+
+def _choice_reference(g) -> dict:
+    out_labels: dict = {}
+    for i, e, _ in g.transitions:
+        out_labels.setdefault(i, set()).add(e)
+    multi = sum(1 for labels in out_labels.values() if len(labels) > 1)
+    return {"states_with_choice": multi, "states_total": g.state_count}
+
+
+@pytest.mark.parametrize("max_states", [None, 500], ids=["complete", "truncated"])
+def test_choice_report_matches_dict_of_sets(graph_n3, max_states):
+    g = graph_n3 if max_states is None else explore(initial_config(3), max_states=max_states)
+    assert g.complete == (max_states is None)
+    assert label_nondeterminism_report(g) == _choice_reference(g)
+
+
+@pytest.mark.parametrize("flag", ["priority_guard", "active_guard"])
+def test_checks_on_event_types_find_what_checks_on_all_find(flag):
+    # Restricting a transition check to the event types it inspects must not
+    # change which violations explore reports, nor their witnesses.
+    c0 = initial_config(3, **{flag: False})
+    checks = default_checks()
+    assert any(k.on for k in checks)
+    typed = explore(c0, checks=checks).violations
+    untyped = explore(c0, checks=[Check(k.name, k.kind, k.fn) for k in checks]).violations
+    assert typed
+    assert [(v.check, v.message, v.witness) for v in typed] == [
+        (v.check, v.message, v.witness) for v in untyped
+    ]
+
+
+@pytest.mark.parametrize("params", [{}, {"priority_guard": False}, {"active_guard": False}])
+def test_monotone_check_same_on_shared_and_fresh_states(params):
+    # Graph states share unchanged local states; `fresh` shares none.  Run
+    # forwards and backwards, so that the check also fires.
+    g = explore(initial_config(3, **params), checks=[])
+    messages = set()
+    for i, e, j in g.transitions:
+        src, dst = g.states[i], g.states[j]
+        after = apply_event(src, e)
+        fresh = Configuration(
+            tuple(a._replace() for a in after.agents), tuple(l._replace() for l in after.leaders), after.params
+        )
+        assert fresh == dst and not any(x is y for x, y in zip(fresh.leaders, src.leaders))
+        assert _monotone_violation(src, e, dst) == _monotone_violation(src, e, fresh)
+        back = _monotone_violation(dst, e, src)
+        assert back == _monotone_violation(fresh, e, src)
+        messages.add(back)
+    assert None in messages and len(messages) > 1
 
 
 def test_export_dot_is_stable(graph_n2):

@@ -1,25 +1,50 @@
-"""Golden outputs: sha256 prefixes of CLI stdout at small agent counts.
+"""Golden outputs: sha256 prefixes of CLI stdout.
 
 A change to successor order or content, to the checks or to the report
-format shows up here; ROADMAP.md lists the full set of golden hashes.
+format shows up here; ROADMAP.md lists the full set of golden hashes.  The
+n=4 explore case covers the whole search core and takes a few seconds.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from mapmerge.cli import main
+from mapmerge.events import ConfirmMerge, label, to_json
+from mapmerge.ids import universe
+
+
+def digest(out: str) -> str:
+    return hashlib.sha256(out.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize(
     "argv, golden",
     [
         ("explore --agents 3 --json", "5a4d12dcb4d14f06"),
+        ("explore --agents 4 --json", "c164f860b72db640"),
         ("export --agents 3 --format json", "f1f05c70d6d503ce"),
         ("scenarios --agents 4 --json", "bfbe8d22d02bda68"),
     ],
 )
 def test_golden_stdout(capsys, argv, golden):
     assert main(argv.split()) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == golden
+    assert digest(capsys.readouterr().out) == golden
+
+
+def write_events(path, events) -> str:
+    path.write_text("".join(json.dumps(to_json(e), sort_keys=True) + "\n" for e in events))
+    return str(path)
+
+
+def test_golden_negative_trace_check_n4(capsys, tmp_path):
+    # REQ1 at n=4: A2 never confirms towards A1, seen through every
+    # confirm_merge; the search must exhaust the hidden state space.
+    ids = universe(4)
+    alphabet = sorted((ConfirmMerge(a, b) for a in ids for b in ids if a != b), key=label)
+    alphabet_file = write_events(tmp_path / "alphabet.jsonl", alphabet)
+    trace_file = write_events(tmp_path / "negative.jsonl", [ConfirmMerge(ids[1], ids[0])])
+    argv = ["trace-check", "--agents", "4", "--json", "--alphabet-file", alphabet_file, trace_file]
+    assert main(argv) == 1
+    assert digest(capsys.readouterr().out) == "aa42aaee8f602b72"

@@ -64,13 +64,21 @@ def test_successors_match_apply_event(n, stride, params):
         assert successors(c) == reference(c, labels)
 
 
+@pytest.mark.parametrize("params", VARIANTS, ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items()) or "default")
+def test_codes_round_trip(params):
+    g = explore(initial_config(3, **params), checks=[])
+    m = world.model(g.initial.params)
+    codes = [m.encode(c) for c in g.states]
+    assert all(m.decode(code) == c for code, c in zip(codes, g.states))
+    assert len(set(g.states)) == len(set(codes)) == g.state_count
+
+
 def test_step_tables_filled_by_threads():
-    # Threads that miss on the same step at once each compute it; interning
-    # makes them store the same successor, so the graph is unchanged.
+    # Threads that miss on the same step at once serialise on the model's
+    # lock and agree on every int, so the graph is unchanged.
     c0 = initial_config(3)
     expected = explore(c0, checks=[])
-    for table in (world._AGENT_STEPS, world._LEADER_STEPS, world._LOCAL_STATES, world._EVENTS):
-        table.clear()
+    world.model.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -87,15 +95,7 @@ def test_each_label_is_one_shared_object():
     c0 = initial_config(3)
     graphs = []
     for workers in (1, 4):
-        for table in (
-            world._AGENT_OFFERS,
-            world._LEADER_OFFERS,
-            world._AGENT_STEPS,
-            world._LEADER_STEPS,
-            world._LOCAL_STATES,
-            world._EVENTS,
-        ):
-            table.clear()
+        world.model.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
