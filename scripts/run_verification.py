@@ -1,63 +1,37 @@
 #!/usr/bin/env python3
 """Run the full verification sweep and print a summary table.
 
-For each agent count: exhaustive exploration with all invariant checks,
-deadlock/divergence detection, goal inevitability, and the six scenario
-regressions.  Mirrors `mapmerge explore` + `mapmerge scenarios` but collects
-everything into one table, with timings.
+For each agent count, the report of `mapmerge explore` (`cli.verify`):
+state and transition counts, the verdict of each check, and the time taken;
+then the six scenario regressions with their timings.
 
 Usage:
-    python scripts/run_verification.py [--max-agents 4] [--workers W]
+    python scripts/run_verification.py [--max-agents 4]
 """
 
 import argparse
-import time
 
-from mapmerge.events import is_internal
-from mapmerge.explorer import (
-    check_inevitable,
-    explore,
-    find_deadlocks,
-    find_hidden_divergence,
-)
+from mapmerge.cli import verify
 from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge.world import initial_config
 
-
-def verify(n: int, workers: int) -> dict:
-    c0 = initial_config(n)
-    t0 = time.perf_counter()
-    g = explore(c0, workers=workers)
-    explore_s = time.perf_counter() - t0
-    full = frozenset(c0.universe)
-    inev = check_inevitable(c0, lambda c: any(l.agent_set == full for l in c.leaders), graph=g)
-    return {
-        "n": n,
-        "states": g.state_count,
-        "transitions": g.transition_count,
-        "violations": len(g.violations),
-        "deadlocks": len(find_deadlocks(c0, graph=g)),
-        "divergent": find_hidden_divergence(c0, is_internal, graph=g) is not None,
-        "goal": inev.value,
-        "seconds": explore_s,
-    }
+CHECKS = ("invariants", "deadlock-freedom", "divergence-freedom", "goal-inevitable")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-agents", type=int, default=4)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    print(f"{'n':>2} {'states':>8} {'transitions':>12} {'viol':>5} {'dead':>5} "
-          f"{'div':>4} {'goal':>5} {'time':>8}")
+    print(f"{'n':>2} {'states':>8} {'transitions':>12} " + " ".join(f"{c:>18}" for c in CHECKS) + f" {'time':>8}")
     ok = True
     for n in range(2, args.max_agents + 1):
-        r = verify(n, args.workers)
-        ok &= r["violations"] == 0 and r["deadlocks"] == 0 and not r["divergent"] and r["goal"]
-        print(f"{r['n']:>2} {r['states']:>8} {r['transitions']:>12} {r['violations']:>5} "
-              f"{r['deadlocks']:>5} {str(r['divergent']):>4} {str(r['goal']):>5} "
-              f"{r['seconds']:>7.1f}s")
+        _, r = verify(initial_config(n))
+        ok &= r["verdict"] == "pass"
+        verdicts = {c["name"]: c["verdict"] for c in r["checks"]}
+        seconds = (r["duration_ms"] + sum(c["duration_ms"] for c in r["checks"])) / 1000.0
+        print(f"{n:>2} {r['state_count']:>8} {r['transition_count']:>12} "
+              + " ".join(f"{verdicts[c]:>18}" for c in CHECKS) + f" {seconds:>7.1f}s")
 
     print()
     print(f"{'scenario':<12} {'req':<5} " + " ".join(
@@ -65,11 +39,9 @@ def main() -> int:
     for s in builtin_scenarios():
         cells = []
         for n in range(3, args.max_agents + 1):
-            t0 = time.perf_counter()
             rep = check_scenario(s, n)
-            dt = (time.perf_counter() - t0) * 1000.0
             ok &= rep.verdict
-            cells.append(f"{'ok' if rep.verdict else 'FAIL'} {dt:4.0f}ms")
+            cells.append(f"{'ok' if rep.verdict else 'FAIL'} {rep.duration_ms:4.0f}ms")
         print(f"{s.name:<12} {s.requirement_tag:<5} " + " ".join(f"{c:>8}" for c in cells))
 
     print()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 import time
 
@@ -27,25 +26,28 @@ from .explorer import (
 )
 from .export import export_graph
 from .scenarios import builtin_scenarios, check_scenario, load_scenarios
-from .world import ConfigurationError, initial_config
+from .world import ConfigurationError, all_maps_merged, initial_config
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, max_states=True, max_depth=True, report=True) -> None:
+    """The model flags, plus the bound and report flags the command reads."""
     p.add_argument("--agents", type=int, default=3, metavar="N", help="agent count (default 3)")
-    p.add_argument("--max-states", type=int, default=None, metavar="K")
-    p.add_argument("--max-depth", type=int, default=None, metavar="D")
+    if max_states:
+        p.add_argument("--max-states", type=int, default=None, metavar="K")
+    if max_depth:
+        p.add_argument("--max-depth", type=int, default=None, metavar="D")
     p.add_argument("--no-harness", action="store_true", help="drop the done/terminate harness")
     p.add_argument("--merge-set-max", type=int, default=1, metavar="M")
-    p.add_argument("--workers", type=int, default=None, metavar="W")
-    p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
-    p.add_argument(
-        "--timings",
-        action="store_true",
-        help="include durations in --json output (breaks byte-stability)",
-    )
+    if report:
+        p.add_argument("--json", action="store_true", help="machine-readable report on stdout")
+        p.add_argument(
+            "--timings",
+            action="store_true",
+            help="include durations in --json output (breaks byte-stability)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,33 +59,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH", help="also write the state graph as DOT")
 
     p = sub.add_parser("scenarios", help="run the validation scenario regression")
-    _add_common(p)
+    _add_common(p, max_states=False, max_depth=False)
     p.add_argument("--name", metavar="NAME", help="run a single scenario")
     p.add_argument("--scenario-file", metavar="PATH", help="JSON file of extra scenarios")
 
     p = sub.add_parser("trace-check", help="has-trace check for a trace file")
-    _add_common(p)
+    _add_common(p, max_depth=False)
     p.add_argument("trace_file", metavar="FILE", help="one JSON event object per line")
     p.add_argument("--alphabet-file", metavar="PATH", help="JSONL of visible events (default: all)")
 
     p = sub.add_parser("export", help="explore and serialize the state graph")
-    _add_common(p)
+    _add_common(p, report=False)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
 
     return parser
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("MAPMERGE_WORKERS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigurationError(f"MAPMERGE_WORKERS must be an integer, got {env!r}") from None
 
 
 def _config(args):
@@ -123,10 +113,12 @@ def _print_human(report: dict) -> None:
     print(f"verdict: {report['verdict']}")
 
 
-def cmd_explore(args) -> int:
-    c0 = _config(args)
+def verify(c0, *, max_states=None, max_depth=None) -> tuple:
+    """Explore from `c0` and run every check behind the verdict once: the
+    invariants, deadlock freedom, divergence freedom and the inevitability
+    of the goal, all maps merged.  Returns the graph and the report."""
     t0 = time.perf_counter()
-    g = explore(c0, max_states=args.max_states, max_depth=args.max_depth, workers=_workers(args))
+    g = explore(c0, max_states=max_states, max_depth=max_depth)
     explore_ms = (time.perf_counter() - t0) * 1000.0
     checks = []
 
@@ -148,18 +140,17 @@ def cmd_explore(args) -> int:
         return not g.violations, detail
 
     def check_deadlocks():
-        deadlocks = find_deadlocks(c0, graph=g)
+        deadlocks = find_deadlocks(g)
         return not deadlocks, "" if not deadlocks else f"{len(deadlocks)} deadlocks"
 
     def check_divergence():
-        div = find_hidden_divergence(c0, is_internal, graph=g)
+        div = find_hidden_divergence(g, is_internal)
         if div is None:
             return True, ""
         return False, "hidden cycle: " + ", ".join(label(e) for e in div.cycle)
 
     def check_goal():
-        full = frozenset(c0.universe)
-        inev = check_inevitable(c0, lambda c: any(l.agent_set == full for l in c.leaders), graph=g)
+        inev = check_inevitable(g, all_maps_merged)
         if inev.value is True:
             return True, ""
         return False, "exploration incomplete" if inev.value is None else "goal avoidable"
@@ -171,8 +162,7 @@ def cmd_explore(args) -> int:
     ok &= record("goal-inevitable", check_goal)
 
     report = {
-        "command": "explore",
-        "agents": args.agents,
+        "agents": c0.params.n,
         "state_count": g.state_count,
         "transition_count": g.transition_count,
         "complete": g.complete,
@@ -184,10 +174,15 @@ def cmd_explore(args) -> int:
         "duration_ms": round(explore_ms, 3),
         "verdict": "pass" if ok and g.complete else "fail",
     }
+    return g, report
+
+
+def cmd_explore(args) -> int:
+    g, report = verify(_config(args), max_states=args.max_states, max_depth=args.max_depth)
     if args.dot:
         with open(args.dot, "w") as f:
             f.write(export_graph(g, "dot"))
-    _emit(report, args)
+    _emit({"command": "explore", **report}, args)
     return 0 if report["verdict"] == "pass" else CHECK_FAILED
 
 
@@ -282,9 +277,7 @@ def cmd_trace_check(args) -> int:
 
 def cmd_export(args) -> int:
     c0 = _config(args)
-    g = explore(
-        c0, max_states=args.max_states, max_depth=args.max_depth, checks=[], workers=_workers(args)
-    )
+    g = explore(c0, max_states=args.max_states, max_depth=args.max_depth, checks=[])
     text = export_graph(g, args.format)
     if args.out:
         with open(args.out, "w") as f:

@@ -5,7 +5,6 @@ divergence detection, and AG-EF inevitability."""
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -120,10 +119,9 @@ def _req2_confirm_violation(src: Configuration, e: EventLabel, dst: Configuratio
 
 
 def _req2_cancel_violation(c: Configuration, enabled: Sequence[EventLabel]) -> Optional[str]:
-    enabled_set = set(enabled)
     for l in c.leaders:
         for rq in l.pending_cancels:
-            if MergeCancelled(rq, l.id) not in enabled_set:
+            if MergeCancelled(rq, l.id) not in enabled:
                 return f"{l.id} owes merge_cancelled to {rq} but cannot reply"
         if not l.active and isinstance(l.phase, (Considering, BeingMerged, AwaitCompletion)):
             return f"demoted leader {l.id} is progressing a merge confirmation"
@@ -165,14 +163,13 @@ def explore(
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
     checks: Optional[Iterable[Check]] = None,
-    workers: int = 1,
 ) -> StateGraph:
     """Breadth-first closure of `world.Model.successors` over integer codes.
 
     Every registered invariant is evaluated at every state and at every
     transition of a type it inspects; BFS order makes every violation
     witness minimal in length.  Hitting a bound leaves the graph flagged
-    incomplete.  Workers change how successor sets are computed, never the graph.
+    incomplete.
     """
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
@@ -189,46 +186,37 @@ def explore(
     index[code0] = 0
     g.parent.append(None)
     depth = [0]
-    frontier = [(0, code0)]  # (idx, code) of the states to expand
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            # One BFS layer at a time; layer order is deterministic and
-            # independent of how the expansion work is scheduled.
-            layer, frontier = frontier, []
-            codes = [code for _, code in layer]
-            expanded = map(m.successors, codes) if pool is None else list(pool.map(m.successors, codes))
-            for (idx, _), succs in zip(layer, expanded):
-                c = states[idx]
-                if state_checks:
-                    enabled = [m.labels[ev] for ev, _ in succs]
-                    for chk in state_checks:
-                        msg = chk.fn(c, enabled)
-                        if msg is not None:
-                            g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
-                for ev, code2 in succs:
-                    e = m.labels[ev]
-                    j = index.get(code2)
-                    if j is None:
-                        if (max_states is not None and len(states) >= max_states) or (
-                            max_depth is not None and depth[idx] >= max_depth
-                        ):
-                            g.truncated.add(idx)
-                            continue
-                        j = len(states)
-                        states.append(m.decode(code2))
-                        index[code2] = j
-                        g.parent.append((idx, e))
-                        depth.append(depth[idx] + 1)
-                        frontier.append((j, code2))  # j shared with index and transitions
-                    g.transitions.append((idx, e, j))
-                    for chk in checks_on[type(e)]:
-                        msg = chk.fn(c, e, states[j])
-                        if msg is not None:
-                            g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [e, states[j]]))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    frontier = deque([(0, code0)])  # (idx, code) of the states to expand, in BFS order
+    while frontier:
+        idx, code = frontier.popleft()
+        succs = m.successors(code)
+        c = states[idx]
+        if state_checks:
+            enabled = [m.labels[ev] for ev, _ in succs]
+            for chk in state_checks:
+                msg = chk.fn(c, enabled)
+                if msg is not None:
+                    g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
+        for ev, code2 in succs:
+            e = m.labels[ev]
+            j = index.get(code2)
+            if j is None:
+                if (max_states is not None and len(states) >= max_states) or (
+                    max_depth is not None and depth[idx] >= max_depth
+                ):
+                    g.truncated.add(idx)
+                    continue
+                j = len(states)
+                states.append(m.decode(code2))
+                index[code2] = j
+                g.parent.append((idx, e))
+                depth.append(depth[idx] + 1)
+                frontier.append((j, code2))  # j shared with index and transitions
+            g.transitions.append((idx, e, j))
+            for chk in checks_on[type(e)]:
+                msg = chk.fn(c, e, states[j])
+                if msg is not None:
+                    g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [e, states[j]]))
     return g
 
 
@@ -282,6 +270,8 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     once the trace is matched.  The witness is the full unprojected event
     sequence of a matching execution.
     """
+    if max_states is not None and max_states < 1:
+        raise ConfigurationError("exploration bounds must be positive")
     target = len(q.trace)
     if target == 0:
         return TraceResult(True, [])
@@ -323,12 +313,9 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     return TraceResult(False, None)
 
 
-def find_deadlocks(
-    c0: Configuration, *, max_states: Optional[int] = None, graph: Optional[StateGraph] = None
-) -> list:
-    """Witness paths to every reachable non-terminal state with no enabled
-    events.  States whose successors a bound cut are not deadlocks."""
-    g = graph if graph is not None else explore(c0, max_states=max_states, checks=[])
+def find_deadlocks(g: StateGraph) -> list:
+    """Witness paths to every state of `g` that is not terminal and has no
+    enabled events.  States whose successors a bound cut are not deadlocks."""
     out_degree = [0] * g.state_count
     for i, _, _ in g.transitions:
         out_degree[i] += 1
@@ -346,15 +333,10 @@ class DivergenceWitness:
 
 
 def find_hidden_divergence(
-    c0: Configuration,
-    hidden: Union[frozenset, set, Callable[[EventLabel], bool]],
-    *,
-    max_states: Optional[int] = None,
-    graph: Optional[StateGraph] = None,
+    g: StateGraph, hidden: Union[frozenset, set, Callable[[EventLabel], bool]]
 ) -> Optional[DivergenceWitness]:
-    """A reachable cycle labelled entirely by hidden events, if one exists."""
+    """A cycle of `g` labelled entirely by hidden events, if one exists."""
     is_hidden = hidden if callable(hidden) else (lambda e: e in hidden)
-    g = graph if graph is not None else explore(c0, max_states=max_states, checks=[])
     adj: dict = {}
     for i, e, j in g.transitions:
         if is_hidden(e):
@@ -402,17 +384,10 @@ class InevitabilityResult:
         return bool(self.value)
 
 
-def check_inevitable(
-    c0: Configuration,
-    goal: Callable[[Configuration], bool],
-    *,
-    max_states: Optional[int] = None,
-    graph: Optional[StateGraph] = None,
-) -> InevitabilityResult:
-    """AG EF goal: from every reachable state some goal state stays
-    reachable.  The counterexample is a path to a state from which the goal
-    is unreachable."""
-    g = graph if graph is not None else explore(c0, max_states=max_states, checks=[])
+def check_inevitable(g: StateGraph, goal: Callable[[Configuration], bool]) -> InevitabilityResult:
+    """AG EF goal: from every state of `g` some goal state stays reachable.
+    The counterexample is a path to a state from which the goal is
+    unreachable.  An incomplete `g` gives no verdict."""
     if not g.complete:
         return InevitabilityResult(None, complete=False)
     rev: dict = {}

@@ -140,7 +140,7 @@ def _full_set(n: int) -> frozenset:
 
 class Model:
     """One model compiled to integer tables, filled lazily and shared by
-    every caller in the process, explore's worker threads included.  A code
+    every caller in the process.  A code
     is a flat tuple of local-state ints: agents at slots 0..n-1, leaders at
     n..2n-1.  Each local state and each label is one shared object with a
     small int.  A table miss takes the lock, so threads agree on every int;
@@ -361,6 +361,12 @@ def quiescent_partition_violation(c: Configuration) -> Optional[str]:
         if a.id not in lead.agent_set:
             return f"{a.id} not in believed leader {a.believed_leader}'s agent set"
     return None
+
+
+def all_maps_merged(c: Configuration) -> bool:
+    """The protocol's goal: some leader's agent set is the whole team."""
+    full = _full_set(c.params.n)
+    return any(l.agent_set == full for l in c.leaders)
 
 
 def is_terminal(c: Configuration) -> bool:

@@ -1,5 +1,8 @@
 import gc
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +42,7 @@ def test_explore_json_report(capsys):
 
 def test_explore_json_is_byte_stable(capsys):
     _, out1, _ = run(capsys, "explore", "--agents", "2", "--json")
-    _, out2, _ = run(capsys, "explore", "--agents", "2", "--json", "--workers", "2")
+    _, out2, _ = run(capsys, "explore", "--agents", "2", "--json")
     assert out1 == out2
     assert "duration" not in out1
 
@@ -78,11 +81,33 @@ def test_explore_zero_max_states_usage_error(capsys):
     assert "bounds" in err
 
 
-def test_workers_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("MAPMERGE_WORKERS", "x")
-    code, _, err = run(capsys, "explore", "--agents", "2")
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("command", ["explore", "export", "trace-check"])
+def test_nonpositive_max_states_usage_error(capsys, tmp_path, command, bound):
+    argv = [command, "--agents", "2", "--max-states", bound]
+    if command == "trace-check":
+        (tmp_path / "trace.jsonl").write_text(json.dumps({"type": "done", "leader": "A1"}) + "\n")
+        argv.append(str(tmp_path / "trace.jsonl"))
+    code, _, err = run(capsys, *argv)
     assert_one_line_usage_error(code, err)
-    assert "MAPMERGE_WORKERS" in err
+    assert "bounds" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scenarios", "--agents", "3", "--max-depth", "2"),
+        ("scenarios", "--agents", "3", "--max-states", "10"),
+        ("trace-check", "--agents", "3", "--max-depth", "2", "trace.jsonl"),
+        ("export", "--agents", "2", "--json"),
+        ("export", "--agents", "2", "--timings"),
+    ],
+)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_scenario_file_without_trace_usage_error(capsys, tmp_path):
@@ -278,8 +303,9 @@ def test_explore_dot_side_output(capsys, tmp_path):
     assert path.read_text().count("->") == 77
 
 
-def test_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("MAPMERGE_WORKERS", "2")
-    code, out, _ = run(capsys, "explore", "--agents", "2", "--json")
-    assert code == 0
-    assert json.loads(out)["state_count"] == 43
+def test_verification_script_passes(tmp_path, src_env):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+    argv = [sys.executable, str(script), "--max-agents", "3"]
+    proc = subprocess.run(argv, env=src_env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("overall: pass")

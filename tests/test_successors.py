@@ -7,6 +7,7 @@ merge_set_max: those are the only accepted labels that are never proposed.
 
 import itertools
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import pytest
@@ -73,38 +74,52 @@ def test_codes_round_trip(params):
     assert len(set(g.states)) == len(set(codes)) == g.state_count
 
 
+def threaded_bfs(c0) -> tuple:
+    """The states and transitions of explore's BFS without checks, from
+    emptied tables, with each layer's Model.successors calls spread over four
+    threads that switch every microsecond."""
+    world.model.cache_clear()
+    m = world.model(c0.params)
+    index = {m.encode(c0): 0}  # code -> idx, in BFS order
+    transitions = []
+    layer = list(index)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            while layer:
+                nxt = []
+                for code, succs in zip(layer, pool.map(m.successors, layer)):
+                    for ev, code2 in succs:
+                        if code2 not in index:
+                            index[code2] = len(index)
+                            nxt.append(code2)
+                        transitions.append((index[code], m.labels[ev], index[code2]))
+                layer = nxt
+    finally:
+        sys.setswitchinterval(interval)
+    return [m.decode(code) for code in index], transitions
+
+
 def test_step_tables_filled_by_threads():
     # Threads that miss on the same step at once serialise on the model's
     # lock and agree on every int, so the graph is unchanged.
     c0 = initial_config(3)
     expected = explore(c0, checks=[])
-    world.model.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        g = explore(c0, checks=[], workers=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert g.states == expected.states
-    assert g.transitions == expected.transitions
+    states, transitions = threaded_bfs(c0)
+    assert states == expected.states
+    assert transitions == expected.transitions
 
 
 def test_each_label_is_one_shared_object():
     # With every table emptied, sequential and threaded runs both store one
     # object per distinct label in the graph.
     c0 = initial_config(3)
-    graphs = []
-    for workers in (1, 4):
-        world.model.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            graphs.append(explore(c0, checks=[], workers=workers))
-        finally:
-            sys.setswitchinterval(interval)
-    assert graphs[0].transitions == graphs[1].transitions
-    for g in graphs:
-        events = [e for _, e, _ in g.transitions]
+    world.model.cache_clear()
+    runs = [explore(c0, checks=[]).transitions, threaded_bfs(c0)[1]]
+    assert runs[0] == runs[1]
+    for transitions in runs:
+        events = [e for _, e, _ in transitions]
         assert len({id(e) for e in events}) == len(set(events))
 
 

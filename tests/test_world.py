@@ -19,6 +19,7 @@ from mapmerge.ids import AgentId
 from mapmerge.world import (
     ConfigurationError,
     RefusedEventError,
+    all_maps_merged,
     apply_event,
     enabled_events,
     initial_config,
@@ -100,6 +101,13 @@ def test_pair_merge_replay():
     assert is_quiescent(c)
     assert quiescent_partition_violation(c) is None
     assert not is_terminal(c)
+
+
+def test_all_maps_merged_needs_the_whole_team():
+    assert not all_maps_merged(initial_config(2))
+    assert not all_maps_merged(replay(initial_config(3), PAIR_MERGE))
+    c = replay(initial_config(2), PAIR_MERGE)
+    assert all_maps_merged(c) and not is_terminal(c)
 
 
 def test_apply_event_refuses_with_blocker():
