@@ -2,14 +2,15 @@
 """Run the full verification sweep and print a summary table.
 
 For each agent count, the report of `mapmerge explore` (`cli.verify`):
-state and transition counts, the verdict of each check, and the time taken;
-then the six scenario regressions with their timings.
+state and transition counts, each check's verdict, the time taken and the
+peak RSS so far (ru_maxrss); then the six scenario regressions with timings.
 
 Usage:
     python scripts/run_verification.py [--max-agents 4]
 """
 
 import argparse
+import resource
 
 from mapmerge.cli import verify
 from mapmerge.scenarios import builtin_scenarios, check_scenario
@@ -23,15 +24,17 @@ def main() -> int:
     ap.add_argument("--max-agents", type=int, default=4)
     args = ap.parse_args()
 
-    print(f"{'n':>2} {'states':>8} {'transitions':>12} " + " ".join(f"{c:>18}" for c in CHECKS) + f" {'time':>8}")
+    print(f"{'n':>2} {'states':>8} {'transitions':>12} " + " ".join(f"{c:>18}" for c in CHECKS)
+          + f" {'time':>8} {'peak RSS':>9}")
     ok = True
     for n in range(2, args.max_agents + 1):
         _, r = verify(initial_config(n))
         ok &= r["verdict"] == "pass"
         verdicts = {c["name"]: c["verdict"] for c in r["checks"]}
         seconds = (r["duration_ms"] + sum(c["duration_ms"] for c in r["checks"])) / 1000.0
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(f"{n:>2} {r['state_count']:>8} {r['transition_count']:>12} "
-              + " ".join(f"{verdicts[c]:>18}" for c in CHECKS) + f" {seconds:>7.1f}s")
+              + " ".join(f"{verdicts[c]:>18}" for c in CHECKS) + f" {seconds:>7.1f}s {rss_mb:>6.0f} MB")
 
     print()
     print(f"{'scenario':<12} {'req':<5} " + " ".join(

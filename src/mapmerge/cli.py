@@ -12,6 +12,7 @@ import gc
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 from .events import InvalidEventError, from_json, is_internal, label, validate_event
 from .explorer import (
@@ -181,7 +182,7 @@ def cmd_explore(args) -> int:
     g, report = verify(_config(args), max_states=args.max_states, max_depth=args.max_depth)
     if args.dot:
         with open(args.dot, "w") as f:
-            f.write(export_graph(g, "dot"))
+            export_graph(g, "dot", f)
     _emit({"command": "explore", **report}, args)
     return 0 if report["verdict"] == "pass" else CHECK_FAILED
 
@@ -278,12 +279,8 @@ def cmd_trace_check(args) -> int:
 def cmd_export(args) -> int:
     c0 = _config(args)
     g = explore(c0, max_states=args.max_states, max_depth=args.max_depth, checks=[])
-    text = export_graph(g, args.format)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        export_graph(g, args.format, out)
     return 0
 
 

@@ -4,11 +4,14 @@ divergence detection, and AG-EF inevitability."""
 
 from __future__ import annotations
 
+import struct
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from functools import cache, partial
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter, sub
+from typing import Callable, Iterable, Optional, Union
 
 from .events import (
     EVENT_TYPES,
@@ -21,12 +24,13 @@ from .events import (
     is_internal,
     label,
 )
-from .processes import AwaitCompletion, BeingMerged, Considering
+from .processes import AwaitCompletion, BeingMerged, Considering, LeaderProcState, leader_is_quiescent
 # apply_event and enabled_events are unused here but stay importable as
 # explorer attributes, which perfbench/tracer.py wraps.
 from .world import (  # noqa: F401
     Configuration,
     ConfigurationError,
+    Model,
     apply_event,
     enabled_events,
     is_terminal,
@@ -41,7 +45,8 @@ Path = list
 
 @dataclass(frozen=True)
 class Check:
-    """A named invariant, evaluated at every state or transition."""
+    """A named invariant over int codes (see `world.Model`): fn(model, code, successors) at a state,
+    fn(model, code, event int, successor code) at a transition; it returns a message or None."""
 
     name: str
     kind: str  # "state" | "transition"
@@ -56,15 +61,24 @@ class Violation:
     witness: Path
 
 
+# An n-agent code packed as 2n unsigned shorts (local ints stay below 2**16): a state's dedup key and its row.
+_row = cache(lambda n: struct.Struct(f"{2 * n}H"))
+
+
 @dataclass
 class StateGraph:
-    """Deduplicated reachable states and transitions, in BFS order."""
+    """Deduplicated reachable states and transitions, in BFS order, as int
+    arrays.  State i is its code, row i of `rows`, decoded only on demand; its
+    transitions are offsets[i]:offsets[i + 1] of `events` and `targets`."""
 
     initial: Configuration
-    states: list = field(default_factory=list)
-    transitions: list = field(default_factory=list)  # (src_idx, event, dst_idx), one run per src_idx
-    index: dict = field(default_factory=dict)  # code of world.model(initial.params) -> int
-    parent: list = field(default_factory=list)  # idx -> (parent_idx, event) | None
+    model: Model  # the model whose ints the arrays hold
+    index: dict = field(default_factory=dict)  # packed code -> idx
+    rows: array = field(default_factory=partial(array, "H"))
+    offsets: array = field(default_factory=partial(array, "I", [0]))
+    events: array = field(default_factory=partial(array, "H"))
+    targets: array = field(default_factory=partial(array, "I"))
+    parent: array = field(default_factory=partial(array, "I", [0]))  # idx -> the state it was discovered from
     violations: list = field(default_factory=list)
     truncated: set = field(default_factory=set)  # idx whose successors a bound cut
 
@@ -74,74 +88,106 @@ class StateGraph:
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.index)
 
     @property
     def transition_count(self) -> int:
-        return len(self.transitions)
+        return len(self.targets)
+
+    def state(self, idx: int) -> Configuration:
+        """The configuration of state idx, decoded from its row."""
+        row = _row(self.initial.params.n)
+        return self.model.decode(row.unpack_from(self.rows, idx * row.size))
+
+    def edges(self) -> Iterable[tuple]:
+        """(source idx, label int, target idx) of every transition, in order."""
+        off = self.offsets
+        sources = chain.from_iterable(map(repeat, range(self.state_count), map(sub, islice(off, 1, None), off)))
+        return zip(sources, self.events, self.targets)
 
     def path_to(self, idx: int) -> Path:
-        """Replayable witness path from the initial state to states[idx]."""
-        steps = []
-        while self.parent[idx] is not None:
-            pidx, e = self.parent[idx]
-            steps.append((e, idx))
-            idx = pidx
-        path: Path = [self.states[idx]]
-        for e, i in reversed(steps):
-            path.append(e)
-            path.append(self.states[i])
-        return path
+        """Replayable witness path from the initial state to state idx.  The
+        first transition of its parent into a state is the one that found it."""
+        path: Path = [self.state(idx)]
+        while idx:
+            p = self.parent[idx]
+            ev = self.events[self.targets.index(idx, self.offsets[p], self.offsets[p + 1])]
+            path += (self.model.labels[ev], self.state(p))
+            idx = p
+        return path[::-1]
 
 
-def _local_state_violation(c: Configuration, enabled: Sequence[EventLabel]) -> Optional[str]:
-    for a in c.agents:
-        if a.id not in a.known_group:
-            return f"{a.id} missing from its own known group"
-        if a.believed_leader not in a.known_group:
-            return f"{a.id}'s believed leader {a.believed_leader} outside its known group"
-    for l in c.leaders:
-        if l.active and l.id not in l.agent_set:
-            return f"active leader {l.id} missing from its own agent set"
+class _LocalFacts(dict):
+    """By local int, computed at the first lookup: a process's local-state message, its duties as
+    (label int, message if that label is not enabled; -1 never is), and whether it is quiescent.
+    Only a state whose processes are all quiescent is decoded, for the partition check."""
+
+    def __init__(self, m: Model):
+        self.m = m
+
+    def __missing__(self, x: int) -> tuple:
+        s, msg, duties = self.m.locals[x], None, []
+        if isinstance(s, LeaderProcState):
+            if s.active and s.id not in s.agent_set:
+                msg = f"active leader {s.id} missing from its own agent set"
+            for rq in s.pending_cancels:
+                owed = self.m.labels.index(MergeCancelled(rq, s.id))
+                duties.append((owed, f"{s.id} owes merge_cancelled to {rq} but cannot reply"))
+            if not s.active and isinstance(s.phase, (Considering, BeingMerged, AwaitCompletion)):
+                duties.append((-1, f"demoted leader {s.id} is progressing a merge confirmation"))
+        elif s.id not in s.known_group:
+            msg = f"{s.id} missing from its own known group"
+        elif s.believed_leader not in s.known_group:
+            msg = f"{s.id}'s believed leader {s.believed_leader} outside its known group"
+        quiescent = leader_is_quiescent(s) if isinstance(s, LeaderProcState) else not s.has_outstanding_request
+        facts = self[x] = (msg, tuple(duties), quiescent)
+        return facts
+
+
+_facts = cache(_LocalFacts)  # one table per model
+
+
+def _local_state_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
+    return next(filter(None, map(itemgetter(0), map(_facts(m).__getitem__, code))), None)
+
+
+def _req2_cancel_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
+    duties = list(chain.from_iterable(map(itemgetter(1), map(_facts(m).__getitem__, code[m.n :]))))
+    enabled = duties and {ev for ev, _ in succs}
+    return next((msg for ev, msg in duties if ev not in enabled), None)
+
+
+def _quiescent_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
+    if all(map(itemgetter(2), map(_facts(m).__getitem__, code))):
+        return quiescent_partition_violation(m.decode(code))
     return None
 
 
-def _req1_violation(src: Configuration, e: EventLabel, dst: Configuration) -> Optional[str]:
+def _req1_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optional[str]:
+    e = m.labels[ev]
     if isinstance(e, ConfirmMerge) and e.req_leader.index >= e.other_leader.index:
         return f"confirm_merge from {e.req_leader} to higher-priority {e.other_leader}"
     return None
 
 
-def _req2_confirm_violation(src: Configuration, e: EventLabel, dst: Configuration) -> Optional[str]:
-    if isinstance(e, MergeConfirmed) and not src.leader(e.other_leader).active:
+def _req2_confirm_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optional[str]:
+    e = m.labels[ev]
+    if isinstance(e, MergeConfirmed) and not m.locals[code[m.n + e.other_leader.index - 1]].active:
         return f"demoted leader {e.other_leader} emitted merge_confirmed"
     return None
 
 
-def _req2_cancel_violation(c: Configuration, enabled: Sequence[EventLabel]) -> Optional[str]:
-    for l in c.leaders:
-        for rq in l.pending_cancels:
-            if MergeCancelled(rq, l.id) not in enabled:
-                return f"{l.id} owes merge_cancelled to {rq} but cannot reply"
-        if not l.active and isinstance(l.phase, (Considering, BeingMerged, AwaitCompletion)):
-            return f"demoted leader {l.id} is progressing a merge confirmation"
-    return None
-
-
-def _quiescent_violation(c: Configuration, enabled: Sequence[EventLabel]) -> Optional[str]:
-    return quiescent_partition_violation(c)
-
-
-def _monotone_violation(src: Configuration, e: EventLabel, dst: Configuration) -> Optional[str]:
+def _monotone_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optional[str]:
     drop = 0
-    for pre, post in zip(src.leaders, dst.leaders):
-        if pre is post:
+    for x, y in zip(code[m.n :], code2[m.n :]):
+        if x == y:
             continue
+        pre, post = m.locals[x], m.locals[y]
         if post.active and not pre.agent_set <= post.agent_set:
             return f"active leader {post.id}'s agent set shrank"
         drop += pre.active - post.active
-    expected = 1 if isinstance(e, MergeCompleted) else 0
-    if drop != expected:
+    e = m.labels[ev]
+    if drop != (1 if isinstance(e, MergeCompleted) else 0):
         return f"active leader count changed by {drop} on {label(e)}"
     return None
 
@@ -178,45 +224,39 @@ def explore(
     trans_checks = [c for c in checks if c.kind == "transition"]
     checks_on = {t: [k for k in trans_checks if not k.on or issubclass(t, k.on)] for t in EVENT_TYPES.values()}
 
-    m = model(c0.params)
+    m, row = model(c0.params), _row(c0.params.n)
     code0 = m.encode(c0)
-    g = StateGraph(initial=c0)
-    states, index = g.states, g.index
-    states.append(c0)
-    index[code0] = 0
-    g.parent.append(None)
-    depth = [0]
-    frontier = deque([(0, code0)])  # (idx, code) of the states to expand, in BFS order
-    while frontier:
-        idx, code = frontier.popleft()
+    g = StateGraph(c0, m, index={row.pack(*code0): 0}, rows=array("H", code0))
+    index, rows, events, targets, labels = g.index, g.rows, g.events, g.targets, m.labels
+    # States are expanded in index order, which is BFS order; layer_end ends the current depth.
+    idx, depth, layer_end = 0, 0, 1
+    while idx < len(index):
+        if idx == layer_end:
+            depth, layer_end = depth + 1, len(index)
+        code = row.unpack_from(rows, idx * row.size)
         succs = m.successors(code)
-        c = states[idx]
-        if state_checks:
-            enabled = [m.labels[ev] for ev, _ in succs]
-            for chk in state_checks:
-                msg = chk.fn(c, enabled)
-                if msg is not None:
-                    g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
+        for chk in state_checks:
+            msg = chk.fn(m, code, succs)
+            if msg is not None:
+                g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
         for ev, code2 in succs:
-            e = m.labels[ev]
-            j = index.get(code2)
+            key = row.pack(*code2)
+            j = index.get(key)
             if j is None:
-                if (max_states is not None and len(states) >= max_states) or (
-                    max_depth is not None and depth[idx] >= max_depth
-                ):
+                if max_states is not None and len(index) >= max_states or max_depth is not None and depth >= max_depth:
                     g.truncated.add(idx)
                     continue
-                j = len(states)
-                states.append(m.decode(code2))
-                index[code2] = j
-                g.parent.append((idx, e))
-                depth.append(depth[idx] + 1)
-                frontier.append((j, code2))  # j shared with index and transitions
-            g.transitions.append((idx, e, j))
-            for chk in checks_on[type(e)]:
-                msg = chk.fn(c, e, states[j])
+                j = index[key] = len(index)
+                rows.frombytes(key)
+                g.parent.append(idx)
+            events.append(ev)
+            targets.append(j)
+            for chk in checks_on[type(labels[ev])]:
+                msg = chk.fn(m, code, ev, code2)
                 if msg is not None:
-                    g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [e, states[j]]))
+                    g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [labels[ev], g.state(j)]))
+        g.offsets.append(len(targets))
+        idx += 1
     return g
 
 
@@ -316,13 +356,11 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
 def find_deadlocks(g: StateGraph) -> list:
     """Witness paths to every state of `g` that is not terminal and has no
     enabled events.  States whose successors a bound cut are not deadlocks."""
-    out_degree = [0] * g.state_count
-    for i, _, _ in g.transitions:
-        out_degree[i] += 1
+    off = g.offsets
     return [
         g.path_to(i)
-        for i in range(g.state_count)
-        if out_degree[i] == 0 and i not in g.truncated and not is_terminal(g.states[i])
+        for i, (start, end) in enumerate(zip(off, islice(off, 1, None)))
+        if start == end and i not in g.truncated and not is_terminal(g.state(i))
     ]
 
 
@@ -336,41 +374,34 @@ def find_hidden_divergence(
     g: StateGraph, hidden: Union[frozenset, set, Callable[[EventLabel], bool]]
 ) -> Optional[DivergenceWitness]:
     """A cycle of `g` labelled entirely by hidden events, if one exists."""
-    is_hidden = hidden if callable(hidden) else (lambda e: e in hidden)
-    adj: dict = {}
-    for i, e, j in g.transitions:
-        if is_hidden(e):
-            adj.setdefault(i, []).append((e, j))
-    # Iterative DFS over the hidden-only subgraph; a back edge to a node on
-    # the current stack closes a divergent cycle.
-    color = {}  # 0 absent, 1 on stack, 2 done
-    for root in adj:
-        if color.get(root):
+    labels, off, events, targets = g.model.labels, g.offsets, g.events, g.targets
+    mask = bytes(bool(hidden(e) if callable(hidden) else e in hidden) for e in labels)  # label int -> hidden
+    # Iterative DFS over the hidden edges; a back edge to a node on the stack
+    # closes a divergent cycle, which runs from that node's frame up the stack.
+    color = bytearray(g.state_count)  # 0 unseen, 1 on stack, 2 done
+    for root in range(g.state_count):
+        if color[root]:
             continue
-        stack = [(root, iter(adj.get(root, [])))]
         color[root] = 1
-        trail: list = []  # (node, event) pairs along the DFS stack
+        stack = [[root, off[root], None]]  # node, next edge position, label int of the edge into it
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for e, j in it:
-                if color.get(j) == 1:
-                    # back edge: trim the DFS trail to the cycle through j
-                    nodes_on_stack = [n for n, _ in trail] + [node]
-                    start = nodes_on_stack.index(j)
-                    cycle = [ev for (_, ev) in (trail + [(node, e)])[start:]]
-                    return DivergenceWitness(g.path_to(j), cycle)
-                if color.get(j) is None:
-                    color[j] = 1
-                    trail.append((node, e))
-                    stack.append((j, iter(adj.get(j, []))))
-                    advanced = True
-                    break
-            if not advanced:
+            node, k, _ = top = stack[-1]
+            end = off[node + 1]
+            while k < end and not mask[events[k]]:
+                k += 1
+            if k == end:
                 color[node] = 2
                 stack.pop()
-                if trail:
-                    trail.pop()
+                continue
+            top[1] = k + 1
+            j = targets[k]
+            if color[j] == 1:
+                start = [f[0] for f in stack].index(j)
+                cycle = [labels[f[2]] for f in stack[start + 1 :]] + [labels[events[k]]]
+                return DivergenceWitness(g.path_to(j), cycle)
+            if not color[j]:
+                color[j] = 1
+                stack.append([j, off[j], events[k]])
     return None
 
 
@@ -390,27 +421,32 @@ def check_inevitable(g: StateGraph, goal: Callable[[Configuration], bool]) -> In
     unreachable.  An incomplete `g` gives no verdict."""
     if not g.complete:
         return InevitabilityResult(None, complete=False)
-    rev: dict = {}
-    for i, _, j in g.transitions:
-        rev.setdefault(j, []).append(i)
-    can_reach = [False] * g.state_count
-    frontier = deque(i for i, c in enumerate(g.states) if goal(c))
-    for i in frontier:
-        can_reach[i] = True
-    while frontier:
-        j = frontier.popleft()
-        for i in rev.get(j, ()):
-            if not can_reach[i]:
-                can_reach[i] = True
-                frontier.append(i)
-    for i, ok in enumerate(can_reach):
-        if not ok:
-            return InevitabilityResult(False, g.path_to(i))
-    return InevitabilityResult(True)
+    # Reverse index by counting sort: preds[first[j]:first[j + 1]] are the sources of the transitions into j.
+    first = array("I", bytes(4 * (g.state_count + 1)))
+    for j in g.targets:
+        first[j] += 1
+    first, preds = array("I", accumulate(first)), array("I", bytes(4 * g.transition_count))
+    for i, _, j in g.edges():  # fills each bucket from its end, leaving first[j] at its start
+        first[j] -= 1
+        preds[first[j]] = i
+    # The goal is read deepest state first, only where no goal state found so far is reachable.
+    reach = bytearray(g.state_count)  # 0 not yet read, 1 reaches a goal state, 2 not a goal state
+    i = g.state_count
+    while (i := reach.rfind(0, 0, i)) >= 0:
+        reach[i] = 1 if goal(g.state(i)) else 2
+        queue = array("I", [i] if reach[i] == 1 else [])
+        for j in queue:  # grows as it is read
+            for p in preds[first[j] : first[j + 1]]:
+                if reach[p] != 1:
+                    reach[p] = 1
+                    queue.append(p)
+    i = reach.find(2)
+    return InevitabilityResult(True) if i < 0 else InevitabilityResult(False, g.path_to(i))
 
 
 def label_nondeterminism_report(g: StateGraph) -> dict:
-    """States offering several distinct labels (external choice), reported
-    for information; label determinism itself is an assertable invariant."""
-    multi = sum(1 for _, run in groupby(g.transitions, itemgetter(0)) if len({e for _, e, _ in run}) > 1)
+    """States offering several distinct labels (external choice): an out-degree above 1, as a state offers
+    each label once.  Reported for information; label determinism itself is an assertable invariant."""
+    off = g.offsets
+    multi = sum(end - start > 1 for start, end in zip(off, islice(off, 1, None)))
     return {"states_with_choice": multi, "states_total": g.state_count}

@@ -43,6 +43,8 @@ from mapmerge.ids import AgentId
 from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge.world import all_maps_merged, apply_event, enabled_events, initial_config, is_terminal
 
+from graph_reference import states, transitions
+
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
 
@@ -85,7 +87,7 @@ def test_criterion_04_divergence_freedom(graph_n2, graph_n3):
 
 
 def test_criterion_05_priority_invariant(graph_n3):
-    for _, e, _ in graph_n3.transitions:
+    for _, e, _ in transitions(graph_n3):
         if isinstance(e, ConfirmMerge):
             assert e.req_leader.index < e.other_leader.index, f"priority violated by {e}"
     bad = ConfirmMerge(req_leader=A2, other_leader=A1)
@@ -96,13 +98,13 @@ def test_criterion_05_priority_invariant(graph_n3):
 
 def test_criterion_06_active_flag_invariant(graph_n3):
     g = graph_n3
-    for i, e, _ in g.transitions:
+    for i, e, _ in transitions(g):
         if isinstance(e, MergeConfirmed):
-            assert g.states[i].leader(e.other_leader).active, f"inactive leader confirmed: {e}"
+            assert g.state(i).leader(e.other_leader).active, f"inactive leader confirmed: {e}"
     # Every confirm_merge aimed at an inactive (or busy) leader is answered:
     # the owed cancellation stays enabled until taken, and no state leaves a
     # pending cancellation unanswerable.
-    for i, c in enumerate(g.states):
+    for i, c in enumerate(states(g)):
         enabled = set(enabled_events(c))
         for l in c.leaders:
             for rq in l.pending_cancels:
@@ -123,7 +125,7 @@ def test_criterion_08_quiescent_partition(graph_n3):
     from mapmerge.world import is_quiescent, quiescent_partition_violation
 
     quiescent = 0
-    for c in graph_n3.states:
+    for c in states(graph_n3):
         if is_quiescent(c):
             quiescent += 1
             assert quiescent_partition_violation(c) is None
@@ -188,7 +190,7 @@ def test_criterion_10_mutation_sensitivity():
     g = explore(initial_config(3, priority_guard=False), checks=[])
     bad_confirms = [
         e
-        for _, e, _ in g.transitions
+        for _, e, _ in transitions(g)
         if isinstance(e, ConfirmMerge) and e.req_leader.index >= e.other_leader.index
     ]
     assert bad_confirms, "priority mutant went undetected"

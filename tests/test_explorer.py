@@ -1,3 +1,6 @@
+import io
+import tracemalloc
+
 import pytest
 
 from mapmerge.events import (
@@ -12,6 +15,7 @@ from mapmerge.explorer import (
     Check,
     TraceQuery,
     _monotone_violation,
+    _row,
     check_inevitable,
     default_checks,
     explore,
@@ -31,6 +35,9 @@ from mapmerge.world import (
     model,
 )
 
+import graph_reference
+from graph_reference import monotone_violation, states, transitions
+
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
 
@@ -43,7 +50,7 @@ def test_n2_graph_shape(graph_n2):
 
 
 def test_n2_single_terminal_state(graph_n2):
-    terminals = [c for c in graph_n2.states if is_terminal(c)]
+    terminals = [c for c in states(graph_n2) if is_terminal(c)]
     assert len(terminals) == 1
     (t,) = terminals
     assert t.leader(A1).agent_set == frozenset({A1, A2})
@@ -54,13 +61,13 @@ def test_n3_graph_clean(graph_n3):
     g = graph_n3
     assert g.complete
     assert g.violations == []
-    assert len([c for c in g.states if is_terminal(c)]) == 1
+    assert len([c for c in states(g) if is_terminal(c)]) == 1
 
 
 def test_states_deduplicated(graph_n2):
-    assert len(set(graph_n2.states)) == graph_n2.state_count
+    assert len(set(states(graph_n2))) == graph_n2.state_count
     m = model(graph_n2.initial.params)
-    assert all(graph_n2.index[m.encode(c)] == i for i, c in enumerate(graph_n2.states))
+    assert all(graph_n2.index[_row(2).pack(*m.encode(c))] == i for i, c in enumerate(states(graph_n2)))
 
 
 def test_witness_paths_replay(graph_n2):
@@ -72,7 +79,7 @@ def test_witness_paths_replay(graph_n2):
         for k in range(1, len(path), 2):
             c = apply_event(c, path[k])
             assert c == path[k + 1]
-        assert c == g.states[idx]
+        assert c == g.state(idx)
 
 
 def test_bounds_leave_graph_incomplete():
@@ -107,7 +114,7 @@ def test_each_path_completes_at_most_one_merge_at_n2(graph_n2):
     ]
     assert max(counts) == 1
     # Cross-check against the active-leader count in each state.
-    for c in g.states:
+    for c in states(g):
         assert sum(l.active for l in c.leaders) in (1, 2)
 
 
@@ -201,19 +208,11 @@ def test_choice_report(graph_n2):
     assert 0 < rep["states_with_choice"] < rep["states_total"]
 
 
-def _choice_reference(g) -> dict:
-    out_labels: dict = {}
-    for i, e, _ in g.transitions:
-        out_labels.setdefault(i, set()).add(e)
-    multi = sum(1 for labels in out_labels.values() if len(labels) > 1)
-    return {"states_with_choice": multi, "states_total": g.state_count}
-
-
 @pytest.mark.parametrize("max_states", [None, 500], ids=["complete", "truncated"])
 def test_choice_report_matches_dict_of_sets(graph_n3, max_states):
     g = graph_n3 if max_states is None else explore(initial_config(3), max_states=max_states)
     assert g.complete == (max_states is None)
-    assert label_nondeterminism_report(g) == _choice_reference(g)
+    assert label_nondeterminism_report(g) == graph_reference.choice_report(g)
 
 
 @pytest.mark.parametrize("flag", ["priority_guard", "active_guard"])
@@ -234,26 +233,37 @@ def test_checks_on_event_types_find_what_checks_on_all_find(flag):
 @pytest.mark.parametrize("params", [{}, {"priority_guard": False}, {"active_guard": False}])
 def test_monotone_check_same_on_shared_and_fresh_states(params):
     # Graph states share unchanged local states; `fresh` shares none.  Run
-    # forwards and backwards, so that the check also fires.
+    # forwards and backwards, so that the check also fires.  The int-level
+    # check reads the same codes either way and agrees with the reference.
     g = explore(initial_config(3, **params), checks=[])
+    m = g.model
     messages = set()
-    for i, e, j in g.transitions:
-        src, dst = g.states[i], g.states[j]
+    for i, e, j in transitions(g):
+        src, dst = g.state(i), g.state(j)
         after = apply_event(src, e)
         fresh = Configuration(
             tuple(a._replace() for a in after.agents), tuple(l._replace() for l in after.leaders), after.params
         )
         assert fresh == dst and not any(x is y for x, y in zip(fresh.leaders, src.leaders))
-        assert _monotone_violation(src, e, dst) == _monotone_violation(src, e, fresh)
-        back = _monotone_violation(dst, e, src)
-        assert back == _monotone_violation(fresh, e, src)
+        assert monotone_violation(src, e, dst) == monotone_violation(src, e, fresh)
+        back = monotone_violation(dst, e, src)
+        assert back == monotone_violation(fresh, e, src)
+        ev, code, code2 = m.labels.index(e), m.encode(src), m.encode(fresh)
+        assert _monotone_violation(m, code, ev, code2) == monotone_violation(src, e, dst)
+        assert _monotone_violation(m, code2, ev, code) == back
         messages.add(back)
     assert None in messages and len(messages) > 1
 
 
+def render(write, g) -> str:
+    out = io.StringIO()
+    write(g, out)
+    return out.getvalue()
+
+
 def test_export_dot_is_stable(graph_n2):
-    d1 = to_dot(graph_n2)
-    d2 = export_graph(graph_n2, "dot")
+    d1 = render(to_dot, graph_n2)
+    d2 = render(lambda g, out: export_graph(g, "dot", out), graph_n2)
     assert d1 == d2
     assert d1.startswith("digraph mapmerge {")
     assert d1.rstrip().endswith("}")
@@ -263,8 +273,8 @@ def test_export_dot_is_stable(graph_n2):
 def test_export_json_is_stable_and_parses(graph_n2):
     import json
 
-    j1 = to_json_graph(graph_n2)
-    assert j1 == export_graph(graph_n2, "json")
+    j1 = render(to_json_graph, graph_n2)
+    assert j1 == render(lambda g, out: export_graph(g, "json", out), graph_n2)
     doc = json.loads(j1)
     assert doc["schema"] == "mapmerge-graph/1"
     assert doc["state_count"] == graph_n2.state_count
@@ -275,4 +285,85 @@ def test_export_json_is_stable_and_parses(graph_n2):
 
 def test_export_unknown_format():
     with pytest.raises(ValueError):
-        export_graph(explore(initial_config(2), checks=[]), "svg")
+        export_graph(explore(initial_config(2), checks=[]), "svg", io.StringIO())
+
+
+DIFFERENTIAL_GRAPHS = {
+    "n3-msm2": lambda: explore(initial_config(3, merge_set_max=2), checks=[]),
+    "n2": lambda: explore(initial_config(2), checks=[]),
+    "n3-depth4": lambda: explore(initial_config(3), max_depth=4, checks=[]),
+}
+
+
+def replay(path) -> None:
+    c = path[0]
+    for k in range(1, len(path), 2):
+        c = apply_event(c, path[k])
+        assert c == path[k + 1]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
+def test_array_post_analyses_match_dict_references(name):
+    # The same results, witnesses included, as the dict-based versions.
+    g = DIFFERENTIAL_GRAPHS[name]()
+    dead = find_deadlocks(g)
+    assert dead == graph_reference.find_deadlocks(g)
+    for path in dead:
+        replay(path)
+    requests = frozenset(e for _, e, _ in transitions(g) if isinstance(e, RequestMerge))
+    for hidden in (is_internal, lambda e: True, requests):
+        div = find_hidden_divergence(g, hidden)
+        ref = graph_reference.find_hidden_divergence(g, hidden)
+        assert (div is None) == (ref is None)
+        if div is not None:
+            assert (div.prefix, div.cycle) == (ref.prefix, ref.cycle)
+            replay(div.prefix)
+            c = div.prefix[-1]
+            for e in div.cycle:
+                c = apply_event(c, e)
+            assert c == div.prefix[-1]
+    for goal in (all_maps_merged, is_terminal, lambda c: False):
+        inev, ref = check_inevitable(g, goal), graph_reference.check_inevitable(g, goal)
+        assert (inev.value, inev.counterexample, inev.complete) == (ref.value, ref.counterexample, ref.complete)
+        if inev.counterexample is not None:
+            replay(inev.counterexample)
+    assert label_nondeterminism_report(g) == graph_reference.choice_report(g)
+
+
+def test_differential_graphs_each_find_something():
+    found = {name: make() for name, make in DIFFERENTIAL_GRAPHS.items()}
+    assert find_hidden_divergence(found["n2"], lambda e: True) is not None
+    assert found["n3-depth4"].truncated and check_inevitable(found["n3-depth4"], all_maps_merged).value is None
+    assert check_inevitable(found["n3-msm2"], lambda c: False).value is False
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{}, {"priority_guard": False}, {"active_guard": False}, {"merge_set_max": 2}],
+    ids=["default", "priority_guard=False", "active_guard=False", "merge_set_max=2"],
+)
+def test_int_checks_match_configuration_references(params):
+    # The int-level default checks report what the Configuration-level
+    # references report at every state and transition, witnesses included.
+    c0 = initial_config(3, **params)
+    got = [(v.check, v.message, v.witness) for v in explore(c0).violations]
+    ref = [(v.check, v.message, v.witness) for v in explore(c0, checks=graph_reference.reference_checks()).violations]
+    assert got == ref
+    if params.get("priority_guard") is False or params.get("active_guard") is False:
+        assert got  # the mutant is caught, so the comparison is not vacuous
+    for _, _, witness in got:
+        replay(witness)
+
+
+def test_bytes_per_state_at_n3():
+    # Each stored state is a packed code, a row of local ints, its parent and
+    # about three transitions of two ints each; no decoded Configuration.
+    c0 = initial_config(3)
+    explore(c0, checks=[])  # fill the model's tables first
+    tracemalloc.start()
+    try:
+        g = explore(c0, checks=[])
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained / g.state_count <= 250

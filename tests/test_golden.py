@@ -7,6 +7,7 @@ n=4 explore case covers the whole search core and takes a few seconds.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -25,12 +26,35 @@ def digest(out: str) -> str:
         ("explore --agents 3 --json", "5a4d12dcb4d14f06"),
         ("explore --agents 4 --json", "c164f860b72db640"),
         ("export --agents 3 --format json", "f1f05c70d6d503ce"),
+        ("export --agents 3 --format dot", "0db214820b132132"),
         ("scenarios --agents 4 --json", "bfbe8d22d02bda68"),
     ],
 )
 def test_golden_stdout(capsys, argv, golden):
     assert main(argv.split()) == 0
     assert digest(capsys.readouterr().out) == golden
+
+
+class HashingSink:
+    """Stands in for stdout: hashes what is written and keeps none of it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_golden_export_json_n4(monkeypatch):
+    # The 53 MB graph document, hashed as it is streamed.
+    sink = HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["export", "--agents", "4", "--format", "json"]) == 0
+    assert sink.sha.hexdigest()[:16] == "16650e983c4d0d4b"
 
 
 def write_events(path, events) -> str:

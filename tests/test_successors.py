@@ -18,6 +18,8 @@ from mapmerge.ids import universe
 from mapmerge import world
 from mapmerge.world import RefusedEventError, apply_event, initial_config, successors
 
+from graph_reference import states, transitions
+
 VARIANTS = [
     {},
     {"merge_set_max": 2},
@@ -61,7 +63,7 @@ def test_successors_match_apply_event(n, stride, params):
     labels = alphabet(n)
     g = explore(initial_config(n, **params), checks=[])
     assert g.complete
-    for c in g.states[::stride]:
+    for c in states(g)[::stride]:
         assert successors(c) == reference(c, labels)
 
 
@@ -69,9 +71,9 @@ def test_successors_match_apply_event(n, stride, params):
 def test_codes_round_trip(params):
     g = explore(initial_config(3, **params), checks=[])
     m = world.model(g.initial.params)
-    codes = [m.encode(c) for c in g.states]
-    assert all(m.decode(code) == c for code, c in zip(codes, g.states))
-    assert len(set(g.states)) == len(set(codes)) == g.state_count
+    codes = [m.encode(c) for c in states(g)]
+    assert all(m.decode(code) == c for code, c in zip(codes, states(g)))
+    assert len(set(states(g))) == len(set(codes)) == g.state_count
 
 
 def threaded_bfs(c0) -> tuple:
@@ -106,9 +108,9 @@ def test_step_tables_filled_by_threads():
     # lock and agree on every int, so the graph is unchanged.
     c0 = initial_config(3)
     expected = explore(c0, checks=[])
-    states, transitions = threaded_bfs(c0)
-    assert states == expected.states
-    assert transitions == expected.transitions
+    threaded_states, threaded_transitions = threaded_bfs(c0)
+    assert threaded_states == states(expected)
+    assert threaded_transitions == transitions(expected)
 
 
 def test_each_label_is_one_shared_object():
@@ -116,10 +118,10 @@ def test_each_label_is_one_shared_object():
     # object per distinct label in the graph.
     c0 = initial_config(3)
     world.model.cache_clear()
-    runs = [explore(c0, checks=[]).transitions, threaded_bfs(c0)[1]]
+    runs = [transitions(explore(c0, checks=[])), threaded_bfs(c0)[1]]
     assert runs[0] == runs[1]
-    for transitions in runs:
-        events = [e for _, e, _ in transitions]
+    for run in runs:
+        events = [e for _, e, _ in run]
         assert len({id(e) for e in events}) == len(set(events))
 
 
@@ -130,7 +132,7 @@ def test_successors_of_replayed_configuration(graph_n3):
         c = path[0]
         for e in path[1::2]:
             c = apply_event(c, e)
-        stored = graph_n3.states[idx]
+        stored = graph_n3.state(idx)
         assert c == stored
         assert any(x is not y for x, y in zip(c.agents + c.leaders, stored.agents + stored.leaders))
         assert successors(c) == successors(stored)
