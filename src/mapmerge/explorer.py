@@ -198,6 +198,8 @@ def default_checks() -> list[Check]:
         Check("req2-cancel-answered", "state", _req2_cancel_violation),
         Check("quiescent-partition", "state", _quiescent_violation),
         Check("req1-priority", "transition", _req1_violation, (ConfirmMerge,)),
+        # Vacuous even on the active_guard=False mutant: a demoted leader in Considering offers a merge_confirmed
+        # carrying its empty agent set, which processes.leader_accept refuses on the requester's side.
         Check("req2-confirm-active", "transition", _req2_confirm_violation, (MergeConfirmed,)),
         Check("active-monotone", "transition", _monotone_violation),
     ]

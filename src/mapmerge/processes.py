@@ -1,13 +1,16 @@
 """Per-process state machines: one AGENT and one MAP_LEADER record per
 configured id, with pure partial step functions over immutable state.
 
-Partiality expresses refusal: a step function returns None when the process
-does not enable the event in its current state.
+Each process is a guarded choice, stated once: `*_moves` lists the events
+the process initiates with the state each leads to, and `*_accept` takes the
+events it joins passively.  A step is the matching move, else acceptance; it
+returns None when the process refuses the event in its current state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .events import (
@@ -179,40 +182,45 @@ def initial_leader(a: AgentId) -> LeaderProcState:
     return LeaderProcState(a, True, frozenset({a}), AWAIT_REQUEST, frozenset())
 
 
-def agent_step(s: AgentProcState, e: EventLabel) -> Optional[AgentProcState]:
-    """Successor of one agent process under `e`, or None when refused."""
+def agent_moves(s: AgentProcState, full_set: frozenset, params) -> list:
+    """The events agent `s` initiates, as (label, next state).  Spontaneous
+    merge requests stand in for the identification strategy: any agent may
+    ask its leader to merge with up to merge_set_max agents it does not know.
+    Each pending query is answered with the agent's current believed leader."""
+    moves = []
+    if not s.has_outstanding_request:
+        eligible, asking = sorted(full_set - s.known_group), s._replace(has_outstanding_request=True)
+        moves += [
+            (RequestMerge(s.id, s.believed_leader, frozenset(combo)), asking)
+            for size in range(1, min(params.merge_set_max, len(eligible)) + 1)
+            for combo in combinations(eligible, size)
+        ]
+    moves += [
+        (ReplyLeader(s.id, l, s.believed_leader), s._replace(pending_leader_queries=s.pending_leader_queries - {l}))
+        for l in sorted(s.pending_leader_queries)
+    ]
+    return moves
+
+
+def agent_accept(s: AgentProcState, e: EventLabel) -> Optional[AgentProcState]:
+    """Successor of agent `s` under an event another process initiates, or None when refused."""
     if isinstance(e, RequestLeader) and e.target_agent == s.id:
         return s._replace(pending_leader_queries=s.pending_leader_queries | {e.req_leader})
-    if isinstance(e, ReplyLeader) and e.target_agent == s.id:
-        # The reply payload is forced: an agent always reports its current
-        # believed leader.
-        if e.req_leader in s.pending_leader_queries and e.its_leader == s.believed_leader:
-            return s._replace(pending_leader_queries=s.pending_leader_queries - {e.req_leader})
-        return None
-    if isinstance(e, UpdateIdentified) and e.agent == s.id:
-        if s.id not in e.new_set:
-            return None
-        return s._replace(
-            believed_leader=e.leader, known_group=e.new_set, has_outstanding_request=False
-        )
-    if isinstance(e, UpdateIdentifiedSameGroup) and e.agent == s.id:
-        if s.id not in e.new_set:
-            return None
+    if isinstance(e, (UpdateIdentified, UpdateIdentifiedSameGroup)) and e.agent == s.id and s.id in e.new_set:
+        if isinstance(e, UpdateIdentified):
+            s = s._replace(believed_leader=e.leader)
         return s._replace(known_group=e.new_set, has_outstanding_request=False)
-    if isinstance(e, RequestMerge) and e.agent == s.id:
-        if (
-            not s.has_outstanding_request
-            and e.leader == s.believed_leader
-            and e.merge_set
-            and not (e.merge_set & s.known_group)
-        ):
-            return s._replace(has_outstanding_request=True)
-        return None
-    if isinstance(e, RemoveReasoningAbout) and e.req_agent == s.id:
-        if s.has_outstanding_request:
-            return s._replace(has_outstanding_request=False)
-        return None
+    if isinstance(e, RemoveReasoningAbout) and e.req_agent == s.id and s.has_outstanding_request:
+        return s._replace(has_outstanding_request=False)
     return None
+
+
+def agent_step(s: AgentProcState, e: EventLabel, full_set: frozenset, params) -> Optional[AgentProcState]:
+    """Successor of one agent process under `e`, or None when refused."""
+    for move, nxt in agent_moves(s, full_set, params):
+        if move == e:
+            return nxt
+    return agent_accept(s, e)
 
 
 def _continue_queue(s: LeaderProcState, requesting_agent: AgentId, queue: tuple, asked: frozenset) -> LeaderProcState:
@@ -222,16 +230,76 @@ def _continue_queue(s: LeaderProcState, requesting_agent: AgentId, queue: tuple,
     return s._replace(phase=AWAIT_REQUEST)
 
 
-def leader_step(
-    s: LeaderProcState, e: EventLabel, full_set: frozenset, params
-) -> Optional[LeaderProcState]:
-    """Successor of one leader process under `e`, or None when refused.
+def _after_update(s: LeaderProcState, same_rest: tuple, other_rest: tuple, full_set: frozenset, params):
+    ph = s.phase
+    if same_rest or other_rest:
+        return s._replace(phase=Updating(same_rest, other_rest, ph.new_set, ph.other_leader))
+    if params.harness and s.agent_set == full_set:
+        return s._replace(phase=DonePhase())
+    return s._replace(phase=AWAIT_REQUEST)
+
+
+def leader_moves(s: LeaderProcState, full_set: frozenset, params) -> list:
+    """The events leader `s` initiates, as (label, next state): at most one
+    from its phase, then one merge_cancelled per owed cancellation.
 
     `full_set` is the whole agent universe (for the done check) and `params`
-    carries the harness flag and the REQ1/REQ2 mutation hooks.
+    carries the harness flag.
     """
-    ph = s.phase
+    ph, move = s.phase, None
+    if isinstance(ph, StartMerge):
+        move = BeginMerge(s.id), s._replace(phase=AwaitReplyLeader(ph.requesting_agent, None, ph.queue, frozenset()))
+    elif isinstance(ph, AwaitReplyLeader) and ph.current is None and ph.queue:
+        t = ph.queue[0]
+        move = RequestLeader(s.id, t), s._replace(
+            phase=AwaitReplyLeader(ph.requesting_agent, t, ph.queue[1:], ph.asked | {t})
+        )
+    elif isinstance(ph, Confirming):
+        move = ConfirmMerge(s.id, ph.other_leader), s._replace(
+            phase=AwaitVerdict(ph.requesting_agent, ph.other_agent, ph.other_leader, ph.queue, ph.asked)
+        )
+    elif isinstance(ph, Considering):
+        move = MergeConfirmed(ph.req_leader, s.id, s.agent_set), s._replace(phase=BeingMerged(ph.req_leader))
+    elif isinstance(ph, Merging):
+        union = s.agent_set | ph.other_agent_set
+        move = MergeMaps(s.id, ph.other_leader), s._replace(
+            agent_set=union,
+            phase=Completing(ph.other_leader, tuple(sorted(s.agent_set)), tuple(sorted(ph.other_agent_set)), union),
+        )
+    elif isinstance(ph, Completing):
+        move = MergeCompleted(s.id, ph.other_leader, ph.union_set), s._replace(
+            phase=Updating(ph.same_pending, ph.other_pending, ph.union_set, ph.other_leader)
+        )
+    elif isinstance(ph, Updating) and ph.same_group_pending:
+        same = ph.same_group_pending
+        move = UpdateIdentifiedSameGroup(s.id, same[0], ph.new_set), _after_update(
+            s, same[1:], ph.other_group_pending, full_set, params
+        )
+    elif isinstance(ph, Updating) and ph.other_group_pending:
+        other = ph.other_group_pending
+        move = UpdateIdentified(s.id, other[0], ph.new_set), _after_update(s, (), other[1:], full_set, params)
+    elif isinstance(ph, Refusing):
+        move = RemoveReasoningAbout(ph.requesting_agent, ph.other_agent), _continue_queue(
+            s, ph.requesting_agent, ph.queue, ph.asked
+        )
+    elif isinstance(ph, DonePhase):
+        move = Done(s.id), s._replace(phase=Terminating())
+    elif isinstance(ph, Terminating):
+        move = Terminate(s.id), s._replace(phase=Terminated())
+    moves = [] if move is None else [move]
+    moves += [
+        (MergeCancelled(rq, s.id), s._replace(pending_cancels=s.pending_cancels - {rq}))
+        for rq in sorted(s.pending_cancels)
+    ]
+    return moves
 
+
+def leader_accept(s: LeaderProcState, e: EventLabel, params) -> Optional[LeaderProcState]:
+    """Successor of leader `s` under an event another process initiates, or
+    None when refused.  A label naming `s` as its initiator is refused, a
+    self-addressed one such as confirm_merge.A1.A1 included.  `params`
+    carries the REQ1/REQ2 mutation hooks."""
+    ph = s.phase
     if isinstance(e, RequestMerge) and e.leader == s.id:
         if (
             isinstance(ph, AwaitRequest)
@@ -241,25 +309,7 @@ def leader_step(
             and not (e.merge_set & s.agent_set)
         ):
             return s._replace(phase=StartMerge(e.agent, tuple(sorted(e.merge_set))))
-        return None
-
-    if isinstance(e, BeginMerge) and e.leader == s.id:
-        if isinstance(ph, StartMerge):
-            return s._replace(
-                phase=AwaitReplyLeader(ph.requesting_agent, None, ph.queue, frozenset())
-            )
-        return None
-
-    if isinstance(e, RequestLeader) and e.req_leader == s.id:
-        if isinstance(ph, AwaitReplyLeader) and ph.current is None and ph.queue:
-            t = ph.queue[0]
-            if t == e.target_agent:
-                return s._replace(
-                    phase=AwaitReplyLeader(ph.requesting_agent, t, ph.queue[1:], ph.asked | {t})
-                )
-        return None
-
-    if isinstance(e, ReplyLeader) and e.req_leader == s.id:
+    elif isinstance(e, ReplyLeader) and e.req_leader == s.id:
         if isinstance(ph, AwaitReplyLeader) and ph.current == e.target_agent:
             other = e.its_leader
             if other == s.id:
@@ -267,157 +317,41 @@ def leader_step(
                 return _continue_queue(s, ph.requesting_agent, ph.queue, ph.asked)
             if params.priority_guard and priority(s.id, other) != s.id:
                 # REQ1: without priority the merge attempt ends here.
-                return s._replace(
-                    phase=Refusing(ph.requesting_agent, e.target_agent, ph.queue, ph.asked)
-                )
-            return s._replace(
-                phase=Confirming(ph.requesting_agent, e.target_agent, other, ph.queue, ph.asked)
-            )
-        return None
-
-    if isinstance(e, ConfirmMerge):
-        if e.req_leader == s.id:
-            if isinstance(ph, Confirming) and ph.other_leader == e.other_leader:
-                return s._replace(
-                    phase=AwaitVerdict(
-                        ph.requesting_agent, ph.other_agent, ph.other_leader, ph.queue, ph.asked
-                    )
-                )
-            return None
-        if e.other_leader == s.id:
-            # Passive side: an idle active leader will confirm; a busy or
-            # demoted leader owes a cancellation (REQ2).
-            if isinstance(ph, AwaitRequest) and (s.active or not params.active_guard):
-                return s._replace(phase=Considering(e.req_leader))
-            if e.req_leader in s.pending_cancels:
-                return None
+                return s._replace(phase=Refusing(ph.requesting_agent, e.target_agent, ph.queue, ph.asked))
+            return s._replace(phase=Confirming(ph.requesting_agent, e.target_agent, other, ph.queue, ph.asked))
+    elif isinstance(e, ConfirmMerge) and e.other_leader == s.id != e.req_leader:
+        # An idle active leader will confirm; a busy or demoted leader owes a cancellation (REQ2).
+        if isinstance(ph, AwaitRequest) and (s.active or not params.active_guard):
+            return s._replace(phase=Considering(e.req_leader))
+        if e.req_leader not in s.pending_cancels:
             return s._replace(pending_cancels=s.pending_cancels | {e.req_leader})
-        return None
-
-    if isinstance(e, MergeCancelled):
-        if e.req_leader == s.id:
-            if isinstance(ph, AwaitVerdict) and ph.other_leader == e.other_leader:
-                return s._replace(
-                    phase=Refusing(ph.requesting_agent, ph.other_agent, ph.queue, ph.asked)
-                )
-            return None
-        if e.other_leader == s.id:
-            if e.req_leader in s.pending_cancels:
-                return s._replace(pending_cancels=s.pending_cancels - {e.req_leader})
-            return None
-        return None
-
-    if isinstance(e, MergeConfirmed):
-        if e.req_leader == s.id:
-            if (
-                isinstance(ph, AwaitVerdict)
-                and ph.other_leader == e.other_leader
-                and e.other_agent_set
-                and not (e.other_agent_set & s.agent_set)
-            ):
-                return s._replace(phase=Merging(ph.other_leader, e.other_agent_set))
-            return None
-        if e.other_leader == s.id:
-            if (
-                isinstance(ph, Considering)
-                and ph.req_leader == e.req_leader
-                and e.other_agent_set == s.agent_set
-            ):
-                return s._replace(phase=BeingMerged(e.req_leader))
-            return None
-        return None
-
-    if isinstance(e, MergeMaps):
-        if e.req_leader == s.id:
-            if isinstance(ph, Merging) and ph.other_leader == e.other_leader:
-                union = s.agent_set | ph.other_agent_set
-                return s._replace(
-                    agent_set=union,
-                    phase=Completing(
-                        ph.other_leader,
-                        tuple(sorted(s.agent_set)),
-                        tuple(sorted(ph.other_agent_set)),
-                        union,
-                    ),
-                )
-            return None
-        if e.other_leader == s.id:
-            if isinstance(ph, BeingMerged) and ph.req_leader == e.req_leader:
-                return s._replace(phase=AwaitCompletion(e.req_leader))
-            return None
-        return None
-
-    if isinstance(e, MergeCompleted):
-        if e.req_leader == s.id:
-            if (
-                isinstance(ph, Completing)
-                and ph.other_leader == e.other_leader
-                and ph.union_set == e.union_set
-            ):
-                return s._replace(
-                    phase=Updating(ph.same_pending, ph.other_pending, ph.union_set, ph.other_leader)
-                )
-            return None
-        if e.other_leader == s.id:
-            # Losing its position as a map leader.
-            if isinstance(ph, AwaitCompletion) and ph.req_leader == e.req_leader:
-                return s._replace(active=False, agent_set=frozenset(), phase=AWAIT_REQUEST)
-            return None
-        return None
-
-    if isinstance(e, UpdateIdentifiedSameGroup) and e.leader == s.id:
+    elif isinstance(e, MergeCancelled) and e.req_leader == s.id != e.other_leader:
+        if isinstance(ph, AwaitVerdict) and ph.other_leader == e.other_leader:
+            return s._replace(phase=Refusing(ph.requesting_agent, ph.other_agent, ph.queue, ph.asked))
+    elif isinstance(e, MergeConfirmed) and e.req_leader == s.id != e.other_leader:
         if (
-            isinstance(ph, Updating)
-            and ph.same_group_pending
-            and ph.same_group_pending[0] == e.agent
-            and ph.new_set == e.new_set
+            isinstance(ph, AwaitVerdict)
+            and ph.other_leader == e.other_leader
+            and e.other_agent_set
+            and not (e.other_agent_set & s.agent_set)
         ):
-            return _after_update(
-                s, ph.same_group_pending[1:], ph.other_group_pending, ph, full_set, params
-            )
-        return None
-
-    if isinstance(e, UpdateIdentified) and e.leader == s.id:
-        if (
-            isinstance(ph, Updating)
-            and not ph.same_group_pending
-            and ph.other_group_pending
-            and ph.other_group_pending[0] == e.agent
-            and ph.new_set == e.new_set
-        ):
-            return _after_update(s, (), ph.other_group_pending[1:], ph, full_set, params)
-        return None
-
-    if isinstance(e, RemoveReasoningAbout):
-        if (
-            isinstance(ph, Refusing)
-            and ph.requesting_agent == e.req_agent
-            and ph.other_agent == e.other_agent
-        ):
-            return _continue_queue(s, ph.requesting_agent, ph.queue, ph.asked)
-        return None
-
-    if isinstance(e, Done) and e.leader == s.id:
-        if isinstance(ph, DonePhase):
-            return s._replace(phase=Terminating())
-        return None
-
-    if isinstance(e, Terminate) and e.leader == s.id:
-        if isinstance(ph, Terminating):
-            return s._replace(phase=Terminated())
-        return None
-
+            return s._replace(phase=Merging(ph.other_leader, e.other_agent_set))
+    elif isinstance(e, MergeMaps) and e.other_leader == s.id != e.req_leader:
+        if isinstance(ph, BeingMerged) and ph.req_leader == e.req_leader:
+            return s._replace(phase=AwaitCompletion(e.req_leader))
+    elif isinstance(e, MergeCompleted) and e.other_leader == s.id != e.req_leader:
+        # Losing its position as a map leader.
+        if isinstance(ph, AwaitCompletion) and ph.req_leader == e.req_leader:
+            return s._replace(active=False, agent_set=frozenset(), phase=AWAIT_REQUEST)
     return None
 
 
-def _after_update(
-    s: LeaderProcState, same_rest: tuple, other_rest: tuple, ph: Updating, full_set: frozenset, params
-) -> LeaderProcState:
-    if same_rest or other_rest:
-        return s._replace(phase=Updating(same_rest, other_rest, ph.new_set, ph.other_leader))
-    if params.harness and s.agent_set == full_set:
-        return s._replace(phase=DonePhase())
-    return s._replace(phase=AWAIT_REQUEST)
+def leader_step(s: LeaderProcState, e: EventLabel, full_set: frozenset, params) -> Optional[LeaderProcState]:
+    """Successor of one leader process under `e`, or None when refused."""
+    for move, nxt in leader_moves(s, full_set, params):
+        if move == e:
+            return nxt
+    return leader_accept(s, e, params)
 
 
 def leader_is_quiescent(s: LeaderProcState) -> bool:

@@ -16,7 +16,6 @@ from typing import Optional, Union
 
 from .events import (
     ConfirmMerge,
-    EventLabel,
     MergeCancelled,
     MergeCompleted,
     MergeConfirmed,

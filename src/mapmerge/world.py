@@ -5,49 +5,22 @@ from __future__ import annotations
 
 import threading
 from functools import cache
-from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .events import (
-    BeginMerge,
-    ConfirmMerge,
-    Done,
-    EventLabel,
-    MergeCancelled,
-    MergeCompleted,
-    MergeConfirmed,
-    MergeMaps,
-    ProcessRef,
-    RemoveReasoningAbout,
-    ReplyLeader,
-    RequestLeader,
-    RequestMerge,
-    Terminate,
-    UpdateIdentified,
-    UpdateIdentifiedSameGroup,
-    participants,
-    sort_key,
-)
+from .events import EventLabel, ProcessRef, RemoveReasoningAbout, participants, sort_key
 from .ids import AgentId, universe
 from .processes import (
     AgentProcState,
-    AwaitReplyLeader,
-    Completing,
-    Confirming,
-    Considering,
-    DonePhase,
     LeaderProcState,
-    Merging,
     Refusing,
-    StartMerge,
     Terminated,
-    Terminating,
-    Updating,
+    agent_moves,
     agent_step,
     initial_agent,
     initial_leader,
     leader_is_quiescent,
+    leader_moves,
     leader_step,
 )
 
@@ -140,105 +113,56 @@ def _full_set(n: int) -> frozenset:
 
 class Model:
     """One model compiled to integer tables, filled lazily and shared by
-    every caller in the process.  A code
-    is a flat tuple of local-state ints: agents at slots 0..n-1, leaders at
-    n..2n-1.  Each local state and each label is one shared object with a
-    small int.  A table miss takes the lock, so threads agree on every int;
-    a hit takes none.  About 4,100 steps fill the n=4 tables."""
+    every caller in the process.  A code is a flat tuple of local-state ints:
+    agents at slots 0..n-1, leaders at n..2n-1.  Each local state and each
+    label is one shared object with a small int.  Interning a local state
+    interns its moves; the passive participants of an event step through
+    per-local step tables.  A table miss takes the lock, so threads agree on
+    every int; a hit takes none.  2,697 passive steps fill the n=4 tables."""
 
     def __init__(self, params: ModelParams):
-        self.params, self.n = params, params.n
+        self.params, self.n, self.full_set = params, params.n, _full_set(params.n)
         self.locals: list = []  # int -> local state
         self.labels: list = []  # int -> the shared label object
         self._local_ids: dict = {}  # local state -> int
-        self._label_offers: dict = {}  # label -> (event int, sort key, slots)
-        self._offers: list = []  # local int -> (own offers, slot of the agent it awaits a reply from)
+        self._label_ids: dict = {}  # label -> (event int, sort key, participant slots)
+        self._moves: list = []  # local int -> ((event int, sort key, other participants' slots, next local int), ...)
         self._steps: list = []  # local int -> {event int: next local int, or -1 if refused}
-        self._replies: dict = {}  # (leader int, agent int) -> reply_leader offer
+        self._order = tuple(range(self.n, 2 * self.n)) + tuple(range(self.n))  # leaders' moves first
         self._lock = threading.Lock()
 
-    def _offer(self, e: EventLabel) -> tuple:
-        offer = self._label_offers.get(e)
-        if offer is None:
+    def _label(self, e: EventLabel) -> tuple:
+        entry = self._label_ids.get(e)
+        if entry is None:
             slots = tuple(r.id.index - 1 + (self.n if r.kind == "leader" else 0) for r in sorted(participants(e)))
-            offer = self._label_offers[e] = (len(self.labels), sort_key(e), slots)
+            entry = self._label_ids[e] = (len(self.labels), sort_key(e), slots)
             self.labels.append(e)
-        return offer
+        return entry
 
     def _intern(self, s) -> int:
-        """The int of local state `s`; the caller holds the lock."""
+        """The int of local state `s`, with its moves; the caller holds the lock."""
         i = self._local_ids.get(s)
         if i is None:
-            leader = isinstance(s, LeaderProcState)
-            self._offers.append(self._leader_offers(s) if leader else (self._agent_offers(s), None))
-            self._steps.append({})
+            i = self._local_ids[s] = len(self.locals)
             self.locals.append(s)
-            i = self._local_ids[s] = len(self.locals) - 1
+            self._steps.append({})
+            self._moves.append(())
+            leader = isinstance(s, LeaderProcState)
+            own = s.id.index - 1 + (self.n if leader else 0)
+            moves = []
+            for e, nxt in (leader_moves if leader else agent_moves)(s, self.full_set, self.params):
+                ev, key, slots = self._label(e)
+                moves.append((ev, key, tuple(j for j in slots if j != own), self._intern(nxt)))
+            self._moves[i] = tuple(moves)
         return i
-
-    def _leader_offers(self, l: LeaderProcState) -> tuple:
-        """The offers leader `l` initiates in its current state, and the slot
-        of the agent whose reply_leader it awaits: that label carries the
-        agent's belief."""
-        ph = l.phase
-        e = reply = None
-        if isinstance(ph, StartMerge):
-            e = BeginMerge(l.id)
-        elif isinstance(ph, AwaitReplyLeader):
-            if ph.current is not None:
-                reply = ph.current.index - 1
-            elif ph.queue:
-                e = RequestLeader(l.id, ph.queue[0])
-        elif isinstance(ph, Confirming):
-            e = ConfirmMerge(l.id, ph.other_leader)
-        elif isinstance(ph, Considering):
-            e = MergeConfirmed(ph.req_leader, l.id, l.agent_set)
-        elif isinstance(ph, Merging):
-            e = MergeMaps(l.id, ph.other_leader)
-        elif isinstance(ph, Completing):
-            e = MergeCompleted(l.id, ph.other_leader, ph.union_set)
-        elif isinstance(ph, Updating):
-            if ph.same_group_pending:
-                e = UpdateIdentifiedSameGroup(l.id, ph.same_group_pending[0], ph.new_set)
-            elif ph.other_group_pending:
-                e = UpdateIdentified(l.id, ph.other_group_pending[0], ph.new_set)
-        elif isinstance(ph, Refusing):
-            e = RemoveReasoningAbout(ph.requesting_agent, ph.other_agent)
-        elif isinstance(ph, DonePhase):
-            e = Done(l.id)
-        elif isinstance(ph, Terminating):
-            e = Terminate(l.id)
-        offers = [] if e is None else [self._offer(e)]
-        if isinstance(ph, Refusing):
-            # The label names no leader; like apply_event, successors keeps the first refusing one.
-            offers[0] = offers[0][:2] + (offers[0][2] + (self.n + l.id.index - 1,),)
-        offers += [self._offer(MergeCancelled(rq, l.id)) for rq in sorted(l.pending_cancels)]
-        return tuple(offers), reply
-
-    def _agent_offers(self, a: AgentProcState) -> tuple:
-        """The offers agent `a` initiates.  Spontaneous merge requests stand in
-        for the identification strategy: any agent may ask its leader to merge
-        with agents it does not know."""
-        eligible = () if a.has_outstanding_request else sorted(_full_set(self.n) - a.known_group)
-        return tuple(
-            self._offer(RequestMerge(a.id, a.believed_leader, frozenset(combo)))
-            for size in range(1, min(self.params.merge_set_max, len(eligible)) + 1)
-            for combo in combinations(eligible, size)
-        )
-
-    def _reply_offer(self, l: int, a: int) -> tuple:
-        with self._lock:
-            leader, agent = self.locals[l], self.locals[a]
-            offer = self._offer(ReplyLeader(agent.id, leader.id, agent.believed_leader))
-            return self._replies.setdefault((l, a), offer)
 
     def _step(self, s: int, ev: int) -> int:
         with self._lock:
             steps = self._steps[s]
             if ev not in steps:
-                local, e = self.locals[s], self.labels[ev]
-                leader = isinstance(local, LeaderProcState)
-                nxt = leader_step(local, e, _full_set(self.n), self.params) if leader else agent_step(local, e)
+                local = self.locals[s]
+                step = leader_step if isinstance(local, LeaderProcState) else agent_step
+                nxt = step(local, self.labels[ev], self.full_set, self.params)
                 steps[ev] = -1 if nxt is None else self._intern(nxt)
             return steps[ev]
 
@@ -251,31 +175,28 @@ class Model:
         return Configuration(tuple(map(local, code[:n])), tuple(map(local, code[n:])), self.params)
 
     def successors(self, code: tuple) -> list[tuple[int, tuple]]:
-        """Every enabled event int with its successor code, in canonical order; one step per participant."""
-        n, offers_of, steps_of, replies = self.n, self._offers, self._steps, self._replies
-        offers: list = []
-        for l in code[n:]:
-            own, t = offers_of[l]
-            offers += own
-            if t is not None:
-                offers.append(replies.get((l, code[t])) or self._reply_offer(l, code[t]))
-        for a in code[:n]:
-            offers += offers_of[a][0]
-        # Leaders refusing the same request offer one remove_reasoning_about
-        # label; the first of them takes it, as in apply_event.
-        found: dict = {}  # event int -> (sort key, event int, successor), first per label
-        for ev, key, slots in offers:
-            nxt_code = code
-            for i in slots:
-                nxt = steps_of[code[i]].get(ev)
-                if nxt is None:
-                    nxt = self._step(code[i], ev)
-                if nxt < 0:
-                    break
-                nxt_code = nxt_code[:i] + (nxt,) + nxt_code[i + 1 :]
-            else:
-                found.setdefault(ev, (key, ev, nxt_code))
-        return [(ev, nxt_code) for _, ev, nxt_code in sorted(found.values(), key=itemgetter(0))]
+        """Every enabled event int with its successor code, in canonical order.
+        The moves of the leaders, then of the agents, are walked in slot order;
+        the first process to offer a label keeps it, as in apply_event, and
+        only the other participants step."""
+        moves_of, steps_of = self._moves, self._steps
+        found: dict = {}  # event int -> (sort key, event int, successor code)
+        for slot in self._order:
+            for ev, key, others, nxt in moves_of[code[slot]]:
+                if ev in found:
+                    continue
+                new = list(code)
+                new[slot] = nxt
+                for i in others:
+                    y = steps_of[code[i]].get(ev)
+                    if y is None:
+                        y = self._step(code[i], ev)
+                    if y < 0:
+                        break
+                    new[i] = y
+                else:
+                    found[ev] = (key, ev, tuple(new))
+        return [(ev, new) for _, ev, new in sorted(found.values(), key=itemgetter(0))]
 
 
 model = cache(Model)  # the one compiled model of each ModelParams in the process
@@ -313,7 +234,7 @@ def apply_event(c: Configuration, e: EventLabel) -> Configuration:
     for r in sorted(refs):
         i = r.id.index - 1
         if r.kind == "agent":
-            nxt = agents[i] = agent_step(c.agents[i], e)
+            nxt = agents[i] = agent_step(c.agents[i], e, full, c.params)
         else:
             nxt = leaders[i] = leader_step(c.leaders[i], e, full, c.params)
         if nxt is None:

@@ -6,6 +6,7 @@ import pytest
 from mapmerge.events import (
     ConfirmMerge,
     MergeCompleted,
+    MergeConfirmed,
     RequestMerge,
     is_internal,
 )
@@ -25,6 +26,7 @@ from mapmerge.explorer import (
     label_nondeterminism_report,
 )
 from mapmerge.ids import AgentId
+from mapmerge.processes import Considering, leader_accept, leader_moves
 from mapmerge.world import (
     Configuration,
     all_maps_merged,
@@ -228,6 +230,25 @@ def test_checks_on_event_types_find_what_checks_on_all_find(flag):
     assert [(v.check, v.message, v.witness) for v in typed] == [
         (v.check, v.message, v.witness) for v in untyped
     ]
+
+
+def test_req2_confirm_active_is_vacuous_on_the_active_guard_mutant():
+    # Without the REQ2 guard demoted leaders reach Considering, but none of
+    # them takes part in a merge_confirmed: the label it offers carries its
+    # empty agent set, which the requesting leader refuses.
+    g = explore(initial_config(3, active_guard=False), checks=[])
+    m, cs = g.model, states(g)
+    considering = [
+        (i, l) for i, c in enumerate(cs) for l in c.leaders if not l.active and isinstance(l.phase, Considering)
+    ]
+    assert (g.state_count, len({i for i, _ in considering})) == (1905, 26)
+    for i, l in considering:
+        e = MergeConfirmed(l.phase.req_leader, l.id, frozenset())
+        assert e in dict(leader_moves(l, m.full_set, m.params))
+        assert leader_accept(cs[i].leader(e.req_leader), e, m.params) is None
+    confirmed = [(i, e) for i, e, _ in transitions(g) if isinstance(e, MergeConfirmed)]
+    assert len(confirmed) == 39
+    assert all(cs[i].leader(e.other_leader).active for i, e in confirmed)
 
 
 @pytest.mark.parametrize("params", [{}, {"priority_guard": False}, {"active_guard": False}])

@@ -49,41 +49,41 @@ FULL = frozenset({A1, A2, A3})
 def test_agent_request_merge_sets_flag():
     s = initial_agent(A2)
     e = RequestMerge(agent=A2, leader=A2, merge_set=frozenset({A3}))
-    s2 = agent_step(s, e)
+    s2 = agent_step(s, e, FULL, PARAMS)
     assert s2 is not None and s2.has_outstanding_request
 
 
 def test_agent_refuses_second_request_while_outstanding():
     s = initial_agent(A2)._replace(has_outstanding_request=True)
     e = RequestMerge(agent=A2, leader=A2, merge_set=frozenset({A3}))
-    assert agent_step(s, e) is None
+    assert agent_step(s, e, FULL, PARAMS) is None
 
 
 def test_agent_refuses_request_to_wrong_leader():
     s = initial_agent(A2)
     e = RequestMerge(agent=A2, leader=A1, merge_set=frozenset({A3}))
-    assert agent_step(s, e) is None
+    assert agent_step(s, e, FULL, PARAMS) is None
 
 
 def test_agent_refuses_merge_set_overlapping_known_group():
     s = initial_agent(A2)._replace(known_group=frozenset({A2, A3}))
     e = RequestMerge(agent=A2, leader=A2, merge_set=frozenset({A3}))
-    assert agent_step(s, e) is None
+    assert agent_step(s, e, FULL, PARAMS) is None
 
 
 def test_agent_reply_reports_current_leader_only():
     s = initial_agent(A3)._replace(pending_leader_queries=frozenset({A1}))
     ok = ReplyLeader(target_agent=A3, req_leader=A1, its_leader=A3)
     stale = ReplyLeader(target_agent=A3, req_leader=A1, its_leader=A2)
-    assert agent_step(s, ok) is not None
-    assert agent_step(s, stale) is None
-    assert agent_step(s, ok).pending_leader_queries == frozenset()
+    assert agent_step(s, ok, FULL, PARAMS) is not None
+    assert agent_step(s, stale, FULL, PARAMS) is None
+    assert agent_step(s, ok, FULL, PARAMS).pending_leader_queries == frozenset()
 
 
 def test_agent_update_identified_moves_group():
     s = initial_agent(A2)._replace(has_outstanding_request=True)
     e = UpdateIdentified(leader=A1, agent=A2, new_set=frozenset({A1, A2}))
-    s2 = agent_step(s, e)
+    s2 = agent_step(s, e, FULL, PARAMS)
     assert s2.believed_leader == A1
     assert s2.known_group == frozenset({A1, A2})
     assert not s2.has_outstanding_request
@@ -92,7 +92,7 @@ def test_agent_update_identified_moves_group():
 def test_agent_update_same_group_keeps_leader():
     s = initial_agent(A1)
     e = UpdateIdentifiedSameGroup(leader=A1, agent=A1, new_set=frozenset({A1, A2}))
-    s2 = agent_step(s, e)
+    s2 = agent_step(s, e, FULL, PARAMS)
     assert s2.believed_leader == A1
     assert s2.known_group == frozenset({A1, A2})
 
@@ -100,14 +100,14 @@ def test_agent_update_same_group_keeps_leader():
 def test_agent_rejects_update_excluding_itself():
     s = initial_agent(A2)
     e = UpdateIdentified(leader=A1, agent=A2, new_set=frozenset({A1}))
-    assert agent_step(s, e) is None
+    assert agent_step(s, e, FULL, PARAMS) is None
 
 
 def test_agent_remove_reasoning_clears_flag():
     s = initial_agent(A2)._replace(has_outstanding_request=True)
     e = RemoveReasoningAbout(req_agent=A2, other_agent=A3)
-    assert not agent_step(s, e).has_outstanding_request
-    assert agent_step(initial_agent(A2), e) is None
+    assert not agent_step(s, e, FULL, PARAMS).has_outstanding_request
+    assert agent_step(initial_agent(A2), e, FULL, PARAMS) is None
 
 
 # --------------------------------------------------------------- leader side

@@ -1,8 +1,9 @@
 """Differential test: world.successors against the uncached apply_event path.
 
 The reference is every label of the n-agent alphabet that apply_event
-accepts, except request_merge labels whose merge set is larger than
-merge_set_max: those are the only accepted labels that are never proposed.
+accepts.  Both paths read the same process declarations (processes.*_moves
+and *_accept); what the comparison checks is the compiled model: participant
+slots, the first-mover rule, canonical order, step tables and codes.
 """
 
 import itertools
@@ -12,10 +13,20 @@ from dataclasses import fields
 
 import pytest
 
-from mapmerge.events import EVENT_TYPES, RequestMerge, sort_key
+from mapmerge.events import EVENT_TYPES, RemoveReasoningAbout, RequestMerge, sort_key
 from mapmerge.explorer import explore
 from mapmerge.ids import universe
 from mapmerge import world
+from mapmerge.processes import (
+    LeaderProcState,
+    Refusing,
+    agent_accept,
+    agent_moves,
+    agent_step,
+    leader_accept,
+    leader_moves,
+    leader_step,
+)
 from mapmerge.world import RefusedEventError, apply_event, initial_config, successors
 
 from graph_reference import states, transitions
@@ -43,8 +54,6 @@ def alphabet(n: int) -> list:
 def reference(c, labels) -> list:
     out = []
     for e in labels:
-        if isinstance(e, RequestMerge) and len(e.merge_set) > c.params.merge_set_max:
-            continue
         try:
             out.append((e, apply_event(c, e)))
         except RefusedEventError:
@@ -65,6 +74,50 @@ def test_successors_match_apply_event(n, stride, params):
     assert g.complete
     for c in states(g)[::stride]:
         assert successors(c) == reference(c, labels)
+
+
+def test_apply_event_refuses_request_merge_over_merge_set_max():
+    # successors never proposes a merge set larger than merge_set_max, and
+    # the agent refuses one, so apply_event does too.
+    a1, a2, a3 = universe(3)
+    with pytest.raises(RefusedEventError):
+        apply_event(initial_config(3), RequestMerge(a1, a1, frozenset({a2, a3})))
+
+
+def test_first_refusing_leader_keeps_remove_reasoning_about():
+    # No explored model reaches two leaders refusing the same request, so the
+    # configuration is built by hand: both offer one label, and the first
+    # leader takes it, as apply_event's _refusing_leader picks.
+    a1, a2, a3 = universe(3)
+    c0, refusing = initial_config(3), Refusing(a3, a1, (), frozenset({a1}))
+    c = c0._replace(
+        agents=c0.agents[:2] + (c0.agents[2]._replace(has_outstanding_request=True),),
+        leaders=(c0.leaders[0],) + tuple(l._replace(phase=refusing) for l in c0.leaders[1:]),
+    )
+    assert successors(c) == reference(c, alphabet(3))
+    after = dict(successors(c))[RemoveReasoningAbout(a3, a1)]
+    assert after.leader(a2).phase != refusing and after.leader(a3).phase == refusing
+
+
+@pytest.mark.parametrize("params", VARIANTS, ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items()) or "default")
+def test_moves_and_accepted_events_are_disjoint(params):
+    # A process either initiates an event or joins it passively, never both,
+    # and its step takes each of its moves to the move's next state.
+    c0 = initial_config(3, **params)
+    m = world.model(c0.params)
+    explore(c0, checks=[])
+    labels, full = alphabet(3), m.full_set
+    for s in list(m.locals):
+        if isinstance(s, LeaderProcState):
+            moves, step = leader_moves(s, full, c0.params), leader_step
+            accepted = [e for e in labels if leader_accept(s, e, c0.params) is not None]
+        else:
+            moves, step = agent_moves(s, full, c0.params), agent_step
+            accepted = [e for e in labels if agent_accept(s, e) is not None]
+        moved = dict(moves)
+        assert len(moved) == len(moves)
+        assert not moved.keys() & set(accepted), s
+        assert all(step(s, e, full, c0.params) == nxt for e, nxt in moves), s
 
 
 @pytest.mark.parametrize("params", VARIANTS, ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items()) or "default")
