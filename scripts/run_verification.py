@@ -42,7 +42,7 @@ def main() -> int:
     for s in builtin_scenarios():
         cells = []
         for n in range(3, args.max_agents + 1):
-            rep = check_scenario(s, n)
+            rep = check_scenario(s, initial_config(n))
             ok &= rep.verdict
             cells.append(f"{'ok' if rep.verdict else 'FAIL'} {rep.duration_ms:4.0f}ms")
         print(f"{s.name:<12} {s.requirement_tag:<5} " + " ".join(f"{c:>8}" for c in cells))

@@ -58,21 +58,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="exhaustive exploration with property checks")
     _add_common(p)
     p.add_argument("--dot", metavar="PATH", help="also write the state graph as DOT")
+    p.set_defaults(run=cmd_explore)
 
     p = sub.add_parser("scenarios", help="run the validation scenario regression")
     _add_common(p, max_states=False, max_depth=False)
     p.add_argument("--name", metavar="NAME", help="run a single scenario")
     p.add_argument("--scenario-file", metavar="PATH", help="JSON file of extra scenarios")
+    p.set_defaults(run=cmd_scenarios)
 
     p = sub.add_parser("trace-check", help="has-trace check for a trace file")
     _add_common(p, max_depth=False)
     p.add_argument("trace_file", metavar="FILE", help="one JSON event object per line")
     p.add_argument("--alphabet-file", metavar="PATH", help="JSONL of visible events (default: all)")
+    p.set_defaults(run=cmd_trace_check)
 
     p = sub.add_parser("export", help="explore and serialize the state graph")
     _add_common(p, report=False)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
+    p.set_defaults(run=cmd_export)
 
     return parser
 
@@ -190,8 +194,7 @@ def cmd_explore(args) -> int:
 def cmd_scenarios(args) -> int:
     scenarios = list(builtin_scenarios())
     if args.scenario_file:
-        with open(args.scenario_file) as f:
-            text = f.read()
+        text = _read_text(args.scenario_file)
         try:
             for s in load_scenarios(text):
                 for e in s.trace + tuple(s.alphabet if isinstance(s.alphabet, frozenset) else ()):
@@ -204,12 +207,8 @@ def cmd_scenarios(args) -> int:
         if not scenarios:
             print(f"mapmerge scenarios: unknown scenario {args.name!r}", file=sys.stderr)
             return USAGE_ERROR
-    reports = [
-        check_scenario(
-            s, args.agents, harness=not args.no_harness, merge_set_max=args.merge_set_max
-        )
-        for s in scenarios
-    ]
+    c0 = _config(args)
+    reports = [check_scenario(s, c0) for s in scenarios]
     passed = sum(r.verdict for r in reports)
     report = {
         "command": "scenarios",
@@ -231,20 +230,28 @@ def cmd_scenarios(args) -> int:
     return 0 if report["verdict"] == "pass" else CHECK_FAILED
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 is a parse error."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidEventError(f"{path}: {exc}") from exc
+
+
 def _read_jsonl_events(path: str, n: int) -> list:
     """The events of a JSONL file; each must lie in the n-agent universe."""
     events = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                e = from_json(json.loads(line))
-                validate_event(e, n)
-            except (json.JSONDecodeError, InvalidEventError) as exc:
-                raise InvalidEventError(f"{path}:{lineno}: {exc}") from exc
-            events.append(e)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            e = from_json(json.loads(line))
+            validate_event(e, n)
+        except (json.JSONDecodeError, InvalidEventError) as exc:
+            raise InvalidEventError(f"{path}:{lineno}: {exc}") from exc
+        events.append(e)
     return events
 
 
@@ -285,21 +292,12 @@ def cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # Safe to pause: the model builds immutable, acyclic data that refcounting frees.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if args.command == "explore":
-            return cmd_explore(args)
-        if args.command == "scenarios":
-            return cmd_scenarios(args)
-        if args.command == "trace-check":
-            return cmd_trace_check(args)
-        if args.command == "export":
-            return cmd_export(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigurationError as exc:
         print(f"mapmerge: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -312,7 +310,6 @@ def main(argv=None) -> int:
     finally:
         if gc_was_enabled:
             gc.enable()
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -41,7 +41,8 @@ from .ids import AgentId, priority
 # single-event rendezvous: StartMerge sits between accepting a request and
 # the internal begin_merge; AwaitVerdict separates sending confirm_merge
 # from receiving the verdict; Refusing owes a remove_reasoning_about;
-# Completing owes the merge_completed; Considering/BeingMerged/
+# Completing owes the merge_completed and Updating the updates, each naming
+# the agent_set that merge_maps left; Considering/BeingMerged/
 # AwaitCompletion are the passive (other-leader) side of a merge;
 # Terminating sits between done and terminate.
 # --------------------------------------------------------------------------
@@ -63,7 +64,6 @@ class AwaitReplyLeader:
     requesting_agent: AgentId
     current: Optional[AgentId]
     queue: tuple
-    asked: frozenset
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +72,6 @@ class Confirming:
     other_agent: AgentId
     other_leader: AgentId
     queue: tuple
-    asked: frozenset
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +80,6 @@ class AwaitVerdict:
     other_agent: AgentId
     other_leader: AgentId
     queue: tuple
-    asked: frozenset
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +87,6 @@ class Refusing:
     requesting_agent: AgentId
     other_agent: AgentId
     queue: tuple
-    asked: frozenset
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,15 +100,12 @@ class Completing:
     other_leader: AgentId
     same_pending: tuple
     other_pending: tuple
-    union_set: frozenset
 
 
 @dataclass(frozen=True, slots=True)
 class Updating:
     same_group_pending: tuple
     other_group_pending: tuple
-    new_set: frozenset
-    other_leader: AgentId
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,17 +217,16 @@ def agent_step(s: AgentProcState, e: EventLabel, full_set: frozenset, params) ->
     return agent_accept(s, e)
 
 
-def _continue_queue(s: LeaderProcState, requesting_agent: AgentId, queue: tuple, asked: frozenset) -> LeaderProcState:
+def _continue_queue(s: LeaderProcState, requesting_agent: AgentId, queue: tuple) -> LeaderProcState:
     """After a refused or dropped target: next target, or back to idle."""
     if queue:
-        return s._replace(phase=AwaitReplyLeader(requesting_agent, None, queue, asked))
+        return s._replace(phase=AwaitReplyLeader(requesting_agent, None, queue))
     return s._replace(phase=AWAIT_REQUEST)
 
 
 def _after_update(s: LeaderProcState, same_rest: tuple, other_rest: tuple, full_set: frozenset, params):
-    ph = s.phase
     if same_rest or other_rest:
-        return s._replace(phase=Updating(same_rest, other_rest, ph.new_set, ph.other_leader))
+        return s._replace(phase=Updating(same_rest, other_rest))
     if params.harness and s.agent_set == full_set:
         return s._replace(phase=DonePhase())
     return s._replace(phase=AWAIT_REQUEST)
@@ -248,39 +241,36 @@ def leader_moves(s: LeaderProcState, full_set: frozenset, params) -> list:
     """
     ph, move = s.phase, None
     if isinstance(ph, StartMerge):
-        move = BeginMerge(s.id), s._replace(phase=AwaitReplyLeader(ph.requesting_agent, None, ph.queue, frozenset()))
+        move = BeginMerge(s.id), s._replace(phase=AwaitReplyLeader(ph.requesting_agent, None, ph.queue))
     elif isinstance(ph, AwaitReplyLeader) and ph.current is None and ph.queue:
         t = ph.queue[0]
-        move = RequestLeader(s.id, t), s._replace(
-            phase=AwaitReplyLeader(ph.requesting_agent, t, ph.queue[1:], ph.asked | {t})
-        )
+        move = RequestLeader(s.id, t), s._replace(phase=AwaitReplyLeader(ph.requesting_agent, t, ph.queue[1:]))
     elif isinstance(ph, Confirming):
         move = ConfirmMerge(s.id, ph.other_leader), s._replace(
-            phase=AwaitVerdict(ph.requesting_agent, ph.other_agent, ph.other_leader, ph.queue, ph.asked)
+            phase=AwaitVerdict(ph.requesting_agent, ph.other_agent, ph.other_leader, ph.queue)
         )
     elif isinstance(ph, Considering):
         move = MergeConfirmed(ph.req_leader, s.id, s.agent_set), s._replace(phase=BeingMerged(ph.req_leader))
     elif isinstance(ph, Merging):
-        union = s.agent_set | ph.other_agent_set
         move = MergeMaps(s.id, ph.other_leader), s._replace(
-            agent_set=union,
-            phase=Completing(ph.other_leader, tuple(sorted(s.agent_set)), tuple(sorted(ph.other_agent_set)), union),
+            agent_set=s.agent_set | ph.other_agent_set,
+            phase=Completing(ph.other_leader, tuple(sorted(s.agent_set)), tuple(sorted(ph.other_agent_set))),
         )
     elif isinstance(ph, Completing):
-        move = MergeCompleted(s.id, ph.other_leader, ph.union_set), s._replace(
-            phase=Updating(ph.same_pending, ph.other_pending, ph.union_set, ph.other_leader)
+        move = MergeCompleted(s.id, ph.other_leader, s.agent_set), s._replace(
+            phase=Updating(ph.same_pending, ph.other_pending)
         )
     elif isinstance(ph, Updating) and ph.same_group_pending:
         same = ph.same_group_pending
-        move = UpdateIdentifiedSameGroup(s.id, same[0], ph.new_set), _after_update(
+        move = UpdateIdentifiedSameGroup(s.id, same[0], s.agent_set), _after_update(
             s, same[1:], ph.other_group_pending, full_set, params
         )
     elif isinstance(ph, Updating) and ph.other_group_pending:
         other = ph.other_group_pending
-        move = UpdateIdentified(s.id, other[0], ph.new_set), _after_update(s, (), other[1:], full_set, params)
+        move = UpdateIdentified(s.id, other[0], s.agent_set), _after_update(s, (), other[1:], full_set, params)
     elif isinstance(ph, Refusing):
         move = RemoveReasoningAbout(ph.requesting_agent, ph.other_agent), _continue_queue(
-            s, ph.requesting_agent, ph.queue, ph.asked
+            s, ph.requesting_agent, ph.queue
         )
     elif isinstance(ph, DonePhase):
         move = Done(s.id), s._replace(phase=Terminating())
@@ -314,11 +304,11 @@ def leader_accept(s: LeaderProcState, e: EventLabel, params) -> Optional[LeaderP
             other = e.its_leader
             if other == s.id:
                 # Target already absorbed into this map; drop it silently.
-                return _continue_queue(s, ph.requesting_agent, ph.queue, ph.asked)
+                return _continue_queue(s, ph.requesting_agent, ph.queue)
             if params.priority_guard and priority(s.id, other) != s.id:
                 # REQ1: without priority the merge attempt ends here.
-                return s._replace(phase=Refusing(ph.requesting_agent, e.target_agent, ph.queue, ph.asked))
-            return s._replace(phase=Confirming(ph.requesting_agent, e.target_agent, other, ph.queue, ph.asked))
+                return s._replace(phase=Refusing(ph.requesting_agent, e.target_agent, ph.queue))
+            return s._replace(phase=Confirming(ph.requesting_agent, e.target_agent, other, ph.queue))
     elif isinstance(e, ConfirmMerge) and e.other_leader == s.id != e.req_leader:
         # An idle active leader will confirm; a busy or demoted leader owes a cancellation (REQ2).
         if isinstance(ph, AwaitRequest) and (s.active or not params.active_guard):
@@ -327,7 +317,7 @@ def leader_accept(s: LeaderProcState, e: EventLabel, params) -> Optional[LeaderP
             return s._replace(pending_cancels=s.pending_cancels | {e.req_leader})
     elif isinstance(e, MergeCancelled) and e.req_leader == s.id != e.other_leader:
         if isinstance(ph, AwaitVerdict) and ph.other_leader == e.other_leader:
-            return s._replace(phase=Refusing(ph.requesting_agent, ph.other_agent, ph.queue, ph.asked))
+            return s._replace(phase=Refusing(ph.requesting_agent, ph.other_agent, ph.queue))
     elif isinstance(e, MergeConfirmed) and e.req_leader == s.id != e.other_leader:
         if (
             isinstance(ph, AwaitVerdict)

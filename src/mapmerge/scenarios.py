@@ -32,7 +32,7 @@ from .events import (
 )
 from .explorer import ALL_VISIBLE, AllVisible, TraceQuery, TraceResult, has_trace
 from .ids import AgentId
-from .world import ConfigurationError, initial_config
+from .world import Configuration, ConfigurationError
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
@@ -168,13 +168,6 @@ def builtin_scenarios() -> tuple:
     )
 
 
-def scenario_by_name(name: str) -> Scenario:
-    for s in builtin_scenarios():
-        if s.name == name:
-            return s
-    raise KeyError(name)
-
-
 @dataclass
 class ScenarioReport:
     name: str
@@ -185,42 +178,13 @@ class ScenarioReport:
     witness: Optional[list]
     duration_ms: float
 
-    def to_json(self, *, timings: bool = True) -> dict:
-        d = {
-            "name": self.name,
-            "requirement": self.requirement_tag,
-            "verdict": "pass" if self.verdict else "fail",
-            "found": self.found,
-            "expected": self.expected,
-            "witness": None if self.witness is None else [to_json(e) for e in self.witness],
-        }
-        if timings:
-            d["duration_ms"] = round(self.duration_ms, 3)
-        return d
 
-
-def check_scenario(
-    s: Scenario,
-    n: int,
-    *,
-    harness: bool = True,
-    merge_set_max: int = 1,
-    priority_guard: bool = True,
-    active_guard: bool = True,
-) -> ScenarioReport:
-    """Run one scenario's has-trace check against an n-agent model."""
+def check_scenario(s: Scenario, c0: Configuration) -> ScenarioReport:
+    """Run one scenario's has-trace check from the initial configuration `c0`."""
+    n = c0.params.n
     needed = max((a.index for a in s.agent_ids()), default=1)
     if needed > n:
-        raise ConfigurationError(
-            f"{s.name} names A{needed}; universe of {n} agents is too small"
-        )
-    c0 = initial_config(
-        n,
-        harness=harness,
-        merge_set_max=merge_set_max,
-        priority_guard=priority_guard,
-        active_guard=active_guard,
-    )
+        raise ConfigurationError(f"{s.name} names A{needed}; universe of {n} agents is too small")
     t0 = time.perf_counter()
     result: TraceResult = has_trace(c0, s.query())
     dt = (time.perf_counter() - t0) * 1000.0
@@ -268,12 +232,15 @@ def scenario_from_json(d: dict) -> Scenario:
             alpha: Union[frozenset, AllVisible] = ALL_VISIBLE
         else:
             alpha = frozenset(from_json(x) for x in alphabet)
+        expected = d.get("expected", True)
+        if not isinstance(expected, bool):
+            raise ValueError(f"scenario field 'expected' must be true or false, got {expected!r}")
         return Scenario(
             name=d["name"],
             description=d.get("description", ""),
             trace=tuple(from_json(x) for x in d["trace"]),
             requirement_tag=d.get("requirement", "GOAL"),
-            expected=bool(d.get("expected", True)),
+            expected=expected,
             alphabet=alpha,
         )
     except KeyError as exc:

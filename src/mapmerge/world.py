@@ -11,7 +11,6 @@ from typing import NamedTuple, Optional
 from .events import EventLabel, ProcessRef, RemoveReasoningAbout, participants, sort_key
 from .ids import AgentId, universe
 from .processes import (
-    AgentProcState,
     LeaderProcState,
     Refusing,
     Terminated,
@@ -63,13 +62,6 @@ class Configuration(NamedTuple):
     agents: tuple
     leaders: tuple
     params: ModelParams
-
-    @property
-    def universe(self) -> tuple[AgentId, ...]:
-        return universe(self.params.n)
-
-    def agent(self, a: AgentId) -> AgentProcState:
-        return self.agents[a.index - 1]
 
     def leader(self, a: AgentId) -> LeaderProcState:
         return self.leaders[a.index - 1]

@@ -55,7 +55,7 @@ def report(num: int, text: str) -> None:
 def test_criterion_01_scenario_regression_n3():
     for s in builtin_scenarios():
         t0 = time.perf_counter()
-        r = check_scenario(s, 3)
+        r = check_scenario(s, initial_config(3))
         dt = time.perf_counter() - t0
         assert r.verdict, f"{s.name} failed at n=3"
         assert dt < 5.0, f"{s.name} took {dt:.1f}s at n=3 (budget 5s)"
@@ -65,7 +65,7 @@ def test_criterion_01_scenario_regression_n3():
 def test_criterion_02_scenario_scaling_n4():
     t0 = time.perf_counter()
     for s in builtin_scenarios():
-        assert check_scenario(s, 4).verdict, f"{s.name} failed at n=4"
+        assert check_scenario(s, initial_config(4)).verdict, f"{s.name} failed at n=4"
     total = time.perf_counter() - t0
     assert total < 600.0, f"n=4 scenario sweep took {total:.0f}s (budget 600s)"
     report(2, f"all six scenarios hold at n=4 in {total:.1f}s (budget 600s)")

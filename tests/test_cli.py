@@ -274,6 +274,24 @@ def test_trace_check_parse_error_names_line(capsys, tmp_path):
     assert f"{path}:2:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace-check", "{bad}"),
+        ("trace-check", "--alphabet-file", "{bad}", "{trace}"),
+        ("scenarios", "--scenario-file", "{bad}"),
+    ],
+    ids=["trace", "alphabet", "scenarios"],
+)
+def test_input_file_not_utf8_usage_error(capsys, tmp_path, argv):
+    bad, trace = tmp_path / "utf16.json", tmp_path / "trace.jsonl"
+    bad.write_bytes(json.dumps({"type": "done", "leader": "A1"}).encode("utf-16"))  # starts with b"\xff\xfe"
+    trace.write_text(json.dumps({"type": "done", "leader": "A1"}) + "\n")
+    code, _, err = run(capsys, *(a.format(bad=bad, trace=trace) for a in argv))
+    assert_one_line_usage_error(code, err)
+    assert err.startswith(f"mapmerge: parse error: {bad}: ")
+
+
 def test_trace_check_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "trace-check", str(tmp_path / "absent.jsonl"))
     assert code == 1

@@ -1,13 +1,18 @@
+import dataclasses
 import io
 import tracemalloc
 
 import pytest
 
+from mapmerge import processes
 from mapmerge.events import (
+    EVENT_TYPES,
     ConfirmMerge,
+    Done,
     MergeCompleted,
     MergeConfirmed,
     RequestMerge,
+    Terminate,
     is_internal,
 )
 from mapmerge.export import export_graph, to_dot, to_json_graph
@@ -26,7 +31,7 @@ from mapmerge.explorer import (
     label_nondeterminism_report,
 )
 from mapmerge.ids import AgentId
-from mapmerge.processes import Considering, leader_accept, leader_moves
+from mapmerge.processes import Considering, DonePhase, Terminated, Terminating, leader_accept, leader_moves
 from mapmerge.world import (
     Configuration,
     all_maps_merged,
@@ -249,6 +254,31 @@ def test_req2_confirm_active_is_vacuous_on_the_active_guard_mutant():
     confirmed = [(i, e) for i, e, _ in transitions(g) if isinstance(e, MergeConfirmed)]
     assert len(confirmed) == 39
     assert all(cs[i].leader(e.other_leader).active for i, e in confirmed)
+
+
+# The leader phase classes: the dataclasses that processes.py defines.
+LEADER_PHASES = {
+    c
+    for c in vars(processes).values()
+    if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == processes.__name__
+}
+
+
+def reached(g):
+    """The event types of `g`'s transitions and the leader phase classes of its
+    states, read from its rows: `Model.locals` also holds unreached move targets."""
+    n, local = g.initial.params.n, g.model.locals
+    phases = {type(local[x].phase) for k, x in enumerate(g.rows) if k % (2 * n) >= n}
+    return {type(g.model.labels[ev]) for ev in set(g.events)}, phases
+
+
+def test_every_event_type_and_leader_phase_is_reached_at_n3(graph_n3):
+    assert (len(EVENT_TYPES), len(LEADER_PHASES)) == (14, 15)
+    assert reached(graph_n3) == (set(EVENT_TYPES.values()), LEADER_PHASES)
+    # Without the harness exactly its events and phases go.
+    events, phases = reached(explore(initial_config(3, harness=False), checks=[]))
+    assert events == set(EVENT_TYPES.values()) - {Done, Terminate}
+    assert phases == LEADER_PHASES - {DonePhase, Terminating, Terminated}
 
 
 @pytest.mark.parametrize("params", [{}, {"priority_guard": False}, {"active_guard": False}])

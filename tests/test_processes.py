@@ -151,7 +151,7 @@ def test_leader_happy_path_pair_merge():
 
 def test_leader_reaches_done_on_full_universe():
     s = initial_leader(A1)._replace(agent_set=frozenset({A1, A2}))
-    s = s._replace(phase=Updating((), (A3,), FULL, A3), agent_set=FULL)
+    s = s._replace(phase=Updating((), (A3,)), agent_set=FULL)
     s = run_leader(s, [UpdateIdentified(leader=A1, agent=A3, new_set=FULL)])
     assert isinstance(s.phase, DonePhase)
     s = run_leader(s, [Done(leader=A1), Terminate(leader=A1)])
@@ -160,14 +160,14 @@ def test_leader_reaches_done_on_full_universe():
 
 def test_leader_no_harness_returns_to_idle():
     params = ModelParams(n=3, harness=False)
-    s = initial_leader(A1)._replace(phase=Updating((), (A3,), FULL, A3), agent_set=FULL)
+    s = initial_leader(A1)._replace(phase=Updating((), (A3,)), agent_set=FULL)
     s = leader_step(s, UpdateIdentified(leader=A1, agent=A3, new_set=FULL), FULL, params)
     assert leader_is_quiescent(s) and not isinstance(s.phase, DonePhase)
 
 
 def test_leader_priority_refusal():
     # A2 asks about A1; A1 has priority, so A2 moves to Refusing.
-    s = initial_leader(A2)._replace(phase=AwaitReplyLeader(A2, A1, (), frozenset({A1})))
+    s = initial_leader(A2)._replace(phase=AwaitReplyLeader(A2, A1, ()))
     s2 = leader_step(s, ReplyLeader(target_agent=A1, req_leader=A2, its_leader=A1), FULL, PARAMS)
     assert isinstance(s2.phase, Refusing)
     s3 = leader_step(s2, RemoveReasoningAbout(req_agent=A2, other_agent=A1), FULL, PARAMS)
@@ -176,14 +176,14 @@ def test_leader_priority_refusal():
 
 def test_leader_priority_guard_mutation():
     mutant = ModelParams(n=3, priority_guard=False)
-    s = initial_leader(A2)._replace(phase=AwaitReplyLeader(A2, A1, (), frozenset({A1})))
+    s = initial_leader(A2)._replace(phase=AwaitReplyLeader(A2, A1, ()))
     s2 = leader_step(s, ReplyLeader(target_agent=A1, req_leader=A2, its_leader=A1), FULL, mutant)
     assert isinstance(s2.phase, Confirming)
 
 
 def test_leader_drops_target_already_in_own_map():
     s = initial_leader(A1)._replace(
-        agent_set=frozenset({A1, A2}), phase=AwaitReplyLeader(A1, A2, (), frozenset({A2}))
+        agent_set=frozenset({A1, A2}), phase=AwaitReplyLeader(A1, A2, ())
     )
     s2 = leader_step(s, ReplyLeader(target_agent=A2, req_leader=A1, its_leader=A1), FULL, PARAMS)
     assert leader_is_quiescent(s2)
@@ -212,7 +212,7 @@ def test_active_guard_mutation_lets_demoted_leader_consider():
 
 
 def test_cancel_moves_requester_to_refusing():
-    s = initial_leader(A1)._replace(phase=AwaitVerdict(A1, A2, A2, (), frozenset({A2})))
+    s = initial_leader(A1)._replace(phase=AwaitVerdict(A1, A2, A2, ()))
     s2 = leader_step(s, MergeCancelled(req_leader=A1, other_leader=A2), FULL, PARAMS)
     assert isinstance(s2.phase, Refusing)
 
@@ -239,14 +239,14 @@ def test_passive_side_checks_advertised_set():
 
 
 def test_merging_requires_disjoint_sets():
-    s = initial_leader(A1)._replace(phase=AwaitVerdict(A1, A2, A2, (), frozenset({A2})))
+    s = initial_leader(A1)._replace(phase=AwaitVerdict(A1, A2, A2, ()))
     overlap = MergeConfirmed(req_leader=A1, other_leader=A2, other_agent_set=frozenset({A1}))
     assert leader_step(s, overlap, FULL, PARAMS) is None
 
 
 def test_updates_drain_in_ascending_order():
     s = initial_leader(A1)._replace(
-        agent_set=FULL, phase=Updating((A1, A2), (A3,), FULL, A3)
+        agent_set=FULL, phase=Updating((A1, A2), (A3,))
     )
     # Other-group update refused while same-group updates remain.
     assert leader_step(s, UpdateIdentified(leader=A1, agent=A3, new_set=FULL), FULL, PARAMS) is None

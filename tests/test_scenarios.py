@@ -9,11 +9,12 @@ from mapmerge.scenarios import (
     builtin_scenarios,
     check_scenario,
     load_scenarios,
-    scenario_by_name,
     scenario_from_json,
     scenario_to_json,
 )
-from mapmerge.world import ConfigurationError
+from mapmerge.world import ConfigurationError, initial_config
+
+BY_NAME = {s.name: s for s in builtin_scenarios()}
 
 
 def test_six_builtins():
@@ -26,33 +27,21 @@ def test_six_builtins():
 
 @pytest.mark.parametrize("s", builtin_scenarios(), ids=lambda s: s.name)
 def test_builtin_passes_at_n3(s):
-    r = check_scenario(s, 3)
+    r = check_scenario(s, initial_config(3))
     assert r.verdict, f"{s.name}: found={r.found}, expected={r.expected}"
     assert r.witness is not None
 
 
 def test_scenario3_shape():
-    s = scenario_by_name("scenario3")
+    s = BY_NAME["scenario3"]
     # A denied attempt never confirms; it ends by dropping the reasoning.
     assert not any(isinstance(e, ConfirmMerge) for e in s.trace)
     assert isinstance(s.trace[-1], RemoveReasoningAbout)
 
 
-def test_scenario_by_name_unknown():
-    with pytest.raises(KeyError):
-        scenario_by_name("scenario99")
-
-
 def test_scenario_too_small_universe():
     with pytest.raises(ConfigurationError):
-        check_scenario(scenario_by_name("scenario2"), 2)
-
-
-def test_report_json_shape():
-    r = check_scenario(scenario_by_name("scenario1"), 3)
-    d = r.to_json()
-    assert d["verdict"] == "pass" and "duration_ms" in d
-    assert "duration_ms" not in r.to_json(timings=False)
+        check_scenario(BY_NAME["scenario2"], initial_config(2))
 
 
 def test_scenario_json_roundtrip():
@@ -83,6 +72,12 @@ def test_scenario_from_json_missing_field():
         scenario_from_json({"name": "x"})
 
 
+@pytest.mark.parametrize("expected", ["false", 0, None])
+def test_scenario_from_json_expected_must_be_a_boolean(expected):
+    with pytest.raises(ValueError, match="'expected'"):
+        scenario_from_json(dict(scenario_to_json(BY_NAME["scenario3"]), expected=expected))
+
+
 def test_negative_scenario():
     # A scenario may pin the absence of a behaviour.
     from mapmerge.events import ConfirmMerge
@@ -97,14 +92,14 @@ def test_negative_scenario():
         expected=False,
         alphabet=frozenset({bad}),
     )
-    r = check_scenario(s, 3)
+    r = check_scenario(s, initial_config(3))
     assert r.verdict and not r.found and r.witness is None
 
 
 def test_mutated_model_fails_scenarios():
     # Disabling the priority guard breaks the denial scenarios.
-    r = check_scenario(scenario_by_name("scenario3"), 3, priority_guard=False)
+    r = check_scenario(BY_NAME["scenario3"], initial_config(3, priority_guard=False))
     assert not r.verdict
     # Disabling the active-flag guard breaks the stale-reply cancellation.
-    r = check_scenario(scenario_by_name("scenario4b"), 3, active_guard=False)
+    r = check_scenario(BY_NAME["scenario4b"], initial_config(3, active_guard=False))
     assert not r.verdict

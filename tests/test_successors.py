@@ -89,7 +89,7 @@ def test_first_refusing_leader_keeps_remove_reasoning_about():
     # configuration is built by hand: both offer one label, and the first
     # leader takes it, as apply_event's _refusing_leader picks.
     a1, a2, a3 = universe(3)
-    c0, refusing = initial_config(3), Refusing(a3, a1, (), frozenset({a1}))
+    c0, refusing = initial_config(3), Refusing(a3, a1, ())
     c = c0._replace(
         agents=c0.agents[:2] + (c0.agents[2]._replace(has_outstanding_request=True),),
         leaders=(c0.leaders[0],) + tuple(l._replace(phase=refusing) for l in c0.leaders[1:]),

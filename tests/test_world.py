@@ -97,7 +97,7 @@ def test_pair_merge_replay():
     c = replay(initial_config(3), PAIR_MERGE)
     assert c.leader(A1).agent_set == frozenset({A1, A2})
     assert not c.leader(A2).active
-    assert c.agent(A2).believed_leader == A1
+    assert c.agents[A2.index - 1].believed_leader == A1
     assert is_quiescent(c)
     assert quiescent_partition_violation(c) is None
     assert not is_terminal(c)
