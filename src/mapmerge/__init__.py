@@ -26,7 +26,6 @@ from .world import (
     initial_config,
     is_quiescent,
     is_terminal,
-    successors,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ returns None when the process refuses the event in its current state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -30,7 +31,7 @@ from .events import (
     UpdateIdentified,
     UpdateIdentifiedSameGroup,
 )
-from .ids import AgentId, priority
+from .ids import AgentId, priority, universe
 
 # --------------------------------------------------------------------------
 # Leader phases.
@@ -176,14 +177,20 @@ def initial_leader(a: AgentId) -> LeaderProcState:
     return LeaderProcState(a, True, frozenset({a}), AWAIT_REQUEST, frozenset())
 
 
-def agent_moves(s: AgentProcState, full_set: frozenset, params) -> list:
+@cache
+def full_set(n: int) -> frozenset:
+    """The whole agent universe A1..An as a set."""
+    return frozenset(universe(n))
+
+
+def agent_moves(s: AgentProcState, params) -> list:
     """The events agent `s` initiates, as (label, next state).  Spontaneous
     merge requests stand in for the identification strategy: any agent may
     ask its leader to merge with up to merge_set_max agents it does not know.
     Each pending query is answered with the agent's current believed leader."""
     moves = []
     if not s.has_outstanding_request:
-        eligible, asking = sorted(full_set - s.known_group), s._replace(has_outstanding_request=True)
+        eligible, asking = sorted(full_set(params.n) - s.known_group), s._replace(has_outstanding_request=True)
         moves += [
             (RequestMerge(s.id, s.believed_leader, frozenset(combo)), asking)
             for size in range(1, min(params.merge_set_max, len(eligible)) + 1)
@@ -209,9 +216,9 @@ def agent_accept(s: AgentProcState, e: EventLabel) -> Optional[AgentProcState]:
     return None
 
 
-def agent_step(s: AgentProcState, e: EventLabel, full_set: frozenset, params) -> Optional[AgentProcState]:
+def agent_step(s: AgentProcState, e: EventLabel, params) -> Optional[AgentProcState]:
     """Successor of one agent process under `e`, or None when refused."""
-    for move, nxt in agent_moves(s, full_set, params):
+    for move, nxt in agent_moves(s, params):
         if move == e:
             return nxt
     return agent_accept(s, e)
@@ -224,21 +231,18 @@ def _continue_queue(s: LeaderProcState, requesting_agent: AgentId, queue: tuple)
     return s._replace(phase=AWAIT_REQUEST)
 
 
-def _after_update(s: LeaderProcState, same_rest: tuple, other_rest: tuple, full_set: frozenset, params):
+def _after_update(s: LeaderProcState, same_rest: tuple, other_rest: tuple, params):
     if same_rest or other_rest:
         return s._replace(phase=Updating(same_rest, other_rest))
-    if params.harness and s.agent_set == full_set:
+    if params.harness and s.agent_set == full_set(params.n):
         return s._replace(phase=DonePhase())
     return s._replace(phase=AWAIT_REQUEST)
 
 
-def leader_moves(s: LeaderProcState, full_set: frozenset, params) -> list:
+def leader_moves(s: LeaderProcState, params) -> list:
     """The events leader `s` initiates, as (label, next state): at most one
-    from its phase, then one merge_cancelled per owed cancellation.
-
-    `full_set` is the whole agent universe (for the done check) and `params`
-    carries the harness flag.
-    """
+    from its phase, then one merge_cancelled per owed cancellation.  `params`
+    gives the universe and the harness flag for the done check."""
     ph, move = s.phase, None
     if isinstance(ph, StartMerge):
         move = BeginMerge(s.id), s._replace(phase=AwaitReplyLeader(ph.requesting_agent, None, ph.queue))
@@ -263,11 +267,11 @@ def leader_moves(s: LeaderProcState, full_set: frozenset, params) -> list:
     elif isinstance(ph, Updating) and ph.same_group_pending:
         same = ph.same_group_pending
         move = UpdateIdentifiedSameGroup(s.id, same[0], s.agent_set), _after_update(
-            s, same[1:], ph.other_group_pending, full_set, params
+            s, same[1:], ph.other_group_pending, params
         )
     elif isinstance(ph, Updating) and ph.other_group_pending:
         other = ph.other_group_pending
-        move = UpdateIdentified(s.id, other[0], s.agent_set), _after_update(s, (), other[1:], full_set, params)
+        move = UpdateIdentified(s.id, other[0], s.agent_set), _after_update(s, (), other[1:], params)
     elif isinstance(ph, Refusing):
         move = RemoveReasoningAbout(ph.requesting_agent, ph.other_agent), _continue_queue(
             s, ph.requesting_agent, ph.queue
@@ -284,11 +288,10 @@ def leader_moves(s: LeaderProcState, full_set: frozenset, params) -> list:
     return moves
 
 
-def leader_accept(s: LeaderProcState, e: EventLabel, params) -> Optional[LeaderProcState]:
+def leader_accept(s: LeaderProcState, e: EventLabel) -> Optional[LeaderProcState]:
     """Successor of leader `s` under an event another process initiates, or
     None when refused.  A label naming `s` as its initiator is refused, a
-    self-addressed one such as confirm_merge.A1.A1 included.  `params`
-    carries the REQ1/REQ2 mutation hooks."""
+    self-addressed one such as confirm_merge.A1.A1 included."""
     ph = s.phase
     if isinstance(e, RequestMerge) and e.leader == s.id:
         if (
@@ -305,13 +308,13 @@ def leader_accept(s: LeaderProcState, e: EventLabel, params) -> Optional[LeaderP
             if other == s.id:
                 # Target already absorbed into this map; drop it silently.
                 return _continue_queue(s, ph.requesting_agent, ph.queue)
-            if params.priority_guard and priority(s.id, other) != s.id:
+            if priority(s.id, other) != s.id:
                 # REQ1: without priority the merge attempt ends here.
                 return s._replace(phase=Refusing(ph.requesting_agent, e.target_agent, ph.queue))
             return s._replace(phase=Confirming(ph.requesting_agent, e.target_agent, other, ph.queue))
     elif isinstance(e, ConfirmMerge) and e.other_leader == s.id != e.req_leader:
         # An idle active leader will confirm; a busy or demoted leader owes a cancellation (REQ2).
-        if isinstance(ph, AwaitRequest) and (s.active or not params.active_guard):
+        if isinstance(ph, AwaitRequest) and s.active:
             return s._replace(phase=Considering(e.req_leader))
         if e.req_leader not in s.pending_cancels:
             return s._replace(pending_cancels=s.pending_cancels | {e.req_leader})
@@ -336,12 +339,12 @@ def leader_accept(s: LeaderProcState, e: EventLabel, params) -> Optional[LeaderP
     return None
 
 
-def leader_step(s: LeaderProcState, e: EventLabel, full_set: frozenset, params) -> Optional[LeaderProcState]:
+def leader_step(s: LeaderProcState, e: EventLabel, params) -> Optional[LeaderProcState]:
     """Successor of one leader process under `e`, or None when refused."""
-    for move, nxt in leader_moves(s, full_set, params):
+    for move, nxt in leader_moves(s, params):
         if move == e:
             return nxt
-    return leader_accept(s, e, params)
+    return leader_accept(s, e)
 
 
 def leader_is_quiescent(s: LeaderProcState) -> bool:

@@ -235,11 +235,16 @@ def scenario_from_json(d: dict) -> Scenario:
         expected = d.get("expected", True)
         if not isinstance(expected, bool):
             raise ValueError(f"scenario field 'expected' must be true or false, got {expected!r}")
+        requirement, description = d.get("requirement", "GOAL"), d.get("description", "")
+        if requirement not in ("REQ1", "REQ2", "GOAL"):
+            raise ValueError(f"scenario field 'requirement' must be REQ1, REQ2 or GOAL, got {requirement!r}")
+        if not isinstance(description, str):
+            raise ValueError(f"scenario field 'description' must be a string, got {description!r}")
         return Scenario(
             name=d["name"],
-            description=d.get("description", ""),
+            description=description,
             trace=tuple(from_json(x) for x in d["trace"]),
-            requirement_tag=d.get("requirement", "GOAL"),
+            requirement_tag=requirement,
             expected=expected,
             alphabet=alpha,
         )

@@ -16,6 +16,7 @@ from .processes import (
     Terminated,
     agent_moves,
     agent_step,
+    full_set,
     initial_agent,
     initial_leader,
     leader_is_quiescent,
@@ -42,14 +43,12 @@ class RefusedEventError(ValueError):
 
 
 class ModelParams(NamedTuple):
-    """Static model configuration; priority_guard/active_guard are the REQ1
-    and REQ2 mutation hooks used by the regression suite."""
+    """Static model configuration, as the CLI sets it: the agent count, the
+    done/terminate harness, and the largest merge set an agent requests."""
 
     n: int
     harness: bool = True
     merge_set_max: int = 1
-    priority_guard: bool = True
-    active_guard: bool = True
 
 
 class Configuration(NamedTuple):
@@ -67,25 +66,17 @@ class Configuration(NamedTuple):
         return self.leaders[a.index - 1]
 
 
-def initial_config(
-    n: int,
-    *,
-    harness: bool = True,
-    merge_set_max: int = 1,
-    priority_guard: bool = True,
-    active_guard: bool = True,
-) -> Configuration:
+def initial_config(n: int, *, harness: bool = True, merge_set_max: int = 1) -> Configuration:
     """n singleton groups: every agent leads its own map."""
     if not MIN_AGENTS <= n <= MAX_AGENTS:
         raise ConfigurationError(f"agent count must be in [{MIN_AGENTS}, {MAX_AGENTS}], got {n}")
     if merge_set_max < 1:
         raise ConfigurationError("merge_set_max must be >= 1")
-    params = ModelParams(n, harness, merge_set_max, priority_guard, active_guard)
     ids = universe(n)
     return Configuration(
         agents=tuple(initial_agent(a) for a in ids),
         leaders=tuple(initial_leader(a) for a in ids),
-        params=params,
+        params=ModelParams(n, harness, merge_set_max),
     )
 
 
@@ -97,12 +88,6 @@ def _refusing_leader(c: Configuration, e: RemoveReasoningAbout) -> Optional[Lead
     return None
 
 
-@cache
-def _full_set(n: int) -> frozenset:
-    """The whole agent universe A1..An as a set."""
-    return frozenset(universe(n))
-
-
 class Model:
     """One model compiled to integer tables, filled lazily and shared by
     every caller in the process.  A code is a flat tuple of local-state ints:
@@ -110,17 +95,16 @@ class Model:
     label is one shared object with a small int.  Interning a local state
     interns its moves; the passive participants of an event step through
     per-local step tables.  A table miss takes the lock, so threads agree on
-    every int; a hit takes none.  2,697 passive steps fill the n=4 tables."""
+    every int; a hit takes none.  2,686 passive steps fill the n=4 tables."""
 
     def __init__(self, params: ModelParams):
-        self.params, self.n, self.full_set = params, params.n, _full_set(params.n)
+        self.params, self.n = params, params.n
         self.locals: list = []  # int -> local state
         self.labels: list = []  # int -> the shared label object
         self._local_ids: dict = {}  # local state -> int
         self._label_ids: dict = {}  # label -> (event int, sort key, participant slots)
         self._moves: list = []  # local int -> ((event int, sort key, other participants' slots, next local int), ...)
         self._steps: list = []  # local int -> {event int: next local int, or -1 if refused}
-        self._order = tuple(range(self.n, 2 * self.n)) + tuple(range(self.n))  # leaders' moves first
         self._lock = threading.Lock()
 
     def _label(self, e: EventLabel) -> tuple:
@@ -142,7 +126,7 @@ class Model:
             leader = isinstance(s, LeaderProcState)
             own = s.id.index - 1 + (self.n if leader else 0)
             moves = []
-            for e, nxt in (leader_moves if leader else agent_moves)(s, self.full_set, self.params):
+            for e, nxt in (leader_moves if leader else agent_moves)(s, self.params):
                 ev, key, slots = self._label(e)
                 moves.append((ev, key, tuple(j for j in slots if j != own), self._intern(nxt)))
             self._moves[i] = tuple(moves)
@@ -154,7 +138,7 @@ class Model:
             if ev not in steps:
                 local = self.locals[s]
                 step = leader_step if isinstance(local, LeaderProcState) else agent_step
-                nxt = step(local, self.labels[ev], self.full_set, self.params)
+                nxt = step(local, self.labels[ev], self.params)
                 steps[ev] = -1 if nxt is None else self._intern(nxt)
             return steps[ev]
 
@@ -168,13 +152,14 @@ class Model:
 
     def successors(self, code: tuple) -> list[tuple[int, tuple]]:
         """Every enabled event int with its successor code, in canonical order.
-        The moves of the leaders, then of the agents, are walked in slot order;
-        the first process to offer a label keeps it, as in apply_event, and
-        only the other participants step."""
+        The moves are walked in slot order; the first process to offer a label
+        keeps it (only leaders offer remove_reasoning_about, so the lowest
+        refusing leader wins, as in apply_event), and only the other
+        participants step."""
         moves_of, steps_of = self._moves, self._steps
         found: dict = {}  # event int -> (sort key, event int, successor code)
-        for slot in self._order:
-            for ev, key, others, nxt in moves_of[code[slot]]:
+        for slot, local in enumerate(code):
+            for ev, key, others, nxt in moves_of[local]:
                 if ev in found:
                     continue
                 new = list(code)
@@ -194,12 +179,6 @@ class Model:
 model = cache(Model)  # the one compiled model of each ModelParams in the process
 
 
-def successors(c: Configuration) -> list[tuple[EventLabel, Configuration]]:
-    """Every enabled event with its successor configuration, in canonical order."""
-    m = model(c.params)
-    return [(m.labels[ev], m.decode(code)) for ev, code in m.successors(m.encode(c))]
-
-
 def enabled_events(c: Configuration) -> list[EventLabel]:
     """All globally enabled events, in canonical order."""
     m = model(c.params)
@@ -210,10 +189,9 @@ def apply_event(c: Configuration, e: EventLabel) -> Configuration:
     """Advance every participant simultaneously; refuse with the blocking
     process named otherwise.
 
-    This is the uncached single-event reference path; `successors` computes
-    the same steps through the step tables.
+    This is the uncached single-event reference path; `Model.successors`
+    computes the same steps through the step tables.
     """
-    full = _full_set(c.params.n)
     refs = participants(e)
     if isinstance(e, RemoveReasoningAbout):
         # The co-participant is the first leader refusing that request.
@@ -226,9 +204,9 @@ def apply_event(c: Configuration, e: EventLabel) -> Configuration:
     for r in sorted(refs):
         i = r.id.index - 1
         if r.kind == "agent":
-            nxt = agents[i] = agent_step(c.agents[i], e, full, c.params)
+            nxt = agents[i] = agent_step(c.agents[i], e, c.params)
         else:
-            nxt = leaders[i] = leader_step(c.leaders[i], e, full, c.params)
+            nxt = leaders[i] = leader_step(c.leaders[i], e, c.params)
         if nxt is None:
             raise RefusedEventError(e, r)
     return Configuration(tuple(agents), tuple(leaders), c.params)
@@ -257,7 +235,6 @@ def quiescent_partition_violation(c: Configuration) -> Optional[str]:
     None."""
     if not is_quiescent(c):
         return None
-    full = _full_set(c.params.n)
     seen: set[AgentId] = set()
     for l in c.leaders:
         if not l.active:
@@ -265,7 +242,7 @@ def quiescent_partition_violation(c: Configuration) -> Optional[str]:
         if l.agent_set & seen:
             return f"active leaders' agent sets overlap at {sorted(l.agent_set & seen)}"
         seen |= l.agent_set
-    if seen != full:
+    if seen != full_set(c.params.n):
         return f"active agent sets cover {sorted(seen)}, not the universe"
     for a in c.agents:
         lead = c.leader(a.believed_leader)
@@ -278,7 +255,7 @@ def quiescent_partition_violation(c: Configuration) -> Optional[str]:
 
 def all_maps_merged(c: Configuration) -> bool:
     """The protocol's goal: some leader's agent set is the whole team."""
-    full = _full_set(c.params.n)
+    full = full_set(c.params.n)
     return any(l.agent_set == full for l in c.leaders)
 
 
@@ -288,7 +265,7 @@ def is_terminal(c: Configuration) -> bool:
     With the harness disabled there is no done/terminate pair; the fully
     merged quiescent configuration counts as terminal instead.
     """
-    full = _full_set(c.params.n)
+    full = full_set(c.params.n)
     winner = None
     for l in c.leaders:
         if l.active and l.agent_set == full:

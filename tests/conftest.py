@@ -1,11 +1,67 @@
+import inspect
 import os
+import sys
+import textwrap
+from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 import mapmerge
+from mapmerge import explorer, processes, world
 from mapmerge.explorer import explore
-from mapmerge.world import initial_config
+from mapmerge.world import Model, initial_config
+
+# Criterion 10's guard mutants, as arguments to `mutant`: each drops one
+# guard of processes.leader_accept.  REQ1: a leader without priority still
+# confirms.  REQ2: a demoted leader still considers a confirm_merge.
+PRIORITY_MUTANT = ("leader_accept", ("if priority(s.id, other) != s.id:", "if False:"))
+ACTIVE_MUTANT = ("leader_accept", ("isinstance(ph, AwaitRequest) and s.active", "isinstance(ph, AwaitRequest)"))
+
+
+@contextmanager
+def mutant(name: str, *edits):
+    """Run the block with `processes.<name>` rebuilt from its source with each
+    (fragment, replacement) edit made; each fragment must occur exactly once.
+
+    The mutant replaces the original on every mapmerge module that binds it,
+    and `world.model`/`explorer.model` compile into a fresh cache meanwhile,
+    since the mutant's ModelParams equal the original's.  Both are restored
+    on exit; the shared cache is left as it was, so models built before the
+    block keep their ints."""
+    original = getattr(processes, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    for fragment, replacement in edits:
+        assert source.count(fragment) == 1, f"{fragment!r} occurs {source.count(fragment)} times in {name}"
+        source = source.replace(fragment, replacement)
+    scope = dict(vars(processes))
+    exec(compile(source, f"<mutant of processes.{name}>", "exec"), scope)
+    homes = [
+        m for k, m in list(sys.modules.items()) if k.partition(".")[0] == "mapmerge" and vars(m).get(name) is original
+    ]
+    saved = world.model, explorer.model
+    for m in homes:
+        setattr(m, name, scope[name])
+    world.model = explorer.model = cache(Model)
+    try:
+        yield
+    finally:
+        for m in homes:
+            setattr(m, name, original)
+        world.model, explorer.model = saved
+
+
+@contextmanager
+def variant(n: int, spec):
+    """The initial configuration of an n-agent model variant, for the block.
+    `spec` is either initial_config flags (a dict) or a mutant (a tuple of
+    `mutant`'s arguments), installed for the block."""
+    if isinstance(spec, dict):
+        yield initial_config(n, **spec)
+    else:
+        with mutant(*spec):
+            yield initial_config(n)
 
 
 @pytest.fixture(scope="session")

@@ -43,6 +43,7 @@ from mapmerge.ids import AgentId
 from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge.world import all_maps_merged, apply_event, enabled_events, initial_config, is_terminal
 
+from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, mutant
 from graph_reference import states, transitions
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
@@ -187,7 +188,8 @@ def test_criterion_09_trace_oracle_equivalence():
 
 def test_criterion_10_mutation_sensitivity():
     # Dropping the priority guard must break the criterion-5 invariant.
-    g = explore(initial_config(3, priority_guard=False), checks=[])
+    with mutant(*PRIORITY_MUTANT):
+        g = explore(initial_config(3), checks=[])
     bad_confirms = [
         e
         for _, e, _ in transitions(g)
@@ -195,7 +197,8 @@ def test_criterion_10_mutation_sensitivity():
     ]
     assert bad_confirms, "priority mutant went undetected"
     # Dropping the active-flag guard must break the criterion-6 invariant.
-    g = explore(initial_config(3, active_guard=False))
+    with mutant(*ACTIVE_MUTANT):
+        g = explore(initial_config(3))
     names = {v.check for v in g.violations}
     assert "req2-cancel-answered" in names, "active-flag mutant went undetected"
     report(10, "both guard mutations are caught by the invariant suite (n=3)")

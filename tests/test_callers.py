@@ -2,7 +2,9 @@
 is referenced by the program, in `src/` or `scripts/`, somewhere other than
 its own definition.  `__init__.py` re-exports by design and tests are not
 callers, so neither counts.  Names are matched by their bare spelling: a
-name read, an attribute or an imported name.
+name read, an imported name, or an attribute of a package module (`x.f`
+counts only when `x` is `mod` or `pkg.mod` for a module `mod` of the
+package), so that a method of the same name is no caller.
 """
 
 import ast
@@ -25,16 +27,19 @@ ALLOWED = {
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def reads(module: str, source: str):
-    """(name, owner) for each name `source` reads or imports; the owner is the
-    `module.name` of the top-level definition it sits in, else None."""
+def reads(module: str, source: str, modules: set):
+    """(name, owner) for each name `source` reads or imports, or reads as an
+    attribute of one of `modules`; the owner is the `module.name` of the
+    top-level definition it sits in, else None."""
     for top in ast.parse(source).body:
         owner = f"{module}.{top.name}" if isinstance(top, DEFINITIONS) else None
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 yield node.id, owner
             elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
+                of = node.value  # counts as `mod` or `pkg.mod`
+                if getattr(of, "id", getattr(of, "attr", None)) in modules:
+                    yield node.attr, owner
             elif isinstance(node, ast.alias):
                 yield node.name.rpartition(".")[2], owner
 
@@ -51,7 +56,7 @@ def uncalled(package: dict, scripts: dict) -> list:
     ]
     owners: dict = {}  # name -> the owners of its reads
     for module, source in {**package, **scripts}.items():
-        for name, owner in reads(module, source):
+        for name, owner in reads(module, source, set(package)):
             owners.setdefault(name, set()).add(owner)
     return [qual for qual in defined if not owners.get(qual.rpartition(".")[2], set()) - {qual}]
 
@@ -63,6 +68,15 @@ def test_checker_finds_a_name_only_its_own_definition_reads():
     }
     assert uncalled(package, {}) == ["a.f"]
     assert uncalled(package, {"run": "import a\na.f(3)\n"}) == []
+    assert uncalled(package, {"run": "import pkg.a\npkg.a.f(3)\n"}) == []
+
+
+def test_checker_does_not_count_a_method_of_the_same_name():
+    package = {
+        "a": "def f():\n    pass\n\nclass C:\n    def f(self):\n        return self.f\n",
+        "b": "from .a import C\n\ndef g(c):\n    return c.f()\n",
+    }
+    assert uncalled(package, {"run": "from b import g\ng(None)\n"}) == ["a.f"]
 
 
 def test_every_public_name_has_a_caller():

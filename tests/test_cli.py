@@ -127,6 +127,20 @@ def test_scenario_file_wrong_field_type_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("requirement", [1]), ("requirement", "REQ9"), ("description", 5)],
+    ids=["requirement-list", "requirement-unknown", "description-int"],
+)
+def test_scenario_file_bad_requirement_or_description_usage_error(capsys, tmp_path, field, value):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([{"name": "x", "trace": [], field: value}]))
+    code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path))
+    assert_one_line_usage_error(code, err)
+    assert err.startswith(f"mapmerge: parse error: {path}: ")
+    assert f"'{field}'" in err
+
+
+@pytest.mark.parametrize(
     "scenario, message",
     [
         (

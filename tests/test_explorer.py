@@ -31,7 +31,7 @@ from mapmerge.explorer import (
     label_nondeterminism_report,
 )
 from mapmerge.ids import AgentId
-from mapmerge.processes import Considering, DonePhase, Terminated, Terminating, leader_accept, leader_moves
+from mapmerge.processes import Considering, DonePhase, Terminated, Terminating
 from mapmerge.world import (
     Configuration,
     all_maps_merged,
@@ -43,6 +43,7 @@ from mapmerge.world import (
 )
 
 import graph_reference
+from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, variant
 from graph_reference import monotone_violation, states, transitions
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
@@ -222,15 +223,15 @@ def test_choice_report_matches_dict_of_sets(graph_n3, max_states):
     assert label_nondeterminism_report(g) == graph_reference.choice_report(g)
 
 
-@pytest.mark.parametrize("flag", ["priority_guard", "active_guard"])
-def test_checks_on_event_types_find_what_checks_on_all_find(flag):
+@pytest.mark.parametrize("spec", [PRIORITY_MUTANT, ACTIVE_MUTANT], ids=["priority_guard", "active_guard"])
+def test_checks_on_event_types_find_what_checks_on_all_find(spec):
     # Restricting a transition check to the event types it inspects must not
     # change which violations explore reports, nor their witnesses.
-    c0 = initial_config(3, **{flag: False})
     checks = default_checks()
     assert any(k.on for k in checks)
-    typed = explore(c0, checks=checks).violations
-    untyped = explore(c0, checks=[Check(k.name, k.kind, k.fn) for k in checks]).violations
+    with variant(3, spec) as c0:
+        typed = explore(c0, checks=checks).violations
+        untyped = explore(c0, checks=[Check(k.name, k.kind, k.fn) for k in checks]).violations
     assert typed
     assert [(v.check, v.message, v.witness) for v in typed] == [
         (v.check, v.message, v.witness) for v in untyped
@@ -241,7 +242,8 @@ def test_req2_confirm_active_is_vacuous_on_the_active_guard_mutant():
     # Without the REQ2 guard demoted leaders reach Considering, but none of
     # them takes part in a merge_confirmed: the label it offers carries its
     # empty agent set, which the requesting leader refuses.
-    g = explore(initial_config(3, active_guard=False), checks=[])
+    with variant(3, ACTIVE_MUTANT) as c0:
+        g = explore(c0, checks=[])
     m, cs = g.model, states(g)
     considering = [
         (i, l) for i, c in enumerate(cs) for l in c.leaders if not l.active and isinstance(l.phase, Considering)
@@ -249,8 +251,8 @@ def test_req2_confirm_active_is_vacuous_on_the_active_guard_mutant():
     assert (g.state_count, len({i for i, _ in considering})) == (1905, 26)
     for i, l in considering:
         e = MergeConfirmed(l.phase.req_leader, l.id, frozenset())
-        assert e in dict(leader_moves(l, m.full_set, m.params))
-        assert leader_accept(cs[i].leader(e.req_leader), e, m.params) is None
+        assert e in dict(processes.leader_moves(l, m.params))
+        assert processes.leader_accept(cs[i].leader(e.req_leader), e) is None
     confirmed = [(i, e) for i, e, _ in transitions(g) if isinstance(e, MergeConfirmed)]
     assert len(confirmed) == 39
     assert all(cs[i].leader(e.other_leader).active for i, e in confirmed)
@@ -281,29 +283,30 @@ def test_every_event_type_and_leader_phase_is_reached_at_n3(graph_n3):
     assert phases == LEADER_PHASES - {DonePhase, Terminating, Terminated}
 
 
-@pytest.mark.parametrize("params", [{}, {"priority_guard": False}, {"active_guard": False}])
+@pytest.mark.parametrize("params", [{}, PRIORITY_MUTANT, ACTIVE_MUTANT])
 def test_monotone_check_same_on_shared_and_fresh_states(params):
     # Graph states share unchanged local states; `fresh` shares none.  Run
     # forwards and backwards, so that the check also fires.  The int-level
     # check reads the same codes either way and agrees with the reference.
-    g = explore(initial_config(3, **params), checks=[])
-    m = g.model
-    messages = set()
-    for i, e, j in transitions(g):
-        src, dst = g.state(i), g.state(j)
-        after = apply_event(src, e)
-        fresh = Configuration(
-            tuple(a._replace() for a in after.agents), tuple(l._replace() for l in after.leaders), after.params
-        )
-        assert fresh == dst and not any(x is y for x, y in zip(fresh.leaders, src.leaders))
-        assert monotone_violation(src, e, dst) == monotone_violation(src, e, fresh)
-        back = monotone_violation(dst, e, src)
-        assert back == monotone_violation(fresh, e, src)
-        ev, code, code2 = m.labels.index(e), m.encode(src), m.encode(fresh)
-        assert _monotone_violation(m, code, ev, code2) == monotone_violation(src, e, dst)
-        assert _monotone_violation(m, code2, ev, code) == back
-        messages.add(back)
-    assert None in messages and len(messages) > 1
+    with variant(3, params) as c0:
+        g = explore(c0, checks=[])
+        m = g.model
+        messages = set()
+        for i, e, j in transitions(g):
+            src, dst = g.state(i), g.state(j)
+            after = apply_event(src, e)
+            fresh = Configuration(
+                tuple(a._replace() for a in after.agents), tuple(l._replace() for l in after.leaders), after.params
+            )
+            assert fresh == dst and not any(x is y for x, y in zip(fresh.leaders, src.leaders))
+            assert monotone_violation(src, e, dst) == monotone_violation(src, e, fresh)
+            back = monotone_violation(dst, e, src)
+            assert back == monotone_violation(fresh, e, src)
+            ev, code, code2 = m.labels.index(e), m.encode(src), m.encode(fresh)
+            assert _monotone_violation(m, code, ev, code2) == monotone_violation(src, e, dst)
+            assert _monotone_violation(m, code2, ev, code) == back
+            messages.add(back)
+        assert None in messages and len(messages) > 1
 
 
 def render(write, g) -> str:
@@ -390,20 +393,22 @@ def test_differential_graphs_each_find_something():
 
 @pytest.mark.parametrize(
     "params",
-    [{}, {"priority_guard": False}, {"active_guard": False}, {"merge_set_max": 2}],
+    [{}, PRIORITY_MUTANT, ACTIVE_MUTANT, {"merge_set_max": 2}],
     ids=["default", "priority_guard=False", "active_guard=False", "merge_set_max=2"],
 )
 def test_int_checks_match_configuration_references(params):
     # The int-level default checks report what the Configuration-level
     # references report at every state and transition, witnesses included.
-    c0 = initial_config(3, **params)
-    got = [(v.check, v.message, v.witness) for v in explore(c0).violations]
-    ref = [(v.check, v.message, v.witness) for v in explore(c0, checks=graph_reference.reference_checks()).violations]
-    assert got == ref
-    if params.get("priority_guard") is False or params.get("active_guard") is False:
-        assert got  # the mutant is caught, so the comparison is not vacuous
-    for _, _, witness in got:
-        replay(witness)
+    with variant(3, params) as c0:
+        got = [(v.check, v.message, v.witness) for v in explore(c0).violations]
+        ref = [
+            (v.check, v.message, v.witness) for v in explore(c0, checks=graph_reference.reference_checks()).violations
+        ]
+        assert got == ref
+        if isinstance(params, tuple):
+            assert got  # the mutant is caught, so the comparison is not vacuous
+        for _, _, witness in got:
+            replay(witness)
 
 
 def test_bytes_per_state_at_n3():

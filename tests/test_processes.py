@@ -38,6 +38,8 @@ from mapmerge.processes import (
 )
 from mapmerge.world import ModelParams
 
+from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, mutant
+
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 PARAMS = ModelParams(n=3)
 FULL = frozenset({A1, A2, A3})
@@ -49,41 +51,41 @@ FULL = frozenset({A1, A2, A3})
 def test_agent_request_merge_sets_flag():
     s = initial_agent(A2)
     e = RequestMerge(agent=A2, leader=A2, merge_set=frozenset({A3}))
-    s2 = agent_step(s, e, FULL, PARAMS)
+    s2 = agent_step(s, e, PARAMS)
     assert s2 is not None and s2.has_outstanding_request
 
 
 def test_agent_refuses_second_request_while_outstanding():
     s = initial_agent(A2)._replace(has_outstanding_request=True)
     e = RequestMerge(agent=A2, leader=A2, merge_set=frozenset({A3}))
-    assert agent_step(s, e, FULL, PARAMS) is None
+    assert agent_step(s, e, PARAMS) is None
 
 
 def test_agent_refuses_request_to_wrong_leader():
     s = initial_agent(A2)
     e = RequestMerge(agent=A2, leader=A1, merge_set=frozenset({A3}))
-    assert agent_step(s, e, FULL, PARAMS) is None
+    assert agent_step(s, e, PARAMS) is None
 
 
 def test_agent_refuses_merge_set_overlapping_known_group():
     s = initial_agent(A2)._replace(known_group=frozenset({A2, A3}))
     e = RequestMerge(agent=A2, leader=A2, merge_set=frozenset({A3}))
-    assert agent_step(s, e, FULL, PARAMS) is None
+    assert agent_step(s, e, PARAMS) is None
 
 
 def test_agent_reply_reports_current_leader_only():
     s = initial_agent(A3)._replace(pending_leader_queries=frozenset({A1}))
     ok = ReplyLeader(target_agent=A3, req_leader=A1, its_leader=A3)
     stale = ReplyLeader(target_agent=A3, req_leader=A1, its_leader=A2)
-    assert agent_step(s, ok, FULL, PARAMS) is not None
-    assert agent_step(s, stale, FULL, PARAMS) is None
-    assert agent_step(s, ok, FULL, PARAMS).pending_leader_queries == frozenset()
+    assert agent_step(s, ok, PARAMS) is not None
+    assert agent_step(s, stale, PARAMS) is None
+    assert agent_step(s, ok, PARAMS).pending_leader_queries == frozenset()
 
 
 def test_agent_update_identified_moves_group():
     s = initial_agent(A2)._replace(has_outstanding_request=True)
     e = UpdateIdentified(leader=A1, agent=A2, new_set=frozenset({A1, A2}))
-    s2 = agent_step(s, e, FULL, PARAMS)
+    s2 = agent_step(s, e, PARAMS)
     assert s2.believed_leader == A1
     assert s2.known_group == frozenset({A1, A2})
     assert not s2.has_outstanding_request
@@ -92,7 +94,7 @@ def test_agent_update_identified_moves_group():
 def test_agent_update_same_group_keeps_leader():
     s = initial_agent(A1)
     e = UpdateIdentifiedSameGroup(leader=A1, agent=A1, new_set=frozenset({A1, A2}))
-    s2 = agent_step(s, e, FULL, PARAMS)
+    s2 = agent_step(s, e, PARAMS)
     assert s2.believed_leader == A1
     assert s2.known_group == frozenset({A1, A2})
 
@@ -100,14 +102,14 @@ def test_agent_update_same_group_keeps_leader():
 def test_agent_rejects_update_excluding_itself():
     s = initial_agent(A2)
     e = UpdateIdentified(leader=A1, agent=A2, new_set=frozenset({A1}))
-    assert agent_step(s, e, FULL, PARAMS) is None
+    assert agent_step(s, e, PARAMS) is None
 
 
 def test_agent_remove_reasoning_clears_flag():
     s = initial_agent(A2)._replace(has_outstanding_request=True)
     e = RemoveReasoningAbout(req_agent=A2, other_agent=A3)
-    assert not agent_step(s, e, FULL, PARAMS).has_outstanding_request
-    assert agent_step(initial_agent(A2), e, FULL, PARAMS) is None
+    assert not agent_step(s, e, PARAMS).has_outstanding_request
+    assert agent_step(initial_agent(A2), e, PARAMS) is None
 
 
 # --------------------------------------------------------------- leader side
@@ -115,7 +117,7 @@ def test_agent_remove_reasoning_clears_flag():
 
 def run_leader(s, events):
     for e in events:
-        s = leader_step(s, e, FULL, PARAMS)
+        s = leader_step(s, e, PARAMS)
         assert s is not None, f"refused: {e}"
     return s
 
@@ -161,23 +163,23 @@ def test_leader_reaches_done_on_full_universe():
 def test_leader_no_harness_returns_to_idle():
     params = ModelParams(n=3, harness=False)
     s = initial_leader(A1)._replace(phase=Updating((), (A3,)), agent_set=FULL)
-    s = leader_step(s, UpdateIdentified(leader=A1, agent=A3, new_set=FULL), FULL, params)
+    s = leader_step(s, UpdateIdentified(leader=A1, agent=A3, new_set=FULL), params)
     assert leader_is_quiescent(s) and not isinstance(s.phase, DonePhase)
 
 
 def test_leader_priority_refusal():
     # A2 asks about A1; A1 has priority, so A2 moves to Refusing.
     s = initial_leader(A2)._replace(phase=AwaitReplyLeader(A2, A1, ()))
-    s2 = leader_step(s, ReplyLeader(target_agent=A1, req_leader=A2, its_leader=A1), FULL, PARAMS)
+    s2 = leader_step(s, ReplyLeader(target_agent=A1, req_leader=A2, its_leader=A1), PARAMS)
     assert isinstance(s2.phase, Refusing)
-    s3 = leader_step(s2, RemoveReasoningAbout(req_agent=A2, other_agent=A1), FULL, PARAMS)
+    s3 = leader_step(s2, RemoveReasoningAbout(req_agent=A2, other_agent=A1), PARAMS)
     assert leader_is_quiescent(s3)
 
 
 def test_leader_priority_guard_mutation():
-    mutant = ModelParams(n=3, priority_guard=False)
     s = initial_leader(A2)._replace(phase=AwaitReplyLeader(A2, A1, ()))
-    s2 = leader_step(s, ReplyLeader(target_agent=A1, req_leader=A2, its_leader=A1), FULL, mutant)
+    with mutant(*PRIORITY_MUTANT):
+        s2 = leader_step(s, ReplyLeader(target_agent=A1, req_leader=A2, its_leader=A1), PARAMS)
     assert isinstance(s2.phase, Confirming)
 
 
@@ -185,35 +187,35 @@ def test_leader_drops_target_already_in_own_map():
     s = initial_leader(A1)._replace(
         agent_set=frozenset({A1, A2}), phase=AwaitReplyLeader(A1, A2, ())
     )
-    s2 = leader_step(s, ReplyLeader(target_agent=A2, req_leader=A1, its_leader=A1), FULL, PARAMS)
+    s2 = leader_step(s, ReplyLeader(target_agent=A2, req_leader=A1, its_leader=A1), PARAMS)
     assert leader_is_quiescent(s2)
 
 
 def test_busy_leader_queues_cancel():
     s = initial_leader(A2)._replace(phase=StartMerge(A2, (A3,)))
-    s2 = leader_step(s, ConfirmMerge(req_leader=A1, other_leader=A2), FULL, PARAMS)
+    s2 = leader_step(s, ConfirmMerge(req_leader=A1, other_leader=A2), PARAMS)
     assert s2.pending_cancels == frozenset({A1})
-    s3 = leader_step(s2, MergeCancelled(req_leader=A1, other_leader=A2), FULL, PARAMS)
+    s3 = leader_step(s2, MergeCancelled(req_leader=A1, other_leader=A2), PARAMS)
     assert s3.pending_cancels == frozenset()
 
 
 def test_demoted_leader_queues_cancel():
     s = initial_leader(A3)._replace(active=False, agent_set=frozenset())
-    s2 = leader_step(s, ConfirmMerge(req_leader=A2, other_leader=A3), FULL, PARAMS)
+    s2 = leader_step(s, ConfirmMerge(req_leader=A2, other_leader=A3), PARAMS)
     assert s2.pending_cancels == frozenset({A2})
     assert not isinstance(s2.phase, Considering)
 
 
 def test_active_guard_mutation_lets_demoted_leader_consider():
-    mutant = ModelParams(n=3, active_guard=False)
     s = initial_leader(A3)._replace(active=False, agent_set=frozenset())
-    s2 = leader_step(s, ConfirmMerge(req_leader=A2, other_leader=A3), FULL, mutant)
+    with mutant(*ACTIVE_MUTANT):
+        s2 = leader_step(s, ConfirmMerge(req_leader=A2, other_leader=A3), PARAMS)
     assert isinstance(s2.phase, Considering)
 
 
 def test_cancel_moves_requester_to_refusing():
     s = initial_leader(A1)._replace(phase=AwaitVerdict(A1, A2, A2, ()))
-    s2 = leader_step(s, MergeCancelled(req_leader=A1, other_leader=A2), FULL, PARAMS)
+    s2 = leader_step(s, MergeCancelled(req_leader=A1, other_leader=A2), PARAMS)
     assert isinstance(s2.phase, Refusing)
 
 
@@ -235,13 +237,13 @@ def test_passive_side_demotion():
 def test_passive_side_checks_advertised_set():
     s = initial_leader(A2)._replace(phase=Considering(A1))
     wrong = MergeConfirmed(req_leader=A1, other_leader=A2, other_agent_set=frozenset({A2, A3}))
-    assert leader_step(s, wrong, FULL, PARAMS) is None
+    assert leader_step(s, wrong, PARAMS) is None
 
 
 def test_merging_requires_disjoint_sets():
     s = initial_leader(A1)._replace(phase=AwaitVerdict(A1, A2, A2, ()))
     overlap = MergeConfirmed(req_leader=A1, other_leader=A2, other_agent_set=frozenset({A1}))
-    assert leader_step(s, overlap, FULL, PARAMS) is None
+    assert leader_step(s, overlap, PARAMS) is None
 
 
 def test_updates_drain_in_ascending_order():
@@ -249,10 +251,10 @@ def test_updates_drain_in_ascending_order():
         agent_set=FULL, phase=Updating((A1, A2), (A3,))
     )
     # Other-group update refused while same-group updates remain.
-    assert leader_step(s, UpdateIdentified(leader=A1, agent=A3, new_set=FULL), FULL, PARAMS) is None
+    assert leader_step(s, UpdateIdentified(leader=A1, agent=A3, new_set=FULL), PARAMS) is None
     # Same-group updates must go in queue order.
     assert (
-        leader_step(s, UpdateIdentifiedSameGroup(leader=A1, agent=A2, new_set=FULL), FULL, PARAMS)
+        leader_step(s, UpdateIdentifiedSameGroup(leader=A1, agent=A2, new_set=FULL), PARAMS)
         is None
     )
     s = run_leader(
@@ -269,5 +271,5 @@ def test_updates_drain_in_ascending_order():
 def test_step_functions_are_pure():
     s = initial_leader(A1)
     e = RequestMerge(agent=A1, leader=A1, merge_set=frozenset({A2}))
-    assert leader_step(s, e, FULL, PARAMS) == leader_step(s, e, FULL, PARAMS)
+    assert leader_step(s, e, PARAMS) == leader_step(s, e, PARAMS)
     assert s == initial_leader(A1)

@@ -14,6 +14,8 @@ from mapmerge.scenarios import (
 )
 from mapmerge.world import ConfigurationError, initial_config
 
+from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, mutant
+
 BY_NAME = {s.name: s for s in builtin_scenarios()}
 
 
@@ -98,8 +100,10 @@ def test_negative_scenario():
 
 def test_mutated_model_fails_scenarios():
     # Disabling the priority guard breaks the denial scenarios.
-    r = check_scenario(BY_NAME["scenario3"], initial_config(3, priority_guard=False))
+    with mutant(*PRIORITY_MUTANT):
+        r = check_scenario(BY_NAME["scenario3"], initial_config(3))
     assert not r.verdict
     # Disabling the active-flag guard breaks the stale-reply cancellation.
-    r = check_scenario(BY_NAME["scenario4b"], initial_config(3, active_guard=False))
+    with mutant(*ACTIVE_MUTANT):
+        r = check_scenario(BY_NAME["scenario4b"], initial_config(3))
     assert not r.verdict

@@ -1,4 +1,4 @@
-"""Differential test: world.successors against the uncached apply_event path.
+"""Differential test: world.Model.successors against the uncached apply_event path.
 
 The reference is every label of the n-agent alphabet that apply_event
 accepts.  Both paths read the same process declarations (processes.*_moves
@@ -17,27 +17,27 @@ from mapmerge.events import EVENT_TYPES, RemoveReasoningAbout, RequestMerge, sor
 from mapmerge.explorer import explore
 from mapmerge.ids import universe
 from mapmerge import world
-from mapmerge.processes import (
-    LeaderProcState,
-    Refusing,
-    agent_accept,
-    agent_moves,
-    agent_step,
-    leader_accept,
-    leader_moves,
-    leader_step,
-)
-from mapmerge.world import RefusedEventError, apply_event, initial_config, successors
+from mapmerge import processes
+from mapmerge.processes import LeaderProcState, Refusing
+from mapmerge.world import RefusedEventError, apply_event, initial_config
 
+from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, variant
 from graph_reference import states, transitions
 
-VARIANTS = [
-    {},
-    {"merge_set_max": 2},
-    {"harness": False},
-    {"priority_guard": False},
-    {"active_guard": False},
-]
+# Model flags for initial_config, or a mutant of the process functions.
+VARIANTS = {
+    "default": {},
+    "merge_set_max=2": {"merge_set_max": 2},
+    "harness=False": {"harness": False},
+    "priority_guard=False": PRIORITY_MUTANT,
+    "active_guard=False": ACTIVE_MUTANT,
+}
+
+
+def successors(c) -> list:
+    """Every enabled event of `c` with its successor configuration, through the compiled model."""
+    m = world.model(c.params)
+    return [(m.labels[ev], m.decode(code)) for ev, code in m.successors(m.encode(c))]
 
 
 def alphabet(n: int) -> list:
@@ -67,13 +67,14 @@ def test_alphabet_sizes():
 
 
 @pytest.mark.parametrize("n, stride", [(2, 1), (3, 25)])
-@pytest.mark.parametrize("params", VARIANTS, ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items()) or "default")
-def test_successors_match_apply_event(n, stride, params):
+@pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
+def test_successors_match_apply_event(n, stride, spec):
     labels = alphabet(n)
-    g = explore(initial_config(n, **params), checks=[])
-    assert g.complete
-    for c in states(g)[::stride]:
-        assert successors(c) == reference(c, labels)
+    with variant(n, spec) as c0:
+        g = explore(c0, checks=[])
+        assert g.complete
+        for c in states(g)[::stride]:
+            assert successors(c) == reference(c, labels)
 
 
 def test_apply_event_refuses_request_merge_over_merge_set_max():
@@ -99,34 +100,35 @@ def test_first_refusing_leader_keeps_remove_reasoning_about():
     assert after.leader(a2).phase != refusing and after.leader(a3).phase == refusing
 
 
-@pytest.mark.parametrize("params", VARIANTS, ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items()) or "default")
-def test_moves_and_accepted_events_are_disjoint(params):
+@pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
+def test_moves_and_accepted_events_are_disjoint(spec):
     # A process either initiates an event or joins it passively, never both,
     # and its step takes each of its moves to the move's next state.
-    c0 = initial_config(3, **params)
-    m = world.model(c0.params)
-    explore(c0, checks=[])
-    labels, full = alphabet(3), m.full_set
-    for s in list(m.locals):
-        if isinstance(s, LeaderProcState):
-            moves, step = leader_moves(s, full, c0.params), leader_step
-            accepted = [e for e in labels if leader_accept(s, e, c0.params) is not None]
-        else:
-            moves, step = agent_moves(s, full, c0.params), agent_step
-            accepted = [e for e in labels if agent_accept(s, e) is not None]
-        moved = dict(moves)
-        assert len(moved) == len(moves)
-        assert not moved.keys() & set(accepted), s
-        assert all(step(s, e, full, c0.params) == nxt for e, nxt in moves), s
+    with variant(3, spec) as c0:
+        m = world.model(c0.params)
+        explore(c0, checks=[])
+        labels, params = alphabet(3), c0.params
+        for s in list(m.locals):
+            if isinstance(s, LeaderProcState):
+                moves, step = processes.leader_moves(s, params), processes.leader_step
+                accepted = [e for e in labels if processes.leader_accept(s, e) is not None]
+            else:
+                moves, step = processes.agent_moves(s, params), processes.agent_step
+                accepted = [e for e in labels if processes.agent_accept(s, e) is not None]
+            moved = dict(moves)
+            assert len(moved) == len(moves)
+            assert not moved.keys() & set(accepted), s
+            assert all(step(s, e, params) == nxt for e, nxt in moves), s
 
 
-@pytest.mark.parametrize("params", VARIANTS, ids=lambda p: ",".join(f"{k}={v}" for k, v in p.items()) or "default")
-def test_codes_round_trip(params):
-    g = explore(initial_config(3, **params), checks=[])
-    m = world.model(g.initial.params)
-    codes = [m.encode(c) for c in states(g)]
-    assert all(m.decode(code) == c for code, c in zip(codes, states(g)))
-    assert len(set(states(g))) == len(set(codes)) == g.state_count
+@pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
+def test_codes_round_trip(spec):
+    with variant(3, spec) as c0:
+        g = explore(c0, checks=[])
+        m = world.model(g.initial.params)
+        codes = [m.encode(c) for c in states(g)]
+        assert all(m.decode(code) == c for code, c in zip(codes, states(g)))
+        assert len(set(states(g))) == len(set(codes)) == g.state_count
 
 
 def threaded_bfs(c0) -> tuple:
