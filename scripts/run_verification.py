@@ -11,10 +11,11 @@ Usage:
 
 import argparse
 import resource
+import sys
 
 from mapmerge.cli import verify
 from mapmerge.scenarios import builtin_scenarios, check_scenario
-from mapmerge.world import initial_config
+from mapmerge.world import MAX_AGENTS, MIN_AGENTS, initial_config
 
 CHECKS = ("invariants", "deadlock-freedom", "divergence-freedom", "goal-inevitable")
 
@@ -23,6 +24,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-agents", type=int, default=4)
     args = ap.parse_args()
+    if not MIN_AGENTS <= args.max_agents <= MAX_AGENTS:
+        print(f"run_verification: --max-agents must be in [{MIN_AGENTS}, {MAX_AGENTS}], got {args.max_agents}",
+              file=sys.stderr)
+        return 2
 
     print(f"{'n':>2} {'states':>8} {'transitions':>12} " + " ".join(f"{c:>18}" for c in CHECKS)
           + f" {'time':>8} {'peak RSS':>9}")

@@ -8,9 +8,9 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter, sub
+from operator import attrgetter, itemgetter, or_, sub
 from typing import Callable, Iterable, Optional, Union
 
 from .events import (
@@ -43,15 +43,23 @@ from .world import (  # noqa: F401
 Path = list
 
 
+# A local state's flags: it has a local-state message, it owes a duty, it is not quiescent.
+MESSAGE, DUTY, BUSY = 1, 2, 4
+
+
 @dataclass(frozen=True)
 class Check:
     """A named invariant over int codes (see `world.Model`): fn(model, code, successors) at a state,
-    fn(model, code, event int, successor code) at a transition; it returns a message or None."""
+    fn(model, code, event int, successor code) at a transition; it returns a message or None.
+    Its gate admits where fn can fire: gate(word) at a state, whose word ORs its locals' flags, and
+    gate(event type, moved) at a transition, where moved says that some leader's (active, agent_set)
+    differs across it.  fn must return None where its gate does not admit; no gate admits everywhere."""
 
     name: str
     kind: str  # "state" | "transition"
     fn: Callable
     on: tuple = ()  # event types a transition check inspects; () means all
+    gate: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ class StateGraph:
 
 class _LocalFacts(dict):
     """By local int, computed at the first lookup: a process's local-state message, its duties as
-    (label int, message if that label is not enabled; -1 never is), and whether it is quiescent.
+    (label int, message if that label is not enabled; -1 never is), and its flags.
     Only a state whose processes are all quiescent is decoded, for the partition check."""
 
     def __init__(self, m: Model):
@@ -140,11 +148,20 @@ class _LocalFacts(dict):
         elif s.believed_leader not in s.known_group:
             msg = f"{s.id}'s believed leader {s.believed_leader} outside its known group"
         quiescent = leader_is_quiescent(s) if isinstance(s, LeaderProcState) else not s.has_outstanding_request
-        facts = self[x] = (msg, tuple(duties), quiescent)
+        flags = MESSAGE * (msg is not None) | DUTY * bool(duties) | BUSY * (not quiescent)
+        facts = self[x] = (msg, tuple(duties), flags)
         return facts
+
+    def word(self, code: tuple) -> int:
+        """The OR of the flags of code's locals."""
+        return reduce(or_, map(itemgetter(2), map(self.__getitem__, code)))
 
 
 _facts = cache(_LocalFacts)  # one table per model
+
+
+def _leader_pairs(m: Model, code: tuple) -> tuple:
+    return tuple(map(attrgetter("active", "agent_set"), map(m.locals.__getitem__, code[m.n :])))
 
 
 def _local_state_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
@@ -158,7 +175,7 @@ def _req2_cancel_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
 
 
 def _quiescent_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
-    if all(map(itemgetter(2), map(_facts(m).__getitem__, code))):
+    if not _facts(m).word(code) & BUSY:
         return quiescent_partition_violation(m.decode(code))
     return None
 
@@ -194,14 +211,18 @@ def _monotone_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optiona
 
 def default_checks() -> list[Check]:
     return [
-        Check("local-state", "state", _local_state_violation),
-        Check("req2-cancel-answered", "state", _req2_cancel_violation),
-        Check("quiescent-partition", "state", _quiescent_violation),
+        # The message is some local's, and a local with a message has the MESSAGE flag.
+        Check("local-state", "state", _local_state_violation, gate=lambda w: w & MESSAGE),
+        # Only a duty goes unmet, and a leader with a duty has the DUTY flag.
+        Check("req2-cancel-answered", "state", _req2_cancel_violation, gate=lambda w: w & DUTY),
+        # A state with a BUSY local is not quiescent, and the partition holds only in quiescent states.
+        Check("quiescent-partition", "state", _quiescent_violation, gate=lambda w: not w & BUSY),
         Check("req1-priority", "transition", _req1_violation, (ConfirmMerge,)),
         # Dropping the active guard alone does not fire this: a demoted leader in Considering offers a merge_confirmed
         # carrying its empty agent set, which the requester refuses.  Dropping that refusal too makes it fire.
         Check("req2-confirm-active", "transition", _req2_confirm_violation, (MergeConfirmed,)),
-        Check("active-monotone", "transition", _monotone_violation),
+        # Where no leader's (active, agent_set) moves, no set shrinks and the count holds: only merge_completed fails.
+        Check("active-monotone", "transition", _monotone_violation, gate=lambda t, moved: moved or t is MergeCompleted),
     ]
 
 
@@ -214,20 +235,26 @@ def explore(
 ) -> StateGraph:
     """Breadth-first closure of `world.Model.successors` over integer codes.
 
-    Every registered invariant is evaluated at every state and at every
-    transition of a type it inspects; BFS order makes every violation
-    witness minimal in length.  Hitting a bound leaves the graph flagged
-    incomplete.
+    Every registered invariant is evaluated at every state, and at every
+    transition of a type it inspects, wherever its gate admits (see
+    `Check`); BFS order makes every violation witness minimal in length.
+    Hitting a bound leaves the graph flagged incomplete.
     """
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
     checks = list(default_checks() if checks is None else checks)
-    state_checks = [c for c in checks if c.kind == "state"]
-    trans_checks = [c for c in checks if c.kind == "transition"]
-    checks_on = {t: [k for k in trans_checks if not k.on or issubclass(t, k.on)] for t in EVENT_TYPES.values()}
+    gated = any(k.gate for k in checks)  # else no state word or leader signature is computed
+    # The checks to run: by state word (three flag bits), and by event type and whether a leader's pair changes.
+    state_checks = [[k for k in checks if k.kind == "state" and (not k.gate or k.gate(w))] for w in range(8)]
+    trans_checks = [k for k in checks if k.kind == "transition"]
+    typed = {t: [k for k in trans_checks if not k.on or issubclass(t, k.on)] for t in EVENT_TYPES.values()}
+    checks_on = {t: [[k for k in ks if not k.gate or k.gate(t, moved)] for moved in (0, 1)] for t, ks in typed.items()}
 
     m, row = model(c0.params), _row(c0.params.n)
     code0 = m.encode(c0)
+    facts = _facts(m)
+    # Each state's signature numbers its _leader_pairs: one byte while there are at most 256 (49 at n=4).
+    signatures, sigs = {_leader_pairs(m, code0): 0}, array("B", [0] if gated else [])
     g = StateGraph(c0, m, index={row.pack(*code0): 0}, rows=array("H", code0))
     index, rows, events, targets, labels = g.index, g.rows, g.events, g.targets, m.labels
     # States are expanded in index order, which is BFS order; layer_end ends the current depth.
@@ -237,7 +264,7 @@ def explore(
             depth, layer_end = depth + 1, len(index)
         code = row.unpack_from(rows, idx * row.size)
         succs = m.successors(code)
-        for chk in state_checks:
+        for chk in state_checks[gated and facts.word(code)]:
             msg = chk.fn(m, code, succs)
             if msg is not None:
                 g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
@@ -251,9 +278,13 @@ def explore(
                 j = index[key] = len(index)
                 rows.frombytes(key)
                 g.parent.append(idx)
+                if gated:
+                    sig = signatures.setdefault(_leader_pairs(m, code2), len(signatures))
+                    sigs = array("I", sigs) if sig == 256 else sigs
+                    sigs.append(sig)
             events.append(ev)
             targets.append(j)
-            for chk in checks_on[type(labels[ev])]:
+            for chk in checks_on[type(labels[ev])][gated and sigs[idx] != sigs[j]]:
                 msg = chk.fn(m, code, ev, code2)
                 if msg is not None:
                     g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [labels[ev], g.state(j)]))

@@ -18,6 +18,17 @@ from mapmerge.world import Model, initial_config
 # confirms.  REQ2: a demoted leader still considers a confirm_merge.
 PRIORITY_MUTANT = ("leader_accept", ("if priority(s.id, other) != s.id:", "if False:"))
 ACTIVE_MUTANT = ("leader_accept", ("isinstance(ph, AwaitRequest) and s.active", "isinstance(ph, AwaitRequest)"))
+# Mutants that fire active-monotone away from merge_completed, on merge_maps:
+# the merged leader is also demoted when the maps merge, or the merging
+# leader takes the other agent set in place of the union of both.
+DEMOTE_ON_MERGE_MUTANT = (
+    "leader_accept",
+    (
+        "return s._replace(phase=AwaitCompletion(e.req_leader))",
+        "return s._replace(active=False, agent_set=frozenset(), phase=AwaitCompletion(e.req_leader))",
+    ),
+)
+REPLACE_SET_MUTANT = ("leader_moves", ("agent_set=s.agent_set | ph.other_agent_set,", "agent_set=ph.other_agent_set,"))
 
 
 @contextmanager

@@ -335,9 +335,20 @@ def test_explore_dot_side_output(capsys, tmp_path):
     assert path.read_text().count("->") == 77
 
 
+VERIFICATION_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+
+
 def test_verification_script_passes(tmp_path, src_env):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
-    argv = [sys.executable, str(script), "--max-agents", "3"]
+    argv = [sys.executable, str(VERIFICATION_SCRIPT), "--max-agents", "3"]
     proc = subprocess.run(argv, env=src_env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("overall: pass")
+
+
+@pytest.mark.parametrize("max_agents", ["1", "9"])
+def test_verification_script_rejects_agent_count_out_of_bounds(tmp_path, src_env, max_agents):
+    # 1 would check nothing and pass; 9 would explore n=2..8 first.
+    argv = [sys.executable, str(VERIFICATION_SCRIPT), "--max-agents", max_agents]
+    proc = subprocess.run(argv, env=src_env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and "--max-agents must be in [2, 8]" in proc.stderr

@@ -1,10 +1,11 @@
 import dataclasses
 import io
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from mapmerge import processes
+from mapmerge import explorer, processes
 from mapmerge.events import (
     EVENT_TYPES,
     ConfirmMerge,
@@ -31,19 +32,20 @@ from mapmerge.explorer import (
     label_nondeterminism_report,
 )
 from mapmerge.ids import AgentId
-from mapmerge.processes import Considering, DonePhase, Terminated, Terminating
+from mapmerge.processes import AwaitCompletion, BeingMerged, Considering, DonePhase, Terminated, Terminating
 from mapmerge.world import (
     Configuration,
     all_maps_merged,
     apply_event,
     enabled_events,
     initial_config,
+    is_quiescent,
     is_terminal,
     model,
 )
 
 import graph_reference
-from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, variant
+from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, variant
 from graph_reference import monotone_violation, states, transitions
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
@@ -223,10 +225,15 @@ def test_choice_report_matches_dict_of_sets(graph_n3, max_states):
     assert label_nondeterminism_report(g) == graph_reference.choice_report(g)
 
 
-@pytest.mark.parametrize("spec", [PRIORITY_MUTANT, ACTIVE_MUTANT], ids=["priority_guard", "active_guard"])
+@pytest.mark.parametrize(
+    "spec",
+    [PRIORITY_MUTANT, ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, REPLACE_SET_MUTANT],
+    ids=["priority_guard", "active_guard", "demote_on_merge", "replace_set"],
+)
 def test_checks_on_event_types_find_what_checks_on_all_find(spec):
-    # Restricting a transition check to the event types it inspects must not
-    # change which violations explore reports, nor their witnesses.
+    # Restricting a transition check to the event types it inspects, and any
+    # check to where its gate admits, must not change which violations
+    # explore reports, nor their witnesses.
     checks = default_checks()
     assert any(k.on for k in checks)
     with variant(3, spec) as c0:
@@ -236,6 +243,43 @@ def test_checks_on_event_types_find_what_checks_on_all_find(spec):
     assert [(v.check, v.message, v.witness) for v in typed] == [
         (v.check, v.message, v.witness) for v in untyped
     ]
+
+
+def test_gates_call_each_check_only_where_it_can_fire():
+    # Counted through checks that carry the default gates: without them every
+    # state check runs at all 1,879 states and active-monotone at all 5,456
+    # transitions.
+    calls = Counter()
+
+    def counted(k):
+        def fn(*args):
+            calls[k.name] += 1
+            return k.fn(*args)
+
+        return Check(k.name, k.kind, fn, k.on, k.gate)
+
+    g = explore(initial_config(3), checks=[counted(k) for k in default_checks()])
+    assert (g.state_count, g.transition_count, g.violations) == (1879, 5456, [])
+    cs = states(g)
+    pairs = [[(l.active, l.agent_set) for l in c.leaders] for c in cs]
+    moved = sum(isinstance(e, MergeCompleted) or pairs[i] != pairs[j] for i, e, j in transitions(g))
+    progressing = (Considering, BeingMerged, AwaitCompletion)
+    owes = lambda l: l.pending_cancels or not l.active and isinstance(l.phase, progressing)
+    owing = sum(any(map(owes, c.leaders)) for c in cs)
+    assert calls["local-state"] == 0
+    assert calls["active-monotone"] == moved <= 76
+    assert calls["quiescent-partition"] == sum(map(is_quiescent, cs)) < g.state_count
+    assert calls["req2-cancel-answered"] == owing < g.state_count
+
+
+def test_leader_signatures_past_one_byte(monkeypatch):
+    # With every code its own signature, the 1,879 states at n=3 pass 256
+    # signatures, so explore widens its signature array mid-run.  A coarser
+    # signature only admits more, so the violations are the same.
+    with variant(3, DEMOTE_ON_MERGE_MUTANT) as c0:
+        expected = explore(c0).violations
+        monkeypatch.setattr(explorer, "_leader_pairs", lambda m, code: code)
+        assert explore(c0).violations == expected != []
 
 
 def test_req2_confirm_active_is_vacuous_on_the_active_guard_mutant():
@@ -393,8 +437,8 @@ def test_differential_graphs_each_find_something():
 
 @pytest.mark.parametrize(
     "params",
-    [{}, PRIORITY_MUTANT, ACTIVE_MUTANT, {"merge_set_max": 2}],
-    ids=["default", "priority_guard=False", "active_guard=False", "merge_set_max=2"],
+    [{}, PRIORITY_MUTANT, ACTIVE_MUTANT, {"merge_set_max": 2}, DEMOTE_ON_MERGE_MUTANT, REPLACE_SET_MUTANT],
+    ids=["default", "priority_guard=False", "active_guard=False", "merge_set_max=2", "demote_on_merge", "replace_set"],
 )
 def test_int_checks_match_configuration_references(params):
     # The int-level default checks report what the Configuration-level

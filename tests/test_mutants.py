@@ -8,11 +8,12 @@ from collections import Counter
 import pytest
 
 from mapmerge import explorer, processes, world
+from mapmerge.events import MergeCompleted, MergeMaps
 from mapmerge.explorer import explore
 from mapmerge.export import export_graph
 from mapmerge.world import ModelParams, initial_config
 
-from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, mutant
+from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, mutant
 
 # The requester's side of merge_confirmed, in processes.leader_accept: it
 # accepts only a nonempty agent set.
@@ -39,8 +40,10 @@ def exported(g) -> str:
             5672,
             {"req2-confirm-active": 26, "req2-cancel-answered": 78, "active-monotone": 26},
         ),
+        (DEMOTE_ON_MERGE_MUTANT, "044176b2733d062f", 1879, 5456, {"active-monotone": 76, "req2-cancel-answered": 38}),
+        (REPLACE_SET_MUTANT, "401aa359a8d1d624", 1419, 4463, {"local-state": 66, "active-monotone": 33}),
     ],
-    ids=["priority_guard", "active_guard", "active_guard+nonempty_confirmed"],
+    ids=["priority_guard", "active_guard", "active_guard+nonempty_confirmed", "demote_on_merge", "replace_set"],
 )
 def test_mutant_graph_and_violations_at_n3(spec, digest, states, transitions, violations):
     with mutant(*spec):
@@ -61,6 +64,19 @@ def test_req2_confirm_active_catches_a_demoted_leader_confirming():
     for v in caught:
         before, e = v.witness[-3], v.witness[-2]
         assert e.other_agent_set == frozenset() and not before.leader(e.other_leader).active
+
+
+@pytest.mark.parametrize(
+    "spec, events",
+    [(DEMOTE_ON_MERGE_MUTANT, {MergeMaps: 38, MergeCompleted: 38}), (REPLACE_SET_MUTANT, {MergeMaps: 33})],
+    ids=["demote_on_merge", "replace_set"],
+)
+def test_active_monotone_fires_away_from_merge_completed(spec, events):
+    # A gate on active-monotone that admitted merge_completed alone would miss
+    # the merge_maps witnesses.
+    with mutant(*spec):
+        g = explore(initial_config(3))
+    assert Counter(type(v.witness[-2]) for v in g.violations if v.check == "active-monotone") == events
 
 
 def test_mutant_is_installed_for_the_block_only():
