@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter, itemgetter, or_, sub
+from operator import itemgetter, or_, sub
 from typing import Callable, Iterable, Optional, Union
 
 from .events import (
@@ -52,13 +52,13 @@ class Check:
     """A named invariant over int codes (see `world.Model`): fn(model, code, successors) at a state,
     fn(model, code, event int, successor code) at a transition; it returns a message or None.
     Its gate admits where fn can fire: gate(word) at a state, whose word ORs its locals' flags, and
-    gate(event type, moved) at a transition, where moved says that some leader's (active, agent_set)
-    differs across it.  fn must return None where its gate does not admit; no gate admits everywhere."""
+    gate(event type, shift) at a transition, where shift is the label's `Model.shifts` flag: 0 says
+    no transition on the label changes a leader's (active, agent_set).  fn must return None where
+    its gate does not admit; no gate admits everywhere."""
 
     name: str
     kind: str  # "state" | "transition"
     fn: Callable
-    on: tuple = ()  # event types a transition check inspects; () means all
     gate: Optional[Callable] = None
 
 
@@ -81,7 +81,6 @@ class StateGraph:
 
     initial: Configuration
     model: Model  # the model whose ints the arrays hold
-    index: dict = field(default_factory=dict)  # packed code -> idx
     rows: array = field(default_factory=partial(array, "H"))
     offsets: array = field(default_factory=partial(array, "I", [0]))
     events: array = field(default_factory=partial(array, "H"))
@@ -96,7 +95,7 @@ class StateGraph:
 
     @property
     def state_count(self) -> int:
-        return len(self.index)
+        return len(self.parent)
 
     @property
     def transition_count(self) -> int:
@@ -160,10 +159,6 @@ class _LocalFacts(dict):
 _facts = cache(_LocalFacts)  # one table per model
 
 
-def _leader_pairs(m: Model, code: tuple) -> tuple:
-    return tuple(map(attrgetter("active", "agent_set"), map(m.locals.__getitem__, code[m.n :])))
-
-
 def _local_state_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
     return next(filter(None, map(itemgetter(0), map(_facts(m).__getitem__, code))), None)
 
@@ -217,12 +212,12 @@ def default_checks() -> list[Check]:
         Check("req2-cancel-answered", "state", _req2_cancel_violation, gate=lambda w: w & DUTY),
         # A state with a BUSY local is not quiescent, and the partition holds only in quiescent states.
         Check("quiescent-partition", "state", _quiescent_violation, gate=lambda w: not w & BUSY),
-        Check("req1-priority", "transition", _req1_violation, (ConfirmMerge,)),
+        Check("req1-priority", "transition", _req1_violation, gate=lambda t, _: t is ConfirmMerge),
         # Dropping the active guard alone does not fire this: a demoted leader in Considering offers a merge_confirmed
         # carrying its empty agent set, which the requester refuses.  Dropping that refusal too makes it fire.
-        Check("req2-confirm-active", "transition", _req2_confirm_violation, (MergeConfirmed,)),
-        # Where no leader's (active, agent_set) moves, no set shrinks and the count holds: only merge_completed fails.
-        Check("active-monotone", "transition", _monotone_violation, gate=lambda t, moved: moved or t is MergeCompleted),
+        Check("req2-confirm-active", "transition", _req2_confirm_violation, gate=lambda t, _: t is MergeConfirmed),
+        # On a label none of whose steps moves a leader's (active, agent_set), only merge_completed can fail.
+        Check("active-monotone", "transition", _monotone_violation, gate=lambda t, shift: shift or t is MergeCompleted),
     ]
 
 
@@ -235,28 +230,25 @@ def explore(
 ) -> StateGraph:
     """Breadth-first closure of `world.Model.successors` over integer codes.
 
-    Every registered invariant is evaluated at every state, and at every
-    transition of a type it inspects, wherever its gate admits (see
-    `Check`); BFS order makes every violation witness minimal in length.
-    Hitting a bound leaves the graph flagged incomplete.
+    Every registered invariant is evaluated at every state or transition
+    where its gate admits (see `Check`); BFS order makes every violation
+    witness minimal in length.  Hitting a bound leaves the graph flagged
+    incomplete.
     """
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
     checks = list(default_checks() if checks is None else checks)
-    gated = any(k.gate for k in checks)  # else no state word or leader signature is computed
-    # The checks to run: by state word (three flag bits), and by event type and whether a leader's pair changes.
+    gated = any(k.gate for k in checks if k.kind == "state")  # else no state word is computed
+    # The checks to run: by state word (three flag bits), and by event type and the label's shift flag.
     state_checks = [[k for k in checks if k.kind == "state" and (not k.gate or k.gate(w))] for w in range(8)]
-    trans_checks = [k for k in checks if k.kind == "transition"]
-    typed = {t: [k for k in trans_checks if not k.on or issubclass(t, k.on)] for t in EVENT_TYPES.values()}
-    checks_on = {t: [[k for k in ks if not k.gate or k.gate(t, moved)] for moved in (0, 1)] for t, ks in typed.items()}
+    trans = [k for k in checks if k.kind == "transition"]
+    checks_on = {t: [[k for k in trans if not k.gate or k.gate(t, f)] for f in (0, 1)] for t in EVENT_TYPES.values()}
 
     m, row = model(c0.params), _row(c0.params.n)
     code0 = m.encode(c0)
-    facts = _facts(m)
-    # Each state's signature numbers its _leader_pairs: one byte while there are at most 256 (49 at n=4).
-    signatures, sigs = {_leader_pairs(m, code0): 0}, array("B", [0] if gated else [])
-    g = StateGraph(c0, m, index={row.pack(*code0): 0}, rows=array("H", code0))
-    index, rows, events, targets, labels = g.index, g.rows, g.events, g.targets, m.labels
+    facts, index = _facts(m), {row.pack(*code0): 0}  # packed code -> idx
+    g = StateGraph(c0, m, rows=array("H", code0))
+    rows, events, targets, labels, shifts = g.rows, g.events, g.targets, m.labels, m.shifts
     # States are expanded in index order, which is BFS order; layer_end ends the current depth.
     idx, depth, layer_end = 0, 0, 1
     while idx < len(index):
@@ -278,13 +270,9 @@ def explore(
                 j = index[key] = len(index)
                 rows.frombytes(key)
                 g.parent.append(idx)
-                if gated:
-                    sig = signatures.setdefault(_leader_pairs(m, code2), len(signatures))
-                    sigs = array("I", sigs) if sig == 256 else sigs
-                    sigs.append(sig)
             events.append(ev)
             targets.append(j)
-            for chk in checks_on[type(labels[ev])][gated and sigs[idx] != sigs[j]]:
+            for chk in checks_on[type(labels[ev])][shifts[ev]]:
                 msg = chk.fn(m, code, ev, code2)
                 if msg is not None:
                     g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [labels[ev], g.state(j)]))

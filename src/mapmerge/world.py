@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import threading
 from functools import cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from .events import EventLabel, ProcessRef, RemoveReasoningAbout, participants, sort_key
@@ -14,11 +14,13 @@ from .processes import (
     LeaderProcState,
     Refusing,
     Terminated,
+    agent_accept,
     agent_moves,
     agent_step,
     full_set,
     initial_agent,
     initial_leader,
+    leader_accept,
     leader_is_quiescent,
     leader_moves,
     leader_step,
@@ -26,6 +28,7 @@ from .processes import (
 
 MIN_AGENTS = 2
 MAX_AGENTS = 8
+_pair = attrgetter("active", "agent_set")  # the part of a leader that active-monotone reads
 
 
 class ConfigurationError(ValueError):
@@ -93,9 +96,11 @@ class Model:
     every caller in the process.  A code is a flat tuple of local-state ints:
     agents at slots 0..n-1, leaders at n..2n-1.  Each local state and each
     label is one shared object with a small int.  Interning a local state
-    interns its moves; the passive participants of an event step through
+    interns its moves; the passive participants of an event accept it through
     per-local step tables.  A table miss takes the lock, so threads agree on
-    every int; a hit takes none.  2,686 passive steps fill the n=4 tables."""
+    every int; a hit takes none.  2,686 passive steps fill the n=4 tables.
+    A label's shift flag is set as its entries fill, before any transition
+    on it is returned."""
 
     def __init__(self, params: ModelParams):
         self.params, self.n = params, params.n
@@ -105,6 +110,7 @@ class Model:
         self._label_ids: dict = {}  # label -> (event int, sort key, participant slots)
         self._moves: list = []  # local int -> ((event int, sort key, other participants' slots, next local int), ...)
         self._steps: list = []  # local int -> {event int: next local int, or -1 if refused}
+        self.shifts = bytearray()  # event int -> 1 once an entry under it changes a leader's _pair
         self._lock = threading.Lock()
 
     def _label(self, e: EventLabel) -> tuple:
@@ -113,6 +119,7 @@ class Model:
             slots = tuple(r.id.index - 1 + (self.n if r.kind == "leader" else 0) for r in sorted(participants(e)))
             entry = self._label_ids[e] = (len(self.labels), sort_key(e), slots)
             self.labels.append(e)
+            self.shifts.append(0)
         return entry
 
     def _intern(self, s) -> int:
@@ -128,6 +135,7 @@ class Model:
             moves = []
             for e, nxt in (leader_moves if leader else agent_moves)(s, self.params):
                 ev, key, slots = self._label(e)
+                self.shifts[ev] |= leader and _pair(s) != _pair(nxt)
                 moves.append((ev, key, tuple(j for j in slots if j != own), self._intern(nxt)))
             self._moves[i] = tuple(moves)
         return i
@@ -137,9 +145,10 @@ class Model:
             steps = self._steps[s]
             if ev not in steps:
                 local = self.locals[s]
-                step = leader_step if isinstance(local, LeaderProcState) else agent_step
-                nxt = step(local, self.labels[ev], self.params)
+                leader = isinstance(local, LeaderProcState)
+                nxt = (leader_accept if leader else agent_accept)(local, self.labels[ev])
                 steps[ev] = -1 if nxt is None else self._intern(nxt)
+                self.shifts[ev] |= leader and nxt is not None and _pair(local) != _pair(nxt)
             return steps[ev]
 
     def encode(self, c: Configuration) -> tuple:

@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import pytest
 
-from mapmerge.events import EVENT_TYPES, RemoveReasoningAbout, RequestMerge, sort_key
+from mapmerge.events import EVENT_TYPES, Agent, Leader, RemoveReasoningAbout, RequestMerge, participants, sort_key
 from mapmerge.explorer import explore
 from mapmerge.ids import universe
 from mapmerge import world
@@ -21,7 +21,7 @@ from mapmerge import processes
 from mapmerge.processes import LeaderProcState, Refusing
 from mapmerge.world import RefusedEventError, apply_event, initial_config
 
-from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, variant
+from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, variant
 from graph_reference import states, transitions
 
 # Model flags for initial_config, or a mutant of the process functions.
@@ -108,17 +108,43 @@ def test_moves_and_accepted_events_are_disjoint(spec):
         m = world.model(c0.params)
         explore(c0, checks=[])
         labels, params = alphabet(3), c0.params
+        movers = {}  # label -> the processes that have it among an interned local's moves
         for s in list(m.locals):
             if isinstance(s, LeaderProcState):
-                moves, step = processes.leader_moves(s, params), processes.leader_step
+                moves, step, me = processes.leader_moves(s, params), processes.leader_step, Leader(s.id)
                 accepted = [e for e in labels if processes.leader_accept(s, e) is not None]
             else:
-                moves, step = processes.agent_moves(s, params), processes.agent_step
+                moves, step, me = processes.agent_moves(s, params), processes.agent_step, Agent(s.id)
                 accepted = [e for e in labels if processes.agent_accept(s, e) is not None]
             moved = dict(moves)
             assert len(moved) == len(moves)
             assert not moved.keys() & set(accepted), s
             assert all(step(s, e, params) == nxt for e, nxt in moves), s
+            for e in moved:
+                movers.setdefault(e, set()).add(me)
+        # Model steps a move's other participants by *_accept alone, which is
+        # their step only if none of them ever has the label among its moves:
+        # at most one participant moves a label, and none when another process
+        # (a refusing leader, for remove_reasoning_about) does.
+        assert all(not (participants(e) - {p}) & who for e, who in movers.items() for p in who)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*VARIANTS.values(), DEMOTE_ON_MERGE_MUTANT, REPLACE_SET_MUTANT],
+    ids=[*VARIANTS, "demote_on_merge", "replace_set"],
+)
+def test_shift_flags_mark_exactly_the_labels_that_move_a_leader_pair(spec):
+    # Model.shifts is sound (every transition that changes some leader's
+    # (active, agent_set) carries a flagged label) and, on these graphs,
+    # exact (no transition on a flagged label leaves every pair unchanged).
+    with variant(3, spec) as c0:
+        world.model.cache_clear()  # a fresh model: locals that other tests build by hand can flag labels too
+        g = explore(c0, checks=[])
+    pairs = [[(l.active, l.agent_set) for l in c.leaders] for c in states(g)]
+    shifts = g.model.shifts
+    assert any(shifts)
+    assert all(shifts[ev] == (pairs[i] != pairs[j]) for i, ev, j in g.edges())
 
 
 @pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
