@@ -4,7 +4,6 @@ explicit-state explorer for its safety and liveness properties."""
 from .coordmap import GridMap, MergeConflictError, Offset, compose, invert, merge_grids, transform
 from .events import EventLabel, InvalidEventError, participants
 from .explorer import (
-    ALL_VISIBLE,
     StateGraph,
     TraceQuery,
     check_inevitable,

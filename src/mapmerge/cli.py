@@ -1,8 +1,8 @@
 """Command-line front end: exploration with property checks, scenario
 regression, trace checking, and state-graph export.
 
-Exit codes: 0 pass, 1 property violation or failed scenario, 2 usage or
-parse error.
+Exit codes: 0 pass, 1 property violation, failed scenario or unreadable
+input / unwritable output, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from contextlib import nullcontext
 
 from .events import InvalidEventError, from_json, is_internal, label, validate_event
 from .explorer import (
-    ALL_VISIBLE,
     TraceQuery,
     check_inevitable,
     explore,
@@ -195,9 +194,12 @@ def cmd_scenarios(args) -> int:
     scenarios = list(builtin_scenarios())
     if args.scenario_file:
         text = _read_text(args.scenario_file)
+        builtin = {s.name for s in scenarios}
         try:
             for s in load_scenarios(text):
-                for e in s.trace + tuple(s.alphabet if isinstance(s.alphabet, frozenset) else ()):
+                if s.name in builtin:
+                    raise ValueError(f"scenario {s.name!r} reuses the name of a built-in scenario")
+                for e in s.trace + tuple(s.alphabet or ()):
                     validate_event(e, args.agents)
                 scenarios.append(s)
         except ValueError as exc:  # malformed JSON, scenario or event objects
@@ -257,9 +259,7 @@ def _read_jsonl_events(path: str, n: int) -> list:
 
 def cmd_trace_check(args) -> int:
     trace = _read_jsonl_events(args.trace_file, args.agents)
-    alphabet = ALL_VISIBLE
-    if args.alphabet_file:
-        alphabet = frozenset(_read_jsonl_events(args.alphabet_file, args.agents))
+    alphabet = frozenset(_read_jsonl_events(args.alphabet_file, args.agents)) if args.alphabet_file else None
     c0 = _config(args)
     t0 = time.perf_counter()
     result = has_trace(c0, TraceQuery(tuple(trace), alphabet), max_states=args.max_states)

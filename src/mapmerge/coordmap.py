@@ -8,7 +8,6 @@ same orientation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,34 +57,8 @@ class GridMap:
     def __post_init__(self):
         object.__setattr__(self, "cells", dict(self.cells))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GridMap)
-            and self.cells == other.cells
-            and self.owner_frame == other.owner_frame
-        )
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
     def shifted(self, o: Offset) -> "GridMap":
         return GridMap({transform(p, o): v for p, v in self.cells.items()}, self.owner_frame)
-
-    def to_json(self) -> str:
-        doc = {
-            "owner_frame": self.owner_frame.name,
-            "cells": [
-                {"x": x, "y": y, "value": v}
-                for (x, y), v in sorted(self.cells.items())
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GridMap":
-        doc = json.loads(text)
-        cells = {(c["x"], c["y"]): c["value"] for c in doc["cells"]}
-        return cls(cells, AgentId.parse(doc["owner_frame"]))
 
 
 def merge_grids(a: GridMap, b: GridMap, offset_b_to_a: Offset) -> GridMap:

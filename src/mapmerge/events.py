@@ -215,11 +215,8 @@ def participants(e: EventLabel) -> frozenset[ProcessRef]:
 
 
 def _field_key(v):
-    if isinstance(v, AgentId):
-        return (0, v.index)
-    if isinstance(v, frozenset):
-        return (1, tuple(sorted(a.index for a in v)))
-    return (2, v)
+    """An AgentId by its index, a frozenset of them as its sorted indices; a field always holds one kind."""
+    return v.index if isinstance(v, AgentId) else tuple(sorted(a.index for a in v))
 
 
 def sort_key(e: EventLabel):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, or_, sub
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .events import (
     EVENT_TYPES,
@@ -24,7 +24,7 @@ from .events import (
     is_internal,
     label,
 )
-from .processes import AwaitCompletion, BeingMerged, Considering, LeaderProcState, leader_is_quiescent
+from .processes import AwaitCompletion, BeingMerged, Considering, LeaderProcState, is_quiescent
 # apply_event and enabled_events are unused here but stay importable as
 # explorer attributes, which perfbench/tracer.py wraps.
 from .world import (  # noqa: F401
@@ -146,8 +146,7 @@ class _LocalFacts(dict):
             msg = f"{s.id} missing from its own known group"
         elif s.believed_leader not in s.known_group:
             msg = f"{s.id}'s believed leader {s.believed_leader} outside its known group"
-        quiescent = leader_is_quiescent(s) if isinstance(s, LeaderProcState) else not s.has_outstanding_request
-        flags = MESSAGE * (msg is not None) | DUTY * bool(duties) | BUSY * (not quiescent)
+        flags = MESSAGE * (msg is not None) | DUTY * bool(duties) | BUSY * (not is_quiescent(s))
         facts = self[x] = (msg, tuple(duties), flags)
         return facts
 
@@ -170,9 +169,7 @@ def _req2_cancel_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
 
 
 def _quiescent_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
-    if not _facts(m).word(code) & BUSY:
-        return quiescent_partition_violation(m.decode(code))
-    return None
+    return quiescent_partition_violation(m.decode(code))
 
 
 def _req1_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optional[str]:
@@ -210,7 +207,7 @@ def default_checks() -> list[Check]:
         Check("local-state", "state", _local_state_violation, gate=lambda w: w & MESSAGE),
         # Only a duty goes unmet, and a leader with a duty has the DUTY flag.
         Check("req2-cancel-answered", "state", _req2_cancel_violation, gate=lambda w: w & DUTY),
-        # A state with a BUSY local is not quiescent, and the partition holds only in quiescent states.
+        # A state with a BUSY local is not quiescent, where quiescent_partition_violation returns None.
         Check("quiescent-partition", "state", _quiescent_violation, gate=lambda w: not w & BUSY),
         Check("req1-priority", "transition", _req1_violation, gate=lambda t, _: t is ConfirmMerge),
         # Dropping the active guard alone does not fire this: a demoted leader in Considering offers a merge_confirmed
@@ -281,37 +278,22 @@ def explore(
     return g
 
 
-class AllVisible:
-    """Sentinel alphabet: every event is visible except internal ones."""
-
-    def __contains__(self, e: EventLabel) -> bool:
-        return not is_internal(e)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AllVisible)
-
-    def __hash__(self) -> int:
-        return hash(AllVisible)
-
-    def __repr__(self) -> str:
-        return "ALL_VISIBLE"
-
-
-ALL_VISIBLE = AllVisible()
-
-
 @dataclass(frozen=True)
 class TraceQuery:
     """A visible-event sequence plus the alphabet it is observed through;
-    events outside the alphabet are hidden."""
+    events outside the alphabet are hidden.  No alphabet shows every event
+    that is not internal."""
 
     trace: tuple
-    alphabet: Union[frozenset, AllVisible] = ALL_VISIBLE
+    alphabet: Optional[frozenset] = None
 
     def __post_init__(self):
         for e in self.trace:
-            if e not in self.alphabet:
+            if not self.visible(e):
                 raise InvalidEventError(f"trace event {label(e)} not in the visible alphabet")
+
+    def visible(self, e: EventLabel) -> bool:
+        return not is_internal(e) if self.alphabet is None else e in self.alphabet
 
 
 @dataclass
@@ -319,9 +301,6 @@ class TraceResult:
     found: bool
     witness: Optional[list] = None  # full unprojected event sequence
     complete: bool = True
-
-    def __bool__(self) -> bool:
-        return self.found
 
 
 def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = None) -> TraceResult:
@@ -351,7 +330,7 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
         for ev, code2 in m.successors(code):
             if ev not in matches:
                 e = m.labels[ev]
-                matches[ev] = frozenset(i for i, t in enumerate(q.trace) if t == e) if e in q.alphabet else None
+                matches[ev] = frozenset(i for i, t in enumerate(q.trace) if t == e) if q.visible(e) else None
             at = matches[ev]
             if at is None:
                 nxt = (code2, k)
@@ -391,12 +370,10 @@ class DivergenceWitness:
     cycle: list  # events around the hidden cycle
 
 
-def find_hidden_divergence(
-    g: StateGraph, hidden: Union[frozenset, set, Callable[[EventLabel], bool]]
-) -> Optional[DivergenceWitness]:
-    """A cycle of `g` labelled entirely by hidden events, if one exists."""
+def find_hidden_divergence(g: StateGraph, hidden: Callable[[EventLabel], bool]) -> Optional[DivergenceWitness]:
+    """A cycle of `g` labelled entirely by events that `hidden` holds for, if one exists."""
     labels, off, events, targets = g.model.labels, g.offsets, g.events, g.targets
-    mask = bytes(bool(hidden(e) if callable(hidden) else e in hidden) for e in labels)  # label int -> hidden
+    mask = bytes(map(bool, map(hidden, labels)))  # label int -> hidden
     # Iterative DFS over the hidden edges; a back edge to a node on the stack
     # closes a divergent cycle, which runs from that node's frame up the stack.
     color = bytearray(g.state_count)  # 0 unseen, 1 on stack, 2 done
@@ -430,10 +407,6 @@ def find_hidden_divergence(
 class InevitabilityResult:
     value: Optional[bool]  # None when exploration was incomplete
     counterexample: Optional[Path] = None
-    complete: bool = True
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
 
 
 def check_inevitable(g: StateGraph, goal: Callable[[Configuration], bool]) -> InevitabilityResult:
@@ -441,7 +414,7 @@ def check_inevitable(g: StateGraph, goal: Callable[[Configuration], bool]) -> In
     The counterexample is a path to a state from which the goal is
     unreachable.  An incomplete `g` gives no verdict."""
     if not g.complete:
-        return InevitabilityResult(None, complete=False)
+        return InevitabilityResult(None)
     # Reverse index by counting sort: preds[first[j]:first[j + 1]] are the sources of the transitions into j.
     first = array("I", bytes(4 * (g.state_count + 1)))
     for j in g.targets:

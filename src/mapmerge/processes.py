@@ -347,5 +347,6 @@ def leader_step(s: LeaderProcState, e: EventLabel, params) -> Optional[LeaderPro
     return leader_accept(s, e)
 
 
-def leader_is_quiescent(s: LeaderProcState) -> bool:
-    return isinstance(s.phase, QUIESCENT_PHASES)
+def is_quiescent(s) -> bool:
+    """A leader with nothing in flight, or an agent with no outstanding request."""
+    return isinstance(s.phase, QUIESCENT_PHASES) if isinstance(s, LeaderProcState) else not s.has_outstanding_request

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .events import (
     ConfirmMerge,
@@ -30,7 +30,7 @@ from .events import (
     from_json,
     to_json,
 )
-from .explorer import ALL_VISIBLE, AllVisible, TraceQuery, TraceResult, has_trace
+from .explorer import TraceQuery, TraceResult, has_trace
 from .ids import AgentId
 from .world import Configuration, ConfigurationError
 
@@ -48,7 +48,7 @@ class Scenario:
     trace: tuple
     requirement_tag: str  # GOAL | REQ1 | REQ2
     expected: bool = True
-    alphabet: Union[frozenset, AllVisible] = ALL_VISIBLE
+    alphabet: Optional[frozenset] = None  # None: every non-internal event is visible
 
     def query(self) -> TraceQuery:
         return TraceQuery(self.trace, self.alphabet)
@@ -217,7 +217,7 @@ def scenario_to_json(s: Scenario) -> dict:
         "expected": s.expected,
         "trace": [to_json(e) for e in s.trace],
         "alphabet": "all_visible"
-        if isinstance(s.alphabet, AllVisible)
+        if s.alphabet is None
         else [to_json(e) for e in sorted(s.alphabet, key=lambda e: str(to_json(e)))],
     }
 
@@ -228,10 +228,7 @@ def scenario_from_json(d: dict) -> Scenario:
         raise ValueError(f"scenario must be an object with a string 'name': {d!r}")
     try:
         alphabet = d.get("alphabet", "all_visible")
-        if alphabet == "all_visible":
-            alpha: Union[frozenset, AllVisible] = ALL_VISIBLE
-        else:
-            alpha = frozenset(from_json(x) for x in alphabet)
+        alpha = None if alphabet == "all_visible" else frozenset(from_json(x) for x in alphabet)
         expected = d.get("expected", True)
         if not isinstance(expected, bool):
             raise ValueError(f"scenario field 'expected' must be true or false, got {expected!r}")

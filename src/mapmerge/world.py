@@ -20,8 +20,8 @@ from .processes import (
     full_set,
     initial_agent,
     initial_leader,
+    is_quiescent as quiescent_local,
     leader_accept,
-    leader_is_quiescent,
     leader_moves,
     leader_step,
 )
@@ -232,9 +232,7 @@ def is_enabled(c: Configuration, e: EventLabel) -> bool:
 
 def is_quiescent(c: Configuration) -> bool:
     """No merge in flight and no outstanding request."""
-    return all(leader_is_quiescent(l) for l in c.leaders) and not any(
-        a.has_outstanding_request for a in c.agents
-    )
+    return all(map(quiescent_local, c.agents + c.leaders))
 
 
 def quiescent_partition_violation(c: Configuration) -> Optional[str]:

@@ -150,7 +150,7 @@ def find_hidden_divergence(g, hidden):
 
 def check_inevitable(g, goal):
     if not g.complete:
-        return InevitabilityResult(None, complete=False)
+        return InevitabilityResult(None)
     rev: dict = {}
     for i, _, j in transitions(g):
         rev.setdefault(j, []).append(i)

@@ -262,6 +262,14 @@ def test_scenario_file_loaded(capsys, tmp_path):
     assert json.loads(out)["total"] == 7
 
 
+def test_scenario_file_reusing_a_builtin_name_usage_error(capsys, tmp_path):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([scenario_to_json(builtin_scenarios()[0])]))
+    code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path), "--name", "scenario1")
+    assert_one_line_usage_error(code, err)
+    assert err.startswith(f"mapmerge: parse error: {path}: ") and "'scenario1'" in err
+
+
 def test_trace_check_pass(capsys, tmp_path):
     path = tmp_path / "trace.jsonl"
     lines = [json.dumps(to_json(e)) for e in builtin_scenarios()[0].trace]

@@ -33,7 +33,7 @@ from mapmerge.processes import (
     agent_step,
     initial_agent,
     initial_leader,
-    leader_is_quiescent,
+    is_quiescent,
     leader_step,
 )
 from mapmerge.world import ModelParams
@@ -147,7 +147,7 @@ def test_leader_happy_path_pair_merge():
         ],
     )
     # Universe is {A1,A2,A3}, so the merged pair is not done yet.
-    assert leader_is_quiescent(s)
+    assert is_quiescent(s)
     assert not isinstance(s.phase, DonePhase)
 
 
@@ -164,7 +164,7 @@ def test_leader_no_harness_returns_to_idle():
     params = ModelParams(n=3, harness=False)
     s = initial_leader(A1)._replace(phase=Updating((), (A3,)), agent_set=FULL)
     s = leader_step(s, UpdateIdentified(leader=A1, agent=A3, new_set=FULL), params)
-    assert leader_is_quiescent(s) and not isinstance(s.phase, DonePhase)
+    assert is_quiescent(s) and not isinstance(s.phase, DonePhase)
 
 
 def test_leader_priority_refusal():
@@ -173,7 +173,7 @@ def test_leader_priority_refusal():
     s2 = leader_step(s, ReplyLeader(target_agent=A1, req_leader=A2, its_leader=A1), PARAMS)
     assert isinstance(s2.phase, Refusing)
     s3 = leader_step(s2, RemoveReasoningAbout(req_agent=A2, other_agent=A1), PARAMS)
-    assert leader_is_quiescent(s3)
+    assert is_quiescent(s3)
 
 
 def test_leader_priority_guard_mutation():
@@ -188,7 +188,7 @@ def test_leader_drops_target_already_in_own_map():
         agent_set=frozenset({A1, A2}), phase=AwaitReplyLeader(A1, A2, ())
     )
     s2 = leader_step(s, ReplyLeader(target_agent=A2, req_leader=A1, its_leader=A1), PARAMS)
-    assert leader_is_quiescent(s2)
+    assert is_quiescent(s2)
 
 
 def test_busy_leader_queues_cancel():

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from mapmerge.events import ConfirmMerge, RemoveReasoningAbout
-from mapmerge.explorer import ALL_VISIBLE
 from mapmerge.scenarios import (
     Scenario,
     builtin_scenarios,
@@ -55,7 +54,7 @@ def test_load_scenarios_from_text():
     text = json.dumps([scenario_to_json(s) for s in builtin_scenarios()[:2]])
     loaded = load_scenarios(text)
     assert [s.name for s in loaded] == ["scenario1", "scenario2"]
-    assert loaded[0].alphabet == ALL_VISIBLE
+    assert loaded[0].alphabet is None
 
 
 def test_load_scenarios_rejects_duplicates():
