@@ -101,10 +101,14 @@ class StateGraph:
     def transition_count(self) -> int:
         return len(self.targets)
 
+    def code(self, idx: int) -> tuple:
+        """The local ints of state idx, read from its row."""
+        row = _row(self.initial.params.n)
+        return row.unpack_from(self.rows, idx * row.size)
+
     def state(self, idx: int) -> Configuration:
         """The configuration of state idx, decoded from its row."""
-        row = _row(self.initial.params.n)
-        return self.model.decode(row.unpack_from(self.rows, idx * row.size))
+        return self.model.decode(self.code(idx))
 
     def edges(self) -> Iterable[tuple]:
         """(source idx, label int, target idx) of every transition, in order."""

@@ -1,5 +1,7 @@
 """Deterministic DOT and JSON serializations of explored state graphs,
 streamed from the graph's arrays to a text file in chunks of 4,096 pieces.
+Node labels are joined from per-local parts read off each state's row, not
+from decoded states; the bytes are those the decoded labels gave.
 
 The JSON schema is versioned as "mapmerge-graph/1" and documented in
 docs/graph_schema.md.
@@ -9,28 +11,18 @@ from __future__ import annotations
 
 import json
 from itertools import chain, islice
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .events import label, to_json
 from .explorer import StateGraph
-from .world import Configuration, is_terminal
+from .processes import LeaderProcState, full_set
+from .world import is_terminal
 
 GRAPH_SCHEMA = "mapmerge-graph/1"
 
 
-def partition_label(c: Configuration) -> str:
-    """Human-readable summary of a configuration: each active leader with
-    its agent set, demoted leaders elided."""
-    parts = []
-    for l in c.leaders:
-        if l.active:
-            members = ",".join(a.name for a in sorted(l.agent_set))
-            parts.append(f"{l.id}:{{{members}}}")
-    return " ".join(parts) if parts else "(no active leaders)"
-
-
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_escape(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _write(out: TextIO, pieces: Iterator[str]) -> None:
@@ -38,21 +30,33 @@ def _write(out: TextIO, pieces: Iterator[str]) -> None:
         out.write(chunk)
 
 
-def _nodes(g: StateGraph) -> Iterator[tuple]:
-    """(idx, partition label, terminal) of each state."""
+def _nodes(g: StateGraph, render: Callable[[str], str] = str) -> Iterator[tuple]:
+    """(idx, render(partition label), terminal) of each state, read from its row.
+    The label joins the parts of its leader ints, and each distinct label is
+    rendered once.  is_terminal is False unless an active leader holds the
+    whole team, so only a state with such a leader is decoded for it."""
+    m, n = g.model, g.initial.params.n
+    part, whole = [], []  # by local int: an active leader's label part or "", and whether it holds the whole team
+    for s in m.locals:
+        on = isinstance(s, LeaderProcState) and s.active
+        part.append(f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if on else "")
+        whole.append(on and s.agent_set == full_set(n))
+    rendered: dict = {}  # label -> render(label)
     for i in range(g.state_count):
-        c = g.state(i)
-        yield i, partition_label(c), is_terminal(c)
+        code = g.code(i)
+        p = " ".join(filter(None, map(part.__getitem__, code[n:]))) or "(no active leaders)"
+        terminal = any(map(whole.__getitem__, code[n:])) and is_terminal(m.decode(code))
+        yield i, rendered.get(p) or rendered.setdefault(p, render(p)), terminal
 
 
 def to_dot(g: StateGraph, out: TextIO) -> None:
     """GraphViz rendering: nodes carry the leader partition, edges the event
     label.  Output is byte-stable for a given graph."""
-    quoted = [_dot_quote(label(e)) for e in g.model.labels]
+    quoted = [f'"{_dot_escape(label(e))}"' for e in g.model.labels]
     head = "digraph mapmerge {\n  rankdir=LR;\n  node [shape=box];\n"
     nodes = (
-        f"  s{i} [label={_dot_quote(f'{i}: {p}')}{', style=bold' * (i == 0)}{', peripheries=2' * t}];\n"
-        for i, p, t in _nodes(g)
+        f'  s{i} [label="{i}: {p}"{", style=bold" * (i == 0)}{", peripheries=2" * t}];\n'
+        for i, p, t in _nodes(g, _dot_escape)
     )
     edges = (f"  s{i} -> s{j} [label={quoted[ev]}];\n" for i, ev, j in g.edges())
     _write(out, chain([head], nodes, edges, ["}\n"]))
@@ -68,8 +72,8 @@ def to_json_graph(g: StateGraph, out: TextIO) -> None:
         f'"state_count":{g.state_count},"states":['
     )
     states = (
-        f'{"," * (i > 0)}{{"id":{i},"initial":{flag[i == 0]},"label":{json.dumps(p)},"terminal":{flag[t]}}}'
-        for i, p, t in _nodes(g)
+        f'{"," * (i > 0)}{{"id":{i},"initial":{flag[i == 0]},"label":{p},"terminal":{flag[t]}}}'
+        for i, p, t in _nodes(g, json.dumps)
     )
     middle = f'],"transition_count":{g.transition_count},"transitions":['
     edges = (f'{"," * (k > 0)}{{"dst":{j},"event":{event[ev]},"src":{i}}}' for k, (i, ev, j) in enumerate(g.edges()))

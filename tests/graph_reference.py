@@ -1,7 +1,8 @@
-"""Reference versions of what explorer computes over its int arrays: the
-Configuration-level invariant checks and the dict-based post-analyses, as
-they were before the graph was stored as arrays.  The differential tests
-compare the two on graphs where each finds something."""
+"""Reference versions of what explorer and export compute over int arrays:
+the Configuration-level invariant checks, the dict-based post-analyses, as
+they were before the graph was stored as arrays, and the node label of a
+decoded state.  The differential tests compare the two on graphs where each
+finds something."""
 
 from collections import deque
 
@@ -96,6 +97,20 @@ def reference_checks() -> list:
         Check("req2-confirm-active", "transition", _on_transitions(req2_confirm_violation)),
         Check("active-monotone", "transition", _on_transitions(monotone_violation)),
     ]
+
+
+# The export's node label.
+
+
+def partition_label(c) -> str:
+    """Human-readable summary of a configuration: each active leader with
+    its agent set, demoted leaders elided."""
+    parts = []
+    for l in c.leaders:
+        if l.active:
+            members = ",".join(a.name for a in sorted(l.agent_set))
+            parts.append(f"{l.id}:{{{members}}}")
+    return " ".join(parts) if parts else "(no active leaders)"
 
 
 # Dict-based post-analyses.

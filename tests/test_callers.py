@@ -2,12 +2,12 @@
 is referenced by the program, in `src/` or `scripts/`, somewhere other than
 its own definition, and so is every public method or property of those
 classes.  `__init__.py` re-exports by design and tests are not callers, so
-neither counts.  Module-level names are matched by their bare spelling: a
-name read, an imported name, or an attribute of a package module (`x.f`
-counts only when `x` is `mod` or `pkg.mod` for a module `mod` of the
-package), so that a method of the same name is no caller.  A member counts
-as read when some attribute `.f` is read outside its own body; dunders are
-out of scope.
+neither counts.  Module-level names are matched by module: `mod.f` is read by
+`from .mod import f` (aliased or not), by a bare `f` in `mod` itself or in a
+module that imported it so, and by the attribute `mod.f` or `pkg.mod.f`.  So
+neither a method nor a function of another module that shares the name is a
+caller.  A member counts as read when some attribute `.f` is read outside its
+own body; dunders are out of scope.
 """
 
 import ast
@@ -32,38 +32,47 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def reads(module: str, source: str, modules: set):
-    """(key, scope) for each read of `source`: the key is the bare name of
-    each name it reads or imports, or reads as an attribute of one of
-    `modules`, and `.f` for each attribute `f` it reads; the scope is the set
-    of `module.qualname`s of the definitions the read sits in."""
+    """(key, scope) for each read of `source`.  The key of a name is
+    `mod.name`: for `from [pkg.]mod import name` (aliased or not) of one of
+    `modules`, for `mod.name` or `pkg.mod.name`, and for a bare name read in
+    `module`, where `mod` is the module it was imported from, else `module`
+    itself.  The key of each attribute `f` read is `.f`.  The scope is the
+    set of `module.qualname`s of the definitions the read sits in."""
+    tree = ast.parse(source)
+    imported = {  # local name -> key, for each name imported from a package module
+        alias.asname or alias.name: f"{node.module.rpartition('.')[2]}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] in modules
+        for alias in node.names
+    }
 
     def walk(node, path, scope):
         if isinstance(node, DEFINITIONS):
             path = f"{path}.{node.name}"
             scope = scope | {path}
         if isinstance(node, ast.Name):
-            yield node.id, scope
+            yield imported.get(node.id, f"{module}.{node.id}"), scope
         elif isinstance(node, ast.Attribute):
             yield "." + node.attr, scope
-            of = node.value  # counts as `mod` or `pkg.mod`
-            if getattr(of, "id", getattr(of, "attr", None)) in modules:
-                yield node.attr, scope
-        elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2], scope
+            of = getattr(node.value, "id", getattr(node.value, "attr", None))  # counts as `mod` or `pkg.mod`
+            if of in modules:
+                yield f"{of}.{node.attr}", scope
+        elif isinstance(node, ast.alias) and (node.asname or node.name) in imported:
+            yield imported[node.asname or node.name], scope
         for child in ast.iter_child_nodes(node):
             yield from walk(child, path, scope)
 
-    return walk(ast.parse(source), module, frozenset())
+    return walk(tree, module, frozenset())
 
 
 def defined(module: str, source: str):
     """(name, key) for each public top-level function or class of `source`,
-    named `module.name` and read as the bare `name`, and for each public
+    named and read as `module.name`, and for each public
     method or property of its top-level classes, named `module.Class.name`
     and read as `.name`."""
     for node in ast.parse(source).body:
         if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", f"{module}.{node.name}"
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, DEFINITIONS[:2]) and not member.name.startswith("_"):
@@ -102,6 +111,16 @@ def test_checker_does_not_count_a_method_of_the_same_name():
         "b": "from .a import C\n\ndef g(c):\n    return c.f()\n",
     }
     assert uncalled(package, {"run": "from b import g\ng(None)\n"}) == ["a.f"]
+
+
+def test_checker_keys_module_level_names_by_module():
+    package = {
+        "a": "def f():\n    pass\n",
+        "b": "def f():\n    pass\n",
+        "c": "from .a import f\n\ndef g():\n    return f()\n",
+    }
+    assert uncalled(package, {"run": "from c import g\ng()\n"}) == ["b.f"]
+    assert uncalled(package, {"run": "from b import f as h\nfrom c import g\nh(g())\n"}) == []
 
 
 def test_checker_checks_class_members():

@@ -27,6 +27,7 @@ def digest(out: str) -> str:
         ("explore --agents 4 --json", "c164f860b72db640"),
         ("export --agents 3 --format json", "f1f05c70d6d503ce"),
         ("export --agents 3 --format dot", "0db214820b132132"),
+        ("export --agents 3 --no-harness --format json", "270f6caab9c75f77"),
         ("scenarios --agents 4 --json", "bfbe8d22d02bda68"),
     ],
 )
