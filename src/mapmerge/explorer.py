@@ -8,9 +8,9 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, partial
 from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter, or_, sub
+from operator import sub
 from typing import Callable, Iterable, Optional
 
 from .events import (
@@ -18,16 +18,17 @@ from .events import (
     ConfirmMerge,
     EventLabel,
     InvalidEventError,
-    MergeCancelled,
     MergeCompleted,
     MergeConfirmed,
     is_internal,
     label,
 )
-from .processes import AwaitCompletion, BeingMerged, Considering, LeaderProcState, is_quiescent
 # apply_event and enabled_events are unused here but stay importable as
 # explorer attributes, which perfbench/tracer.py wraps.
 from .world import (  # noqa: F401
+    BUSY,
+    DUTY,
+    MESSAGE,
     Configuration,
     ConfigurationError,
     Model,
@@ -43,18 +44,16 @@ from .world import (  # noqa: F401
 Path = list
 
 
-# A local state's flags: it has a local-state message, it owes a duty, it is not quiescent.
-MESSAGE, DUTY, BUSY = 1, 2, 4
-
-
 @dataclass(frozen=True)
 class Check:
-    """A named invariant over int codes (see `world.Model`): fn(model, code, successors) at a state,
-    fn(model, code, event int, successor code) at a transition; it returns a message or None.
-    Its gate admits where fn can fire: gate(word) at a state, whose word ORs its locals' flags, and
-    gate(event type, shift) at a transition, where shift is the label's `Model.shifts` flag: 0 says
-    no transition on the label changes a leader's (active, agent_set).  fn must return None where
-    its gate does not admit; no gate admits everywhere."""
+    """A named invariant over int keys (see `world.Model`): fn(model, key, successors) at a state,
+    with successors as `Model.successors` gives them, and fn(model, key, event int, successor
+    key) at a transition; it returns a message or None.  Its gate admits where fn can fire:
+    gate(word) at a state, whose word is its key's count word (`key >> Model.count_shift`, with
+    the fields `world.MESSAGE`, `DUTY` and `BUSY`), and gate(event type, shift) at a transition,
+    where shift is the label's `Model.shifts` flag: 0 says no transition on the label changes a
+    leader's (active, agent_set).  fn must return None where its gate does not admit; no gate
+    admits everywhere."""
 
     name: str
     kind: str  # "state" | "transition"
@@ -76,7 +75,8 @@ _row = cache(lambda n: struct.Struct(f"{2 * n}H"))
 @dataclass
 class StateGraph:
     """Deduplicated reachable states and transitions, in BFS order, as int
-    arrays.  State i is its code, row i of `rows`, decoded only on demand; its
+    arrays.  Row i of `rows` holds the local ints of state i, one per slot of
+    its key (see `world.Model`); it is decoded only on demand.  Its
     transitions are offsets[i]:offsets[i + 1] of `events` and `targets`."""
 
     initial: Configuration
@@ -128,71 +128,37 @@ class StateGraph:
         return path[::-1]
 
 
-class _LocalFacts(dict):
-    """By local int, computed at the first lookup: a process's local-state message, its duties as
-    (label int, message if that label is not enabled; -1 never is), and its flags.
-    Only a state whose processes are all quiescent is decoded, for the partition check."""
-
-    def __init__(self, m: Model):
-        self.m = m
-
-    def __missing__(self, x: int) -> tuple:
-        s, msg, duties = self.m.locals[x], None, []
-        if isinstance(s, LeaderProcState):
-            if s.active and s.id not in s.agent_set:
-                msg = f"active leader {s.id} missing from its own agent set"
-            for rq in s.pending_cancels:
-                owed = self.m.labels.index(MergeCancelled(rq, s.id))
-                duties.append((owed, f"{s.id} owes merge_cancelled to {rq} but cannot reply"))
-            if not s.active and isinstance(s.phase, (Considering, BeingMerged, AwaitCompletion)):
-                duties.append((-1, f"demoted leader {s.id} is progressing a merge confirmation"))
-        elif s.id not in s.known_group:
-            msg = f"{s.id} missing from its own known group"
-        elif s.believed_leader not in s.known_group:
-            msg = f"{s.id}'s believed leader {s.believed_leader} outside its known group"
-        flags = MESSAGE * (msg is not None) | DUTY * bool(duties) | BUSY * (not is_quiescent(s))
-        facts = self[x] = (msg, tuple(duties), flags)
-        return facts
-
-    def word(self, code: tuple) -> int:
-        """The OR of the flags of code's locals."""
-        return reduce(or_, map(itemgetter(2), map(self.__getitem__, code)))
+def _local_state_violation(m: Model, key: int, succs: list) -> Optional[str]:
+    return next(filter(None, (m.faults[x][0] for x in m.code(key))), None)
 
 
-_facts = cache(_LocalFacts)  # one table per model
-
-
-def _local_state_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
-    return next(filter(None, map(itemgetter(0), map(_facts(m).__getitem__, code))), None)
-
-
-def _req2_cancel_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
-    duties = list(chain.from_iterable(map(itemgetter(1), map(_facts(m).__getitem__, code[m.n :]))))
+def _req2_cancel_violation(m: Model, key: int, succs: list) -> Optional[str]:
+    duties = [duty for x in m.code(key)[m.n :] for duty in m.faults[x][1]]
     enabled = duties and {ev for ev, _ in succs}
     return next((msg for ev, msg in duties if ev not in enabled), None)
 
 
-def _quiescent_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
-    return quiescent_partition_violation(m.decode(code))
+def _quiescent_violation(m: Model, key: int, succs: list) -> Optional[str]:
+    return quiescent_partition_violation(m.decode(m.code(key)))
 
 
-def _req1_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optional[str]:
+def _req1_violation(m: Model, key: int, ev: int, key2: int) -> Optional[str]:
     e = m.labels[ev]
     if isinstance(e, ConfirmMerge) and e.req_leader.index >= e.other_leader.index:
         return f"confirm_merge from {e.req_leader} to higher-priority {e.other_leader}"
     return None
 
 
-def _req2_confirm_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optional[str]:
+def _req2_confirm_violation(m: Model, key: int, ev: int, key2: int) -> Optional[str]:
     e = m.labels[ev]
-    if isinstance(e, MergeConfirmed) and not m.locals[code[m.n + e.other_leader.index - 1]].active:
+    if isinstance(e, MergeConfirmed) and not m.locals[m.code(key)[m.n + e.other_leader.index - 1]].active:
         return f"demoted leader {e.other_leader} emitted merge_confirmed"
     return None
 
 
-def _monotone_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optional[str]:
+def _monotone_violation(m: Model, key: int, ev: int, key2: int) -> Optional[str]:
     drop = 0
-    for x, y in zip(code[m.n :], code2[m.n :]):
+    for x, y in zip(m.code(key)[m.n :], m.code(key2)[m.n :]):
         if x == y:
             continue
         pre, post = m.locals[x], m.locals[y]
@@ -207,11 +173,11 @@ def _monotone_violation(m: Model, code: tuple, ev: int, code2: tuple) -> Optiona
 
 def default_checks() -> list[Check]:
     return [
-        # The message is some local's, and a local with a message has the MESSAGE flag.
+        # The message is some local's, and a local with a message counts in the MESSAGE field.
         Check("local-state", "state", _local_state_violation, gate=lambda w: w & MESSAGE),
-        # Only a duty goes unmet, and a leader with a duty has the DUTY flag.
+        # Only a duty goes unmet, and a leader with a duty counts in the DUTY field.
         Check("req2-cancel-answered", "state", _req2_cancel_violation, gate=lambda w: w & DUTY),
-        # A state with a BUSY local is not quiescent, where quiescent_partition_violation returns None.
+        # A state with a BUSY count is not quiescent, where quiescent_partition_violation returns None.
         Check("quiescent-partition", "state", _quiescent_violation, gate=lambda w: not w & BUSY),
         Check("req1-priority", "transition", _req1_violation, gate=lambda t, _: t is ConfirmMerge),
         # Dropping the active guard alone does not fire this: a demoted leader in Considering offers a merge_confirmed
@@ -229,7 +195,7 @@ def explore(
     max_depth: Optional[int] = None,
     checks: Optional[Iterable[Check]] = None,
 ) -> StateGraph:
-    """Breadth-first closure of `world.Model.successors` over integer codes.
+    """Breadth-first closure of `world.Model.successors` over integer keys.
 
     Every registered invariant is evaluated at every state or transition
     where its gate admits (see `Check`); BFS order makes every violation
@@ -239,44 +205,45 @@ def explore(
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
     checks = list(default_checks() if checks is None else checks)
-    gated = any(k.gate for k in checks if k.kind == "state")  # else no state word is computed
-    # The checks to run: by state word (three flag bits), and by event type and the label's shift flag.
-    state_checks = [[k for k in checks if k.kind == "state" and (not k.gate or k.gate(w))] for w in range(8)]
+    state = [k for k in checks if k.kind == "state"]
     trans = [k for k in checks if k.kind == "transition"]
+    # The checks to run: by count word, and by event type and the label's shift flag.
+    state_checks = cache(lambda w: [k for k in state if not k.gate or k.gate(w)])
     checks_on = {t: [[k for k in trans if not k.gate or k.gate(t, f)] for f in (0, 1)] for t in EVENT_TYPES.values()}
 
-    m, row = model(c0.params), _row(c0.params.n)
-    code0 = m.encode(c0)
-    facts, index = _facts(m), {row.pack(*code0): 0}  # packed code -> idx
-    g = StateGraph(c0, m, rows=array("H", code0))
+    m = model(c0.params)
+    key0, top = m.encode(c0), m.count_shift
+    index = {key0: 0}  # key -> idx
+    g = StateGraph(c0, m)
     rows, events, targets, labels, shifts = g.rows, g.events, g.targets, m.labels, m.shifts
-    # States are expanded in index order, which is BFS order; layer_end ends the current depth.
-    idx, depth, layer_end = 0, 0, 1
-    while idx < len(index):
+    # Every state is expanded and appends its row, in index order (BFS order); layer_end ends the current depth.
+    queue, idx, depth, layer_end = deque([key0]), 0, 0, 1  # queue: the keys of the states not yet expanded
+    while queue:
+        key = queue.popleft()
         if idx == layer_end:
             depth, layer_end = depth + 1, len(index)
-        code = row.unpack_from(rows, idx * row.size)
-        succs = m.successors(code)
-        for chk in state_checks[gated and facts.word(code)]:
-            msg = chk.fn(m, code, succs)
+        code = m.code(key)
+        rows.extend(code)
+        succs = m.successors(key, code)
+        for chk in state_checks(key >> top):
+            msg = chk.fn(m, key, succs)
             if msg is not None:
                 g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
-        for ev, code2 in succs:
-            key = row.pack(*code2)
-            j = index.get(key)
+        for ev, key2 in succs:
+            j = index.get(key2)
             if j is None:
                 if max_states is not None and len(index) >= max_states or max_depth is not None and depth >= max_depth:
                     g.truncated.add(idx)
                     continue
-                j = index[key] = len(index)
-                rows.frombytes(key)
+                j = index[key2] = len(index)
                 g.parent.append(idx)
+                queue.append(key2)
             events.append(ev)
             targets.append(j)
             for chk in checks_on[type(labels[ev])][shifts[ev]]:
-                msg = chk.fn(m, code, ev, code2)
+                msg = chk.fn(m, key, ev, key2)
                 if msg is not None:
-                    g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [labels[ev], g.state(j)]))
+                    g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [labels[ev], m.decode(m.code(key2))]))
         g.offsets.append(len(targets))
         idx += 1
     return g
@@ -322,36 +289,35 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     m = model(c0.params)
     matches: dict = {}  # event int -> trace positions it matches, or None if hidden
     start = (m.encode(c0), 0)
-    visited = {start: None}  # (code, matched) -> (parent_key, event int) | None
+    visited = {start: None}  # (key, matched) -> (parent, event int) | None
     frontier = deque([start])
     expanded = 0
     while frontier:
-        key = frontier.popleft()
-        code, k = key
+        node = frontier.popleft()
+        key, k = node
         expanded += 1
         if max_states is not None and expanded > max_states:
             return TraceResult(False, None, complete=False)
-        for ev, code2 in m.successors(code):
+        for ev, key2 in m.successors(key, m.code(key)):
             if ev not in matches:
                 e = m.labels[ev]
                 matches[ev] = frozenset(i for i, t in enumerate(q.trace) if t == e) if q.visible(e) else None
             at = matches[ev]
             if at is None:
-                nxt = (code2, k)
+                nxt = (key2, k)
             elif k in at:
-                nxt = (code2, k + 1)
+                nxt = (key2, k + 1)
             else:
                 continue
             if nxt in visited:
                 continue
-            visited[nxt] = (key, ev)
+            visited[nxt] = (node, ev)
             if nxt[1] == target:
                 steps = [ev]
-                back = key
+                back = node
                 while visited[back] is not None:
-                    pkey, pe = visited[back]
+                    back, pe = visited[back]
                     steps.append(pe)
-                    back = pkey
                 return TraceResult(True, [m.labels[s] for s in reversed(steps)])
             frontier.append(nxt)
     return TraceResult(False, None)

@@ -3,14 +3,18 @@ and leader process composed in parallel, stepping jointly on shared events."""
 
 from __future__ import annotations
 
+import struct
 import threading
 from functools import cache
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
-from .events import EventLabel, ProcessRef, RemoveReasoningAbout, participants, sort_key
+from .events import EventLabel, MergeCancelled, ProcessRef, RemoveReasoningAbout, participants, sort_key
 from .ids import AgentId, universe
 from .processes import (
+    AwaitCompletion,
+    BeingMerged,
+    Considering,
     LeaderProcState,
     Refusing,
     Terminated,
@@ -28,6 +32,10 @@ from .processes import (
 
 MIN_AGENTS = 2
 MAX_AGENTS = 8
+LOCALS_MAX = 1 << 16  # a key holds each local int in 16 bits
+# A key's count fields, above its slots: its locals with a message, with a duty (see local_faults), not quiescent.
+# Each holds up to 2 * MAX_AGENTS = 16, so no count carries into the next.
+MESSAGE, DUTY, BUSY = 0x1F, 0x1F << 5, 0x1F << 10
 _pair = attrgetter("active", "agent_set")  # the part of a leader that active-monotone reads
 
 
@@ -91,16 +99,39 @@ def _refusing_leader(c: Configuration, e: RemoveReasoningAbout) -> Optional[Lead
     return None
 
 
+def local_faults(s) -> tuple:
+    """A local state's own invariant message or None, and the duties it owes
+    as (the label that meets it, or None if none does, message) pairs."""
+    msg, duties = None, []
+    if isinstance(s, LeaderProcState):
+        if s.active and s.id not in s.agent_set:
+            msg = f"active leader {s.id} missing from its own agent set"
+        for rq in s.pending_cancels:
+            duties.append((MergeCancelled(rq, s.id), f"{s.id} owes merge_cancelled to {rq} but cannot reply"))
+        if not s.active and isinstance(s.phase, (Considering, BeingMerged, AwaitCompletion)):
+            duties.append((None, f"demoted leader {s.id} is progressing a merge confirmation"))
+    elif s.id not in s.known_group:
+        msg = f"{s.id} missing from its own known group"
+    elif s.believed_leader not in s.known_group:
+        msg = f"{s.id}'s believed leader {s.believed_leader} outside its known group"
+    return msg, duties
+
+
 class Model:
     """One model compiled to integer tables, filled lazily and shared by
-    every caller in the process.  A code is a flat tuple of local-state ints:
-    agents at slots 0..n-1, leaders at n..2n-1.  Each local state and each
-    label is one shared object with a small int.  Interning a local state
-    interns its moves; the passive participants of an event accept it through
-    per-local step tables.  A table miss takes the lock, so threads agree on
-    every int; a hit takes none.  2,686 passive steps fill the n=4 tables.
-    A label's shift flag is set as its entries fill, before any transition
-    on it is returned."""
+    every caller in the process.  Each local state and each label is one
+    shared object with a small int.  A state is one int, its key: the sum of
+    its locals' terms.  The term of local int x at slot s (agents at
+    0..n-1, leaders at n..2n-1) is x << 16*s plus, in the count word above
+    bit 32n, one in each of the MESSAGE, DUTY and BUSY fields (5 bits each)
+    whose fact x has (see `local_faults`); `code` unpacks the slots.  A move
+    or step table entry holds the delta that its step adds to a key, the
+    next local's term minus its own, so a successor's key is a sum.
+    Interning a local state interns its moves; the passive participants of
+    an event accept it through per-local step tables.  A table miss takes
+    the lock, so threads agree on every int; a hit takes none.  2,686
+    passive steps fill the n=4 tables.  A label's shift flag is set as its
+    entries fill, before any transition on it is returned."""
 
     def __init__(self, params: ModelParams):
         self.params, self.n = params, params.n
@@ -108,9 +139,13 @@ class Model:
         self.labels: list = []  # int -> the shared label object
         self._local_ids: dict = {}  # local state -> int
         self._label_ids: dict = {}  # label -> (event int, sort key, participant slots)
-        self._moves: list = []  # local int -> ((event int, sort key, other participants' slots, next local int), ...)
-        self._steps: list = []  # local int -> {event int: next local int, or -1 if refused}
+        self.faults: list = []  # local int -> local_faults, with each duty's label as its int (-1: none)
+        self._terms: list = []  # local int -> its term in a key
+        self._moves: list = []  # local int -> ((event int, sort key, other participants' slots, delta), ...)
+        self._steps: list = []  # local int -> {event int: delta, or None if refused}
         self.shifts = bytearray()  # event int -> 1 once an entry under it changes a leader's _pair
+        self.count_shift = 32 * self.n  # key >> count_shift is a key's count word
+        self._row = struct.Struct(f"<{2 * self.n}H")
         self._lock = threading.Lock()
 
     def _label(self, e: EventLabel) -> tuple:
@@ -126,62 +161,73 @@ class Model:
         """The int of local state `s`, with its moves; the caller holds the lock."""
         i = self._local_ids.get(s)
         if i is None:
+            if len(self.locals) >= LOCALS_MAX:
+                raise ConfigurationError(f"the model has more than {LOCALS_MAX} local states")
             i = self._local_ids[s] = len(self.locals)
             self.locals.append(s)
             self._steps.append({})
             self._moves.append(())
             leader = isinstance(s, LeaderProcState)
             own = s.id.index - 1 + (self.n if leader else 0)
+            msg, duties = local_faults(s)
+            self.faults.append((msg, tuple((-1 if e is None else self._label(e)[0], text) for e, text in duties)))
+            counts = (msg is not None) | bool(duties) << 5 | (not quiescent_local(s)) << 10  # in MESSAGE, DUTY, BUSY
+            term = i << 16 * own | counts << self.count_shift
+            self._terms.append(term)
             moves = []
             for e, nxt in (leader_moves if leader else agent_moves)(s, self.params):
                 ev, key, slots = self._label(e)
                 self.shifts[ev] |= leader and _pair(s) != _pair(nxt)
-                moves.append((ev, key, tuple(j for j in slots if j != own), self._intern(nxt)))
+                moves.append((ev, key, tuple(j for j in slots if j != own), self._terms[self._intern(nxt)] - term))
             self._moves[i] = tuple(moves)
         return i
 
-    def _step(self, s: int, ev: int) -> int:
+    def _step(self, s: int, ev: int) -> Optional[int]:
         with self._lock:
             steps = self._steps[s]
             if ev not in steps:
                 local = self.locals[s]
                 leader = isinstance(local, LeaderProcState)
                 nxt = (leader_accept if leader else agent_accept)(local, self.labels[ev])
-                steps[ev] = -1 if nxt is None else self._intern(nxt)
+                steps[ev] = None if nxt is None else self._terms[self._intern(nxt)] - self._terms[s]
                 self.shifts[ev] |= leader and nxt is not None and _pair(local) != _pair(nxt)
             return steps[ev]
 
-    def encode(self, c: Configuration) -> tuple:
+    def encode(self, c: Configuration) -> int:
+        """The key of `c`."""
         with self._lock:
-            return tuple(map(self._intern, c.agents + c.leaders))
+            return sum(self._terms[self._intern(s)] for s in c.agents + c.leaders)
+
+    def code(self, key: int) -> tuple:
+        """The local ints at the slots of `key`."""
+        return self._row.unpack_from(key.to_bytes(4 * self.n + 2, "little"))
 
     def decode(self, code: tuple) -> Configuration:
         local, n = self.locals.__getitem__, self.n
         return Configuration(tuple(map(local, code[:n])), tuple(map(local, code[n:])), self.params)
 
-    def successors(self, code: tuple) -> list[tuple[int, tuple]]:
-        """Every enabled event int with its successor code, in canonical order.
-        The moves are walked in slot order; the first process to offer a label
-        keeps it (only leaders offer remove_reasoning_about, so the lowest
-        refusing leader wins, as in apply_event), and only the other
-        participants step."""
+    def successors(self, key: int, code: tuple) -> list[tuple[int, int]]:
+        """Every enabled event int with its successor key, in canonical order:
+        `key` plus the delta of each participant's step; `code` is
+        `code(key)`.  The moves are walked in slot order; the first process
+        to offer a label keeps it (only leaders offer remove_reasoning_about,
+        so the lowest refusing leader wins, as in apply_event), and only the
+        other participants step."""
         moves_of, steps_of = self._moves, self._steps
-        found: dict = {}  # event int -> (sort key, event int, successor code)
-        for slot, local in enumerate(code):
-            for ev, key, others, nxt in moves_of[local]:
+        found: dict = {}  # event int -> (sort key, event int, successor key)
+        for local in code:
+            for ev, sort, others, delta in moves_of[local]:
                 if ev in found:
                     continue
-                new = list(code)
-                new[slot] = nxt
+                new = key + delta
                 for i in others:
-                    y = steps_of[code[i]].get(ev)
-                    if y is None:
-                        y = self._step(code[i], ev)
-                    if y < 0:
+                    steps = steps_of[code[i]]
+                    d = steps[ev] if ev in steps else self._step(code[i], ev)
+                    if d is None:
                         break
-                    new[i] = y
+                    new += d
                 else:
-                    found[ev] = (key, ev, tuple(new))
+                    found[ev] = (sort, ev, new)
         return [(ev, new) for _, ev, new in sorted(found.values(), key=itemgetter(0))]
 
 
@@ -191,7 +237,8 @@ model = cache(Model)  # the one compiled model of each ModelParams in the proces
 def enabled_events(c: Configuration) -> list[EventLabel]:
     """All globally enabled events, in canonical order."""
     m = model(c.params)
-    return [m.labels[ev] for ev, _ in m.successors(m.encode(c))]
+    key = m.encode(c)
+    return [m.labels[ev] for ev, _ in m.successors(key, m.code(key))]
 
 
 def apply_event(c: Configuration, e: EventLabel) -> Configuration:

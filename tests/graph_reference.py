@@ -79,11 +79,11 @@ def monotone_violation(src, e, dst):
 
 
 def _on_states(fn):
-    return lambda m, code, succs: fn(m.decode(code), [m.labels[ev] for ev, _ in succs])
+    return lambda m, key, succs: fn(m.decode(m.code(key)), [m.labels[ev] for ev, _ in succs])
 
 
 def _on_transitions(fn):
-    return lambda m, code, ev, code2: fn(m.decode(code), m.labels[ev], m.decode(code2))
+    return lambda m, key, ev, key2: fn(m.decode(m.code(key)), m.labels[ev], m.decode(m.code(key2)))
 
 
 def reference_checks() -> list:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mapmerge import cli
+from mapmerge import cli, world
 from mapmerge.cli import main
 from mapmerge.events import to_json
 from mapmerge.scenarios import builtin_scenarios, scenario_to_json
@@ -73,6 +73,19 @@ def assert_one_line_usage_error(code, err):
     assert code == 2
     assert err.startswith("mapmerge: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_too_many_local_states_usage_error(capsys, monkeypatch):
+    # A key holds each local int in 16 bits: past world.LOCALS_MAX locals
+    # one would carry into the next slot, so the model refuses to grow.
+    monkeypatch.setattr(world, "LOCALS_MAX", 50)
+    world.model.cache_clear()
+    try:
+        code, _, err = run(capsys, "explore", "--agents", "3", "--json")
+    finally:
+        world.model.cache_clear()  # drop the half-filled model
+    assert_one_line_usage_error(code, err)
+    assert "more than 50 local states" in err
 
 
 def test_explore_zero_max_states_usage_error(capsys):

@@ -320,7 +320,7 @@ def test_every_event_type_and_leader_phase_is_reached_at_n3(graph_n3):
 def test_monotone_check_same_on_shared_and_fresh_states(params):
     # Graph states share unchanged local states; `fresh` shares none.  Run
     # forwards and backwards, so that the check also fires.  The int-level
-    # check reads the same codes either way and agrees with the reference.
+    # check reads the same keys either way and agrees with the reference.
     with variant(3, params) as c0:
         g = explore(c0, checks=[])
         m = g.model
@@ -335,9 +335,9 @@ def test_monotone_check_same_on_shared_and_fresh_states(params):
             assert monotone_violation(src, e, dst) == monotone_violation(src, e, fresh)
             back = monotone_violation(dst, e, src)
             assert back == monotone_violation(fresh, e, src)
-            ev, code, code2 = m.labels.index(e), m.encode(src), m.encode(fresh)
-            assert _monotone_violation(m, code, ev, code2) == monotone_violation(src, e, dst)
-            assert _monotone_violation(m, code2, ev, code) == back
+            ev, key, key2 = m.labels.index(e), m.encode(src), m.encode(fresh)
+            assert _monotone_violation(m, key, ev, key2) == monotone_violation(src, e, dst)
+            assert _monotone_violation(m, key2, ev, key) == back
             messages.add(back)
         assert None in messages and len(messages) > 1
 

@@ -3,7 +3,7 @@
 The reference is every label of the n-agent alphabet that apply_event
 accepts.  Both paths read the same process declarations (processes.*_moves
 and *_accept); what the comparison checks is the compiled model: participant
-slots, the first-mover rule, canonical order, step tables and codes.
+slots, the first-mover rule, canonical order, step tables and keys.
 """
 
 import itertools
@@ -37,7 +37,8 @@ VARIANTS = {
 def successors(c) -> list:
     """Every enabled event of `c` with its successor configuration, through the compiled model."""
     m = world.model(c.params)
-    return [(m.labels[ev], m.decode(code)) for ev, code in m.successors(m.encode(c))]
+    key = m.encode(c)
+    return [(m.labels[ev], m.decode(m.code(key2))) for ev, key2 in m.successors(key, m.code(key))]
 
 
 def alphabet(n: int) -> list:
@@ -152,9 +153,44 @@ def test_codes_round_trip(spec):
     with variant(3, spec) as c0:
         g = explore(c0, checks=[])
         m = world.model(g.initial.params)
-        codes = [m.encode(c) for c in states(g)]
-        assert all(m.decode(code) == c for code, c in zip(codes, states(g)))
-        assert len(set(states(g))) == len(set(codes)) == g.state_count
+        keys = [m.encode(c) for c in states(g)]
+        assert all(m.decode(m.code(key)) == c for key, c in zip(keys, states(g)))
+        assert [m.code(key) for key in keys] == [g.code(i) for i in range(g.state_count)]
+        assert len(set(states(g))) == len(set(keys)) == g.state_count
+
+
+def slot_key(m, ints, c) -> int:
+    """The key of `c` built slot by slot from `ints`, local state -> int: each
+    local's int in 16 bits, then three 5-bit counts of its locals: with a
+    message, owing a duty, not quiescent."""
+    code = [ints[s] for s in c.agents + c.leaders]
+    message = sum(a.id not in a.known_group or a.believed_leader not in a.known_group for a in c.agents)
+    message += sum(l.active and l.id not in l.agent_set for l in c.leaders)
+    progressing = (processes.Considering, processes.BeingMerged, processes.AwaitCompletion)
+    duty = sum(bool(l.pending_cancels) or not l.active and isinstance(l.phase, progressing) for l in c.leaders)
+    busy = sum(not processes.is_quiescent(s) for s in c.agents + c.leaders)
+    counts = message | duty << 5 | busy << 10
+    return sum(x << 16 * slot for slot, x in enumerate(code)) | counts << 32 * m.n
+
+
+@pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
+def test_successor_keys_match_keys_built_slot_by_slot(spec):
+    # Every successor key, a sum of per-local deltas, equals the key of the
+    # apply_event successor built slot by slot, so the count word folded into
+    # it counts each local's MESSAGE, DUTY and BUSY facts.
+    with variant(3, spec) as c0:
+        g = explore(c0, checks=[])
+        m = g.model
+        ints = {s: i for i, s in enumerate(m.locals)}
+        words = set()
+        for c in states(g):
+            key = m.encode(c)
+            assert key == slot_key(m, ints, c)
+            words.add(key >> 32 * m.n)
+            for ev, key2 in m.successors(key, m.code(key)):
+                assert key2 == slot_key(m, ints, apply_event(c, m.labels[ev]))
+    assert any(w & world.DUTY for w in words) and any(w & world.BUSY for w in words)
+    assert any(not w & world.BUSY for w in words)
 
 
 def threaded_bfs(c0) -> tuple:
@@ -163,7 +199,7 @@ def threaded_bfs(c0) -> tuple:
     threads that switch every microsecond."""
     world.model.cache_clear()
     m = world.model(c0.params)
-    index = {m.encode(c0): 0}  # code -> idx, in BFS order
+    index = {m.encode(c0): 0}  # key -> idx, in BFS order
     transitions = []
     layer = list(index)
     interval = sys.getswitchinterval()
@@ -172,16 +208,16 @@ def threaded_bfs(c0) -> tuple:
         with ThreadPoolExecutor(max_workers=4) as pool:
             while layer:
                 nxt = []
-                for code, succs in zip(layer, pool.map(m.successors, layer)):
-                    for ev, code2 in succs:
-                        if code2 not in index:
-                            index[code2] = len(index)
-                            nxt.append(code2)
-                        transitions.append((index[code], m.labels[ev], index[code2]))
+                for key, succs in zip(layer, pool.map(m.successors, layer, map(m.code, layer))):
+                    for ev, key2 in succs:
+                        if key2 not in index:
+                            index[key2] = len(index)
+                            nxt.append(key2)
+                        transitions.append((index[key], m.labels[ev], index[key2]))
                 layer = nxt
     finally:
         sys.setswitchinterval(interval)
-    return [m.decode(code) for code in index], transitions
+    return [m.decode(m.code(key)) for key in index], transitions
 
 
 def test_step_tables_filled_by_threads():
