@@ -8,7 +8,6 @@ input / unwritable output, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
 import time
@@ -293,9 +292,6 @@ def cmd_export(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Safe to pause: the model builds immutable, acyclic data that refcounting frees.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
         return args.run(args)
     except ConfigurationError as exc:
@@ -307,9 +303,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mapmerge: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

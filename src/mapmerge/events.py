@@ -119,23 +119,6 @@ class Terminate:
     leader: AgentId
 
 
-EventLabel = Union[
-    RequestMerge,
-    RequestLeader,
-    ReplyLeader,
-    BeginMerge,
-    ConfirmMerge,
-    MergeCancelled,
-    MergeConfirmed,
-    MergeMaps,
-    MergeCompleted,
-    UpdateIdentifiedSameGroup,
-    UpdateIdentified,
-    RemoveReasoningAbout,
-    Done,
-    Terminate,
-]
-
 # Wire names, fixed: these spellings are the trace-file and scenario-file
 # contract.
 EVENT_TYPES: dict[str, type] = {
@@ -154,6 +137,7 @@ EVENT_TYPES: dict[str, type] = {
     "done": Done,
     "terminate": Terminate,
 }
+EventLabel = Union[tuple(EVENT_TYPES.values())]
 
 TYPE_NAMES: dict[type, str] = {cls: name for name, cls in EVENT_TYPES.items()}
 _TYPE_RANK: dict[type, int] = {cls: i for i, cls in enumerate(EVENT_TYPES.values())}

@@ -204,14 +204,16 @@ def agent_moves(s: AgentProcState, params) -> list:
 
 
 def agent_accept(s: AgentProcState, e: EventLabel) -> Optional[AgentProcState]:
-    """Successor of agent `s` under an event another process initiates, or None when refused."""
-    if isinstance(e, RequestLeader) and e.target_agent == s.id:
+    """Successor of agent `s` under an event another process initiates, or
+    None when refused.  `s` is among `events.participants(e)`, which alone
+    says whom a label addresses."""
+    if isinstance(e, RequestLeader):
         return s._replace(pending_leader_queries=s.pending_leader_queries | {e.req_leader})
-    if isinstance(e, (UpdateIdentified, UpdateIdentifiedSameGroup)) and e.agent == s.id and s.id in e.new_set:
+    if isinstance(e, (UpdateIdentified, UpdateIdentifiedSameGroup)) and s.id in e.new_set:
         if isinstance(e, UpdateIdentified):
             s = s._replace(believed_leader=e.leader)
         return s._replace(known_group=e.new_set, has_outstanding_request=False)
-    if isinstance(e, RemoveReasoningAbout) and e.req_agent == s.id and s.has_outstanding_request:
+    if isinstance(e, RemoveReasoningAbout) and s.has_outstanding_request:
         return s._replace(has_outstanding_request=False)
     return None
 
@@ -290,10 +292,11 @@ def leader_moves(s: LeaderProcState, params) -> list:
 
 def leader_accept(s: LeaderProcState, e: EventLabel) -> Optional[LeaderProcState]:
     """Successor of leader `s` under an event another process initiates, or
-    None when refused.  A label naming `s` as its initiator is refused, a
-    self-addressed one such as confirm_merge.A1.A1 included."""
+    None when refused.  `s` is among `events.participants(e)`, which alone
+    says whom a label addresses, and a leader never joins a label that it
+    initiates: a self-addressed one such as confirm_merge.A1.A1 is refused."""
     ph = s.phase
-    if isinstance(e, RequestMerge) and e.leader == s.id:
+    if isinstance(e, RequestMerge):
         if (
             isinstance(ph, AwaitRequest)
             and s.active
@@ -302,7 +305,7 @@ def leader_accept(s: LeaderProcState, e: EventLabel) -> Optional[LeaderProcState
             and not (e.merge_set & s.agent_set)
         ):
             return s._replace(phase=StartMerge(e.agent, tuple(sorted(e.merge_set))))
-    elif isinstance(e, ReplyLeader) and e.req_leader == s.id:
+    elif isinstance(e, ReplyLeader):
         if isinstance(ph, AwaitReplyLeader) and ph.current == e.target_agent:
             other = e.its_leader
             if other == s.id:
@@ -312,16 +315,16 @@ def leader_accept(s: LeaderProcState, e: EventLabel) -> Optional[LeaderProcState
                 # REQ1: without priority the merge attempt ends here.
                 return s._replace(phase=Refusing(ph.requesting_agent, e.target_agent, ph.queue))
             return s._replace(phase=Confirming(ph.requesting_agent, e.target_agent, other, ph.queue))
-    elif isinstance(e, ConfirmMerge) and e.other_leader == s.id != e.req_leader:
+    elif isinstance(e, ConfirmMerge) and s.id != e.req_leader:
         # An idle active leader will confirm; a busy or demoted leader owes a cancellation (REQ2).
         if isinstance(ph, AwaitRequest) and s.active:
             return s._replace(phase=Considering(e.req_leader))
         if e.req_leader not in s.pending_cancels:
             return s._replace(pending_cancels=s.pending_cancels | {e.req_leader})
-    elif isinstance(e, MergeCancelled) and e.req_leader == s.id != e.other_leader:
+    elif isinstance(e, MergeCancelled) and s.id != e.other_leader:
         if isinstance(ph, AwaitVerdict) and ph.other_leader == e.other_leader:
             return s._replace(phase=Refusing(ph.requesting_agent, ph.other_agent, ph.queue))
-    elif isinstance(e, MergeConfirmed) and e.req_leader == s.id != e.other_leader:
+    elif isinstance(e, MergeConfirmed) and s.id != e.other_leader:
         if (
             isinstance(ph, AwaitVerdict)
             and ph.other_leader == e.other_leader
@@ -329,10 +332,10 @@ def leader_accept(s: LeaderProcState, e: EventLabel) -> Optional[LeaderProcState
             and not (e.other_agent_set & s.agent_set)
         ):
             return s._replace(phase=Merging(ph.other_leader, e.other_agent_set))
-    elif isinstance(e, MergeMaps) and e.other_leader == s.id != e.req_leader:
+    elif isinstance(e, MergeMaps) and s.id != e.req_leader:
         if isinstance(ph, BeingMerged) and ph.req_leader == e.req_leader:
             return s._replace(phase=AwaitCompletion(e.req_leader))
-    elif isinstance(e, MergeCompleted) and e.other_leader == s.id != e.req_leader:
+    elif isinstance(e, MergeCompleted) and s.id != e.req_leader:
         # Losing its position as a map leader.
         if isinstance(ph, AwaitCompletion) and ph.req_leader == e.req_leader:
             return s._replace(active=False, agent_set=frozenset(), phase=AWAIT_REQUEST)

@@ -32,28 +32,19 @@ REPLACE_SET_MUTANT = ("leader_moves", ("agent_set=s.agent_set | ph.other_agent_s
 
 
 @contextmanager
-def mutant(name: str, *edits):
-    """Run the block with `processes.<name>` rebuilt from its source with each
-    (fragment, replacement) edit made; each fragment must occur exactly once.
-
-    The mutant replaces the original on every mapmerge module that binds it,
-    and `world.model`/`explorer.model` compile into a fresh cache meanwhile,
-    since the mutant's ModelParams equal the original's.  Both are restored
-    on exit; the shared cache is left as it was, so models built before the
-    block keep their ints."""
+def installed(name: str, fn):
+    """Run the block with `fn` in place of `processes.<name>` on every mapmerge
+    module that binds the original, while `world.model`/`explorer.model`
+    compile into a fresh cache, since models of the same ModelParams would
+    otherwise share tables.  Both are restored on exit; the shared cache is
+    left as it was, so models built before the block keep their ints."""
     original = getattr(processes, name)
-    source = textwrap.dedent(inspect.getsource(original))
-    for fragment, replacement in edits:
-        assert source.count(fragment) == 1, f"{fragment!r} occurs {source.count(fragment)} times in {name}"
-        source = source.replace(fragment, replacement)
-    scope = dict(vars(processes))
-    exec(compile(source, f"<mutant of processes.{name}>", "exec"), scope)
     homes = [
         m for k, m in list(sys.modules.items()) if k.partition(".")[0] == "mapmerge" and vars(m).get(name) is original
     ]
     saved = world.model, explorer.model
     for m in homes:
-        setattr(m, name, scope[name])
+        setattr(m, name, fn)
     world.model = explorer.model = cache(Model)
     try:
         yield
@@ -61,6 +52,25 @@ def mutant(name: str, *edits):
         for m in homes:
             setattr(m, name, original)
         world.model, explorer.model = saved
+
+
+@contextmanager
+def mutant(name: str, *edits):
+    """Run the block with `processes.<name>` rebuilt from its dedented source
+    with each (fragment, replacement) edit made, `installed` in place of the
+    original.  A fragment is either a string, which must occur exactly once,
+    or a slice of the source as the earlier edits left it."""
+    source = textwrap.dedent(inspect.getsource(getattr(processes, name)))
+    for fragment, replacement in edits:
+        if isinstance(fragment, slice):
+            source = source[: fragment.start] + replacement + source[fragment.stop :]
+            continue
+        assert source.count(fragment) == 1, f"{fragment!r} occurs {source.count(fragment)} times in {name}"
+        source = source.replace(fragment, replacement)
+    scope = dict(vars(processes))
+    exec(compile(source, f"<mutant of processes.{name}>", "exec"), scope)
+    with installed(name, scope[name]):
+        yield
 
 
 @contextmanager

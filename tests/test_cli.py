@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mapmerge import cli, world
+from mapmerge import world
 from mapmerge.cli import main
 from mapmerge.events import to_json
 from mapmerge.scenarios import builtin_scenarios, scenario_to_json
@@ -222,14 +222,6 @@ def test_main_restores_collector_state(capsys, argv, expected, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
-
-
-def test_main_pauses_collector_while_dispatching(monkeypatch):
-    seen = []
-    monkeypatch.setattr(cli, "cmd_explore", lambda args: seen.append(gc.isenabled()) or 0)
-    assert gc.isenabled()
-    assert main(["explore", "--agents", "2"]) == 0
-    assert seen == [False] and gc.isenabled()
 
 
 def test_agents_out_of_bounds_usage_error(capsys):

@@ -13,9 +13,11 @@ from mapmerge.events import (
     Done,
     MergeCompleted,
     MergeConfirmed,
+    MergeMaps,
     RequestMerge,
     Terminate,
     is_internal,
+    label,
 )
 from mapmerge.export import export_graph, to_dot, to_json_graph
 from mapmerge.explorer import (
@@ -196,6 +198,29 @@ def test_divergence_found_when_everything_hidden(graph_n2):
 def test_goal_inevitable(graph_n2, graph_n3):
     assert check_inevitable(graph_n2, all_maps_merged).value is True
     assert check_inevitable(graph_n3, all_maps_merged).value is True
+
+
+# The merge-free cycle that goal-inevitable (AG EF) allows: A1's
+# confirm_merge always meets a busy A2, so the two leaders can race forever.
+MERGE_FREE_CYCLE = (
+    "confirm_merge.A1.A2, merge_cancelled.A1.A2, remove_reasoning_about.A1.A2, request_merge.A1.A1.{A2},"
+    " begin_merge.A1, request_leader.A1.A2, reply_leader.A2.A1.A2"
+)
+
+
+@pytest.mark.parametrize("graph, prefix", [("graph_n2", 8), ("graph_n3", 12)])
+def test_goal_inevitable_allows_a_merge_free_cycle(request, graph, prefix):
+    # AG EF holds, so every run that is strongly fair among transitions
+    # merges, yet a run may never merge: hiding all but merge_maps diverges.
+    g = request.getfixturevalue(graph)
+    assert check_inevitable(g, all_maps_merged).value is True
+    w = find_hidden_divergence(g, lambda e: not isinstance(e, MergeMaps))
+    assert ", ".join(map(label, w.cycle)) == MERGE_FREE_CYCLE
+    assert len(w.prefix[1::2]) == prefix
+    c = w.prefix[-1]
+    for e in w.cycle:
+        c = apply_event(c, e)
+    assert c == w.prefix[-1] and not all_maps_merged(c)
 
 
 def test_inevitability_counterexample_when_goal_unreachable(graph_n2):

@@ -8,12 +8,22 @@ slots, the first-mover rule, canonical order, step tables and keys.
 
 import itertools
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import pytest
 
-from mapmerge.events import EVENT_TYPES, Agent, Leader, RemoveReasoningAbout, RequestMerge, participants, sort_key
+from mapmerge.events import (
+    EVENT_TYPES,
+    Agent,
+    Leader,
+    ProcessRef,
+    RemoveReasoningAbout,
+    RequestMerge,
+    participants,
+    sort_key,
+)
 from mapmerge.explorer import explore
 from mapmerge.ids import universe
 from mapmerge import world
@@ -21,7 +31,7 @@ from mapmerge import processes
 from mapmerge.processes import LeaderProcState, Refusing
 from mapmerge.world import RefusedEventError, apply_event, initial_config
 
-from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, variant
+from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, installed, variant
 from graph_reference import states, transitions
 
 # Model flags for initial_config, or a mutant of the process functions.
@@ -99,6 +109,31 @@ def test_first_refusing_leader_keeps_remove_reasoning_about():
     assert successors(c) == reference(c, alphabet(3))
     after = dict(successors(c))[RemoveReasoningAbout(a3, a1)]
     assert after.leader(a2).phase != refusing and after.leader(a3).phase == refusing
+
+
+@pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
+def test_accept_is_asked_only_of_participants(spec):
+    # events.participants alone says whom a label addresses: the model asks
+    # *_accept only of a label's participants, so no guard restates it.
+    calls = Counter()
+
+    def asked(kind: str):
+        accept = getattr(processes, f"{kind}_accept")
+
+        def checked(s, e):
+            assert ProcessRef(kind, s.id) in participants(e), (s, e)
+            calls[kind] += 1
+            return accept(s, e)
+
+        return checked
+
+    with (
+        variant(3, spec) as c0,
+        installed("agent_accept", asked("agent")),
+        installed("leader_accept", asked("leader")),
+    ):
+        explore(c0, checks=[])
+    assert calls["agent"] and calls["leader"]
 
 
 @pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
