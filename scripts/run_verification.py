@@ -58,4 +58,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except MemoryError:
+        print("run_verification: out of memory; lower --max-agents (mapmerge explore --max-states bounds one run)",
+              file=sys.stderr)
+        raise SystemExit(1)

@@ -1,8 +1,8 @@
 """Command-line front end: exploration with property checks, scenario
 regression, trace checking, and state-graph export.
 
-Exit codes: 0 pass, 1 property violation, failed scenario or unreadable
-input / unwritable output, 2 usage or parse error.
+Exit codes: 0 pass, 1 property violation, failed scenario, unreadable
+input / unwritable output or memory run out, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -302,6 +302,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except OSError as exc:
         print(f"mapmerge: {exc}", file=sys.stderr)
+        return CHECK_FAILED
+    except MemoryError:
+        print("mapmerge: out of memory; bound the search with --max-states, or use fewer --agents", file=sys.stderr)
         return CHECK_FAILED
 
 

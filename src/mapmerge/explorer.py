@@ -68,7 +68,7 @@ class Violation:
     witness: Path
 
 
-# An n-agent code packed as 2n unsigned shorts (local ints stay below 2**16): a state's dedup key and its row.
+# An n-agent code packed as 2n unsigned shorts (local ints stay below 2**16): a state's row in `StateGraph.rows`.
 _row = cache(lambda n: struct.Struct(f"{2 * n}H"))
 
 

@@ -213,7 +213,7 @@ def agent_accept(s: AgentProcState, e: EventLabel) -> Optional[AgentProcState]:
         if isinstance(e, UpdateIdentified):
             s = s._replace(believed_leader=e.leader)
         return s._replace(known_group=e.new_set, has_outstanding_request=False)
-    if isinstance(e, RemoveReasoningAbout) and s.has_outstanding_request:
+    if isinstance(e, RemoveReasoningAbout):
         return s._replace(has_outstanding_request=False)
     return None
 

@@ -4,7 +4,6 @@ and leader process composed in parallel, stepping jointly on shared events."""
 from __future__ import annotations
 
 import struct
-import threading
 from functools import cache
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
@@ -128,10 +127,10 @@ class Model:
     or step table entry holds the delta that its step adds to a key, the
     next local's term minus its own, so a successor's key is a sum.
     Interning a local state interns its moves; the passive participants of
-    an event accept it through per-local step tables.  A table miss takes
-    the lock, so threads agree on every int; a hit takes none.  2,686
-    passive steps fill the n=4 tables.  A label's shift flag is set as its
-    entries fill, before any transition on it is returned."""
+    an event accept it through per-local step tables, each entry filled on
+    its first miss (2,686 passive steps fill the n=4 tables).  A label's
+    shift flag is set as its entries fill, before any transition on it is
+    returned.  A model serves one thread."""
 
     def __init__(self, params: ModelParams):
         self.params, self.n = params, params.n
@@ -146,7 +145,6 @@ class Model:
         self.shifts = bytearray()  # event int -> 1 once an entry under it changes a leader's _pair
         self.count_shift = 32 * self.n  # key >> count_shift is a key's count word
         self._row = struct.Struct(f"<{2 * self.n}H")
-        self._lock = threading.Lock()
 
     def _label(self, e: EventLabel) -> tuple:
         entry = self._label_ids.get(e)
@@ -158,7 +156,7 @@ class Model:
         return entry
 
     def _intern(self, s) -> int:
-        """The int of local state `s`, with its moves; the caller holds the lock."""
+        """The int of local state `s`, with its moves."""
         i = self._local_ids.get(s)
         if i is None:
             if len(self.locals) >= LOCALS_MAX:
@@ -183,20 +181,17 @@ class Model:
         return i
 
     def _step(self, s: int, ev: int) -> Optional[int]:
-        with self._lock:
-            steps = self._steps[s]
-            if ev not in steps:
-                local = self.locals[s]
-                leader = isinstance(local, LeaderProcState)
-                nxt = (leader_accept if leader else agent_accept)(local, self.labels[ev])
-                steps[ev] = None if nxt is None else self._terms[self._intern(nxt)] - self._terms[s]
-                self.shifts[ev] |= leader and nxt is not None and _pair(local) != _pair(nxt)
-            return steps[ev]
+        """Fill and return the step table entry of local `s` under event `ev`."""
+        local = self.locals[s]
+        leader = isinstance(local, LeaderProcState)
+        nxt = (leader_accept if leader else agent_accept)(local, self.labels[ev])
+        d = self._steps[s][ev] = None if nxt is None else self._terms[self._intern(nxt)] - self._terms[s]
+        self.shifts[ev] |= leader and nxt is not None and _pair(local) != _pair(nxt)
+        return d
 
     def encode(self, c: Configuration) -> int:
         """The key of `c`."""
-        with self._lock:
-            return sum(self._terms[self._intern(s)] for s in c.agents + c.leaders)
+        return sum(self._terms[self._intern(s)] for s in c.agents + c.leaders)
 
     def code(self, key: int) -> tuple:
         """The local ints at the slots of `key`."""
@@ -314,21 +309,10 @@ def all_maps_merged(c: Configuration) -> bool:
 
 
 def is_terminal(c: Configuration) -> bool:
-    """All maps merged and the harness run to completion.
-
-    With the harness disabled there is no done/terminate pair; the fully
-    merged quiescent configuration counts as terminal instead.
-    """
-    full = full_set(c.params.n)
-    winner = None
-    for l in c.leaders:
-        if l.active and l.agent_set == full:
-            winner = l
-            break
-    if winner is None:
+    """One active leader, holding the whole team, and it has terminated; with
+    the harness disabled there is no done/terminate pair, so every process
+    is quiescent instead."""
+    active = [l for l in c.leaders if l.active]
+    if len(active) != 1 or active[0].agent_set != full_set(c.params.n):
         return False
-    if any(l.active for l in c.leaders if l.id != winner.id):
-        return False
-    if c.params.harness:
-        return isinstance(winner.phase, Terminated)
-    return is_quiescent(c)
+    return isinstance(active[0].phase, Terminated) if c.params.harness else is_quiescent(c)

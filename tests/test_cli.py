@@ -1,5 +1,7 @@
 import gc
+import itertools
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -365,3 +367,34 @@ def test_verification_script_rejects_agent_count_out_of_bounds(tmp_path, src_env
     proc = subprocess.run(argv, env=src_env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.count("\n") == 1 and "--max-agents must be in [2, 8]" in proc.stderr
+
+
+def run_out_of_memory_at(monkeypatch, k: int) -> None:
+    """Raise MemoryError at the k-th call of Model.successors, which explore
+    makes once for each state it expands: no test may exhaust the OS."""
+    successors, calls = world.Model.successors, itertools.count(1)
+
+    def failing(self, key, code):
+        if next(calls) == k:
+            raise MemoryError
+        return successors(self, key, code)
+
+    monkeypatch.setattr(world.Model, "successors", failing)
+
+
+@pytest.mark.parametrize("argv", [("explore", "--json"), ("export", "--format", "json")])
+def test_out_of_memory_is_one_line_and_exit_1(capsys, monkeypatch, argv):
+    run_out_of_memory_at(monkeypatch, 50)
+    code, _, err = run(capsys, argv[0], "--agents", "3", *argv[1:])
+    assert code == 1
+    assert err == "mapmerge: out of memory; bound the search with --max-states, or use fewer --agents\n"
+
+
+def test_verification_script_out_of_memory_is_one_line_and_exit_1(capsys, monkeypatch):
+    run_out_of_memory_at(monkeypatch, 50)
+    monkeypatch.setattr(sys, "argv", [str(VERIFICATION_SCRIPT), "--max-agents", "3"])
+    with pytest.raises(SystemExit) as exit:
+        runpy.run_path(str(VERIFICATION_SCRIPT), run_name="__main__")
+    assert exit.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("run_verification: out of memory;") and "--max-states" in err

@@ -109,7 +109,9 @@ def test_agent_remove_reasoning_clears_flag():
     s = initial_agent(A2)._replace(has_outstanding_request=True)
     e = RemoveReasoningAbout(req_agent=A2, other_agent=A3)
     assert not agent_step(s, e, PARAMS).has_outstanding_request
-    assert agent_step(initial_agent(A2), e, PARAMS) is None
+    # A request of several targets can owe one removal per refused target,
+    # after the first has cleared the flag: the agent accepts each of them.
+    assert agent_step(initial_agent(A2), e, PARAMS) == initial_agent(A2)
 
 
 # --------------------------------------------------------------- leader side

@@ -7,9 +7,7 @@ slots, the first-mover rule, canonical order, step tables and keys.
 """
 
 import itertools
-import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import pytest
@@ -26,6 +24,7 @@ from mapmerge.events import (
 )
 from mapmerge.explorer import explore
 from mapmerge.ids import universe
+from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge import world
 from mapmerge import processes
 from mapmerge.processes import LeaderProcState, Refusing
@@ -228,53 +227,30 @@ def test_successor_keys_match_keys_built_slot_by_slot(spec):
     assert any(not w & world.BUSY for w in words)
 
 
-def threaded_bfs(c0) -> tuple:
-    """The states and transitions of explore's BFS without checks, from
-    emptied tables, with each layer's Model.successors calls spread over four
-    threads that switch every microsecond."""
-    world.model.cache_clear()
-    m = world.model(c0.params)
-    index = {m.encode(c0): 0}  # key -> idx, in BFS order
-    transitions = []
-    layer = list(index)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            while layer:
-                nxt = []
-                for key, succs in zip(layer, pool.map(m.successors, layer, map(m.code, layer))):
-                    for ev, key2 in succs:
-                        if key2 not in index:
-                            index[key2] = len(index)
-                            nxt.append(key2)
-                        transitions.append((index[key], m.labels[ev], index[key2]))
-                layer = nxt
-    finally:
-        sys.setswitchinterval(interval)
-    return [m.decode(m.code(key)) for key in index], transitions
-
-
-def test_step_tables_filled_by_threads():
-    # Threads that miss on the same step at once serialise on the model's
-    # lock and agree on every int, so the graph is unchanged.
-    c0 = initial_config(3)
-    expected = explore(c0, checks=[])
-    threaded_states, threaded_transitions = threaded_bfs(c0)
-    assert threaded_states == states(expected)
-    assert threaded_transitions == transitions(expected)
-
-
 def test_each_label_is_one_shared_object():
-    # With every table emptied, sequential and threaded runs both store one
-    # object per distinct label in the graph.
+    # With every table emptied, the graph stores one object per distinct label.
+    world.model.cache_clear()
+    events = [e for _, e, _ in transitions(explore(initial_config(3), checks=[]))]
+    assert len({id(e) for e in events}) == len(set(events))
+
+
+def test_fill_order_leaves_the_graph_unchanged():
+    # The cached model is filled by every search that shares it: tables first
+    # filled by the scenario searches give other ints, but the same graph.
     c0 = initial_config(3)
     world.model.cache_clear()
-    runs = [transitions(explore(c0, checks=[])), threaded_bfs(c0)[1]]
-    assert runs[0] == runs[1]
-    for run in runs:
-        events = [e for _, e, _ in run]
-        assert len({id(e) for e in events}) == len(set(events))
+    fresh = explore(c0, checks=[])
+    world.model.cache_clear()
+    for s in builtin_scenarios():
+        check_scenario(s, c0)
+    filled = world.model(c0.params)
+    assert filled.locals != fresh.model.locals[: len(filled.locals)]  # another fill order
+    g = explore(c0, checks=[])
+    assert g.model is filled
+    assert states(g) == states(fresh)
+    assert transitions(g) == transitions(fresh)
+    events = [e for _, e, _ in transitions(g)]
+    assert len({id(e) for e in events}) == len(set(events))
 
 
 def test_successors_of_replayed_configuration(graph_n3):
