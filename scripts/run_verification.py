@@ -61,6 +61,4 @@ if __name__ == "__main__":
     try:
         raise SystemExit(main())
     except MemoryError:
-        print("run_verification: out of memory; lower --max-agents (mapmerge explore --max-states bounds one run)",
-              file=sys.stderr)
-        raise SystemExit(1)
+        sys.exit("run_verification: out of memory; lower --max-agents (mapmerge explore --max-states bounds one run)")

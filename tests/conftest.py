@@ -29,6 +29,13 @@ DEMOTE_ON_MERGE_MUTANT = (
     ),
 )
 REPLACE_SET_MUTANT = ("leader_moves", ("agent_set=s.agent_set | ph.other_agent_set,", "agent_set=ph.other_agent_set,"))
+# The agent guard before multi-target requests were mended: an agent refuses
+# every remove_reasoning_about after the first of one request, which clears
+# its flag, so n=3 with merge_set_max=2 deadlocks.
+OLD_AGENT_GUARD_MUTANT = (
+    "agent_accept",
+    ("isinstance(e, RemoveReasoningAbout):", "isinstance(e, RemoveReasoningAbout) and s.has_outstanding_request:"),
+)
 
 
 @contextmanager

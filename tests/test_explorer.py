@@ -2,6 +2,7 @@ import dataclasses
 import io
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -45,7 +46,15 @@ from mapmerge.world import (
 )
 
 import graph_reference
-from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, variant
+from conftest import (
+    ACTIVE_MUTANT,
+    DEMOTE_ON_MERGE_MUTANT,
+    OLD_AGENT_GUARD_MUTANT,
+    PRIORITY_MUTANT,
+    REPLACE_SET_MUTANT,
+    mutant,
+    variant,
+)
 from graph_reference import monotone_violation, states, transitions
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
@@ -400,11 +409,25 @@ def test_export_unknown_format():
         export_graph(explore(initial_config(2), checks=[]), "svg", io.StringIO())
 
 
+def n3_msm2():
+    return explore(initial_config(3, merge_set_max=2), checks=[])
+
+
+# Each graph as (the mutant it is built and checked under, or None; how to build it).
 DIFFERENTIAL_GRAPHS = {
-    "n3-msm2": lambda: explore(initial_config(3, merge_set_max=2), checks=[]),
-    "n2": lambda: explore(initial_config(2), checks=[]),
-    "n3-depth4": lambda: explore(initial_config(3), max_depth=4, checks=[]),
+    "n3-msm2": (None, n3_msm2),
+    "n3-msm2-old-agent-guard": (OLD_AGENT_GUARD_MUTANT, n3_msm2),  # the one with a deadlock
+    "n2": (None, lambda: explore(initial_config(2), checks=[])),
+    "n3-depth4": (None, lambda: explore(initial_config(3), max_depth=4, checks=[])),
 }
+
+
+@contextmanager
+def differential_graph(name: str):
+    """The graph `name`, with its mutant installed for the block, so that its witnesses replay."""
+    spec, make = DIFFERENTIAL_GRAPHS[name]
+    with mutant(*spec) if spec else nullcontext():
+        yield make()
 
 
 def replay(path) -> None:
@@ -417,36 +440,40 @@ def replay(path) -> None:
 @pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
 def test_array_post_analyses_match_dict_references(name):
     # The same results, witnesses included, as the dict-based versions.
-    g = DIFFERENTIAL_GRAPHS[name]()
-    dead = find_deadlocks(g)
-    assert dead == graph_reference.find_deadlocks(g)
-    for path in dead:
-        replay(path)
-    requests = frozenset(e for _, e, _ in transitions(g) if isinstance(e, RequestMerge))
-    for hidden in (is_internal, lambda e: True, requests.__contains__):
-        div = find_hidden_divergence(g, hidden)
-        ref = graph_reference.find_hidden_divergence(g, hidden)
-        assert (div is None) == (ref is None)
-        if div is not None:
-            assert (div.prefix, div.cycle) == (ref.prefix, ref.cycle)
-            replay(div.prefix)
-            c = div.prefix[-1]
-            for e in div.cycle:
-                c = apply_event(c, e)
-            assert c == div.prefix[-1]
-    for goal in (all_maps_merged, is_terminal, lambda c: False):
-        inev, ref = check_inevitable(g, goal), graph_reference.check_inevitable(g, goal)
-        assert (inev.value, inev.counterexample) == (ref.value, ref.counterexample)
-        if inev.counterexample is not None:
-            replay(inev.counterexample)
-    assert label_nondeterminism_report(g) == graph_reference.choice_report(g)
+    with differential_graph(name) as g:
+        dead = find_deadlocks(g)
+        assert dead == graph_reference.find_deadlocks(g)
+        for path in dead:
+            replay(path)
+        requests = frozenset(e for _, e, _ in transitions(g) if isinstance(e, RequestMerge))
+        for hidden in (is_internal, lambda e: True, requests.__contains__):
+            div = find_hidden_divergence(g, hidden)
+            ref = graph_reference.find_hidden_divergence(g, hidden)
+            assert (div is None) == (ref is None)
+            if div is not None:
+                assert (div.prefix, div.cycle) == (ref.prefix, ref.cycle)
+                replay(div.prefix)
+                c = div.prefix[-1]
+                for e in div.cycle:
+                    c = apply_event(c, e)
+                assert c == div.prefix[-1]
+        for goal in (all_maps_merged, is_terminal, lambda c: False):
+            inev, ref = check_inevitable(g, goal), graph_reference.check_inevitable(g, goal)
+            assert (inev.value, inev.counterexample) == (ref.value, ref.counterexample)
+            if inev.counterexample is not None:
+                replay(inev.counterexample)
+        assert label_nondeterminism_report(g) == graph_reference.choice_report(g)
 
 
 def test_differential_graphs_each_find_something():
-    found = {name: make() for name, make in DIFFERENTIAL_GRAPHS.items()}
-    assert find_hidden_divergence(found["n2"], lambda e: True) is not None
-    assert found["n3-depth4"].truncated and check_inevitable(found["n3-depth4"], all_maps_merged).value is None
-    assert check_inevitable(found["n3-msm2"], lambda c: False).value is False
+    with differential_graph("n2") as g:
+        assert find_hidden_divergence(g, lambda e: True) is not None
+    with differential_graph("n3-depth4") as g:
+        assert g.truncated and check_inevitable(g, all_maps_merged).value is None
+    with differential_graph("n3-msm2") as g:
+        assert check_inevitable(g, lambda c: False).value is False
+    with differential_graph("n3-msm2-old-agent-guard") as g:
+        assert len(find_deadlocks(g)) == 1
 
 
 @pytest.mark.parametrize(

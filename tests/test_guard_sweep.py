@@ -20,6 +20,7 @@ import pytest
 
 from mapmerge import processes
 from mapmerge.cli import _strip_timings, verify
+from mapmerge.events import RequestLeader
 from mapmerge.explorer import explore
 from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge.world import initial_config
@@ -61,6 +62,17 @@ def report(n: int, **flags) -> dict:
     return _strip_timings(verify(initial_config(n, **flags), max_states=20_000)[1])
 
 
+def requests_in_flight() -> int:
+    """The request_leader transitions of the n=3, merge_set_max=2 graph that
+    a leader sends while it still awaits the reply to an earlier one."""
+    g = explore(initial_config(3, merge_set_max=2), max_states=20_000, checks=[])
+    labels, count = g.model.labels, 0
+    for i, ev, _ in g.edges():
+        e = labels[ev]
+        count += isinstance(e, RequestLeader) and g.state(i).leader(e.req_leader).phase.current is not None
+    return count
+
+
 def scenarios(n: int) -> list:
     c0 = initial_config(n)
     return [(r.name, r.found, r.witness) for r in (check_scenario(s, c0) for s in builtin_scenarios())]
@@ -82,11 +94,11 @@ ORACLES = {
 }
 # The mutants that change only a variant's graph also run on that variant.
 VARIANT_ORACLES = {
-    "verify-n3-merge_set_max=2": lambda: report(3, merge_set_max=2),
+    "requests-in-flight-n3-merge_set_max=2": requests_in_flight,
     "verify-n3-no-harness": lambda: report(3, harness=False),
 }
 VARIANT_OF = {
-    ("leader_moves", "ph.current is None", 0): ["verify-n3-merge_set_max=2"],
+    ("leader_moves", "ph.current is None", 0): ["requests-in-flight-n3-merge_set_max=2"],
     ("_after_update", "params.harness", 0): ["verify-n3-no-harness"],
 }
 
@@ -98,7 +110,7 @@ KILLED = {
         "verify-n2", "AttributeError"
     ),
     ("leader_moves", "isinstance(ph, AwaitReplyLeader)", 0): ("verify-n2", "AttributeError"),
-    ("leader_moves", "ph.current is None", 0): ("verify-n3-merge_set_max=2", None),
+    ("leader_moves", "ph.current is None", 0): ("requests-in-flight-n3-merge_set_max=2", None),
     ("leader_moves", "isinstance(ph, Updating)", 0): ("verify-n2", "AttributeError"),
     ("leader_moves", "ph.same_group_pending", 0): ("verify-n2", "IndexError"),
     ("leader_moves", "isinstance(ph, Updating)", 1): ("verify-n2", "AttributeError"),
