@@ -9,8 +9,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import accumulate, chain, islice, repeat
-from operator import sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import not_, sub
 from typing import Callable, Iterable, Optional
 
 from .events import (
@@ -110,10 +110,14 @@ class StateGraph:
         """The configuration of state idx, decoded from its row."""
         return self.model.decode(self.code(idx))
 
+    def degrees(self) -> Iterable[int]:
+        """The out-degree of every state, in order."""
+        off = self.offsets
+        return map(sub, islice(off, 1, None), off)
+
     def edges(self) -> Iterable[tuple]:
         """(source idx, label int, target idx) of every transition, in order."""
-        off = self.offsets
-        sources = chain.from_iterable(map(repeat, range(self.state_count), map(sub, islice(off, 1, None), off)))
+        sources = chain.from_iterable(map(repeat, range(self.state_count), self.degrees()))
         return zip(sources, self.events, self.targets)
 
     def path_to(self, idx: int) -> Path:
@@ -210,6 +214,9 @@ def explore(
     # The checks to run: by count word, and by event type and the label's shift flag.
     state_checks = cache(lambda w: [k for k in state if not k.gate or k.gate(w)])
     checks_on = {t: [[k for k in trans if not k.gate or k.gate(t, f)] for f in (0, 1)] for t in EVENT_TYPES.values()}
+    # watched: event int -> its checks, for each label that some check admits under the shift flags in seen; it is
+    # rebuilt when a label is interned or a flag flips, as both happen while the model's tables fill.
+    watched, seen = {}, b""
 
     m = model(c0.params)
     key0, top = m.encode(c0), m.count_shift
@@ -225,6 +232,9 @@ def explore(
         code = m.code(key)
         rows.extend(code)
         succs = m.successors(key, code)
+        if shifts != seen:
+            seen = bytes(shifts)
+            watched = {ev: ks for ev, (e, f) in enumerate(zip(labels, seen)) if (ks := checks_on[type(e)][f])}
         for chk in state_checks(key >> top):
             msg = chk.fn(m, key, succs)
             if msg is not None:
@@ -240,10 +250,12 @@ def explore(
                 queue.append(key2)
             events.append(ev)
             targets.append(j)
-            for chk in checks_on[type(labels[ev])][shifts[ev]]:
-                msg = chk.fn(m, key, ev, key2)
-                if msg is not None:
-                    g.violations.append(Violation(chk.name, msg, g.path_to(idx) + [labels[ev], m.decode(m.code(key2))]))
+            if ev in watched:
+                for chk in watched[ev]:
+                    msg = chk.fn(m, key, ev, key2)
+                    if msg is not None:
+                        witness = g.path_to(idx) + [labels[ev], m.decode(m.code(key2))]
+                        g.violations.append(Violation(chk.name, msg, witness))
         g.offsets.append(len(targets))
         idx += 1
     return g
@@ -326,12 +338,8 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
 def find_deadlocks(g: StateGraph) -> list:
     """Witness paths to every state of `g` that is not terminal and has no
     enabled events.  States whose successors a bound cut are not deadlocks."""
-    off = g.offsets
-    return [
-        g.path_to(i)
-        for i, (start, end) in enumerate(zip(off, islice(off, 1, None)))
-        if start == end and i not in g.truncated and not is_terminal(g.state(i))
-    ]
+    ends = compress(range(g.state_count), map(not_, g.degrees()))
+    return [g.path_to(i) for i in ends if i not in g.truncated and not is_terminal(g.state(i))]
 
 
 @dataclass
@@ -411,6 +419,5 @@ def check_inevitable(g: StateGraph, goal: Callable[[Configuration], bool]) -> In
 def label_nondeterminism_report(g: StateGraph) -> dict:
     """States offering several distinct labels (external choice): an out-degree above 1, as a state offers
     each label once.  Reported for information; label determinism itself is an assertable invariant."""
-    off = g.offsets
-    multi = sum(end - start > 1 for start, end in zip(off, islice(off, 1, None)))
+    multi = sum(map((1).__lt__, g.degrees()))
     return {"states_with_choice": multi, "states_total": g.state_count}

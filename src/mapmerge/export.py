@@ -1,7 +1,10 @@
 """Deterministic DOT and JSON serializations of explored state graphs,
-streamed from the graph's arrays to a text file in chunks of 4,096 pieces.
-Node labels are joined from per-local parts read off each state's row, not
-from decoded states; the bytes are those the decoded labels gave.
+streamed from the graph's arrays to a text file in chunks of 4,096 pieces
+that C-level iterators (map, zip, repeat, chain) interleave, with no Python
+frame per state or transition.  Besides the graph, a writer holds one string
+per label, one rendered string per distinct partition label and the leader
+columns of the rows; the labels are joined from per-local parts, not from
+decoded states, and the bytes are those the decoded labels gave.
 
 The JSON schema is versioned as "mapmerge-graph/1" and documented in
 docs/graph_schema.md.
@@ -10,8 +13,8 @@ docs/graph_schema.md.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
-from typing import Callable, Iterator, TextIO
+from itertools import chain, compress, islice, repeat
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .events import label, to_json
 from .explorer import StateGraph
@@ -30,54 +33,73 @@ def _write(out: TextIO, pieces: Iterator[str]) -> None:
         out.write(chunk)
 
 
-def _nodes(g: StateGraph, render: Callable[[str], str] = str) -> Iterator[tuple]:
-    """(idx, render(partition label), terminal) of each state, read from its row.
-    The label joins the parts of its leader ints, and each distinct label is
-    rendered once.  is_terminal is False unless an active leader holds the
-    whole team, so only a state with such a leader is decoded for it."""
-    m, n = g.model, g.initial.params.n
-    part, whole = [], []  # by local int: an active leader's label part or "", and whether it holds the whole team
+class _Labels(dict):
+    """The label parts of a state's leaders -> render(partition label), joined and rendered on first lookup."""
+
+    def __init__(self, render: Callable[[str], str]):
+        self.render = render
+
+    def __missing__(self, parts: tuple) -> str:
+        text = self[parts] = self.render(" ".join(filter(None, parts)) or "(no active leaders)")
+        return text
+
+
+def _nodes(g: StateGraph, render: Callable[[str], str] = str, ids: Optional[Iterable] = None, flags=(False, True)):
+    """(the next of ids, by default the state's idx; render(partition label); flags[terminal]) of each state.
+    The label joins the parts of the state's leader ints, read off the leader columns of the rows, and each
+    distinct label is rendered once.  is_terminal is False unless an active leader holds the whole team, so
+    only a state with such a leader is decoded for it."""
+    m, n, count = g.model, g.initial.params.n, g.state_count
+    # By local int: an active leader's label part or "", and whether it holds the whole team.
+    part, whole = [], bytearray()
     for s in m.locals:
         on = isinstance(s, LeaderProcState) and s.active
         part.append(f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if on else "")
         whole.append(on and s.agent_set == full_set(n))
-    rendered: dict = {}  # label -> render(label)
-    for i in range(g.state_count):
-        code = g.code(i)
-        p = " ".join(filter(None, map(part.__getitem__, code[n:]))) or "(no active leaders)"
-        terminal = any(map(whole.__getitem__, code[n:])) and is_terminal(m.decode(code))
-        yield i, rendered.get(p) or rendered.setdefault(p, render(p)), terminal
+    columns = [g.rows[slot :: 2 * n] for slot in range(n, 2 * n)]  # the leader ints of every state, by slot
+    terminal = bytearray(count)
+    for i in set(chain.from_iterable(compress(range(count), map(whole.__getitem__, c)) for c in columns)):
+        terminal[i] = is_terminal(g.state(i))
+    labels = map(_Labels(render).__getitem__, zip(*(map(part.__getitem__, c) for c in columns)))
+    return zip(range(count) if ids is None else ids, labels, map(flags.__getitem__, terminal))
+
+
+def _edges(g: StateGraph, source: Callable[[int], str], event: list, lead: Optional[Iterator[str]] = None):
+    """The pieces of every transition, in order: source(i), built once per source state i, the target idx
+    and event[label int]; or, given a lead, the next of lead, the target idx, event[label int] and source(i)."""
+    sources = chain.from_iterable(map(repeat, map(source, range(g.state_count)), g.degrees()))
+    targets, events = map(str, g.targets), map(event.__getitem__, g.events)
+    return chain.from_iterable(zip(sources, targets, events) if lead is None else zip(lead, targets, events, sources))
 
 
 def to_dot(g: StateGraph, out: TextIO) -> None:
     """GraphViz rendering: nodes carry the leader partition, edges the event
     label.  Output is byte-stable for a given graph."""
-    quoted = [f'"{_dot_escape(label(e))}"' for e in g.model.labels]
     head = "digraph mapmerge {\n  rankdir=LR;\n  node [shape=box];\n"
-    nodes = (
-        f'  s{i} [label="{i}: {p}"{", style=bold" * (i == 0)}{", peripheries=2" * t}];\n'
-        for i, p, t in _nodes(g, _dot_escape)
-    )
-    edges = (f"  s{i} -> s{j} [label={quoted[ev]}];\n" for i, ev, j in g.edges())
-    _write(out, chain([head], nodes, edges, ["}\n"]))
+    ids = map('  s{0} [label="{0}: '.format, range(g.state_count))
+    nodes = _nodes(g, _dot_escape, ids, ('"];\n', '", peripheries=2];\n'))
+    node0, label0, end0 = next(nodes)
+    node0 = (node0, label0, '", style=bold' + end0[1:])  # the initial state is bold
+    edges = _edges(g, "  s{} -> s".format, [f' [label="{_dot_escape(label(e))}"];\n' for e in g.model.labels])
+    _write(out, chain([head], node0, chain.from_iterable(nodes), edges, ["}\n"]))
 
 
 def to_json_graph(g: StateGraph, out: TextIO) -> None:
     """JSON rendering per the mapmerge-graph/1 schema: the bytes of
-    json.dumps(document, sort_keys=True, separators=(",", ":")) + "\\n"."""
-    flag = ("false", "true")
-    event = [json.dumps(to_json(e), sort_keys=True, separators=(",", ":")) for e in g.model.labels]
+    json.dumps(document, sort_keys=True, separators=(",", ":")) + "\\n".
+    Each state's and each transition's closing brace opens the next piece."""
     head = (
-        f'{{"agents":{g.initial.params.n},"complete":{flag[g.complete]},"schema":{json.dumps(GRAPH_SCHEMA)},'
+        f'{{"agents":{g.initial.params.n},"complete":{json.dumps(g.complete)},"schema":{json.dumps(GRAPH_SCHEMA)},'
         f'"state_count":{g.state_count},"states":['
     )
-    states = (
-        f'{"," * (i > 0)}{{"id":{i},"initial":{flag[i == 0]},"label":{p},"terminal":{flag[t]}}}'
-        for i, p, t in _nodes(g, json.dumps)
-    )
-    middle = f'],"transition_count":{g.transition_count},"transitions":['
-    edges = (f'{"," * (k > 0)}{{"dst":{j},"event":{event[ev]},"src":{i}}}' for k, (i, ev, j) in enumerate(g.edges()))
-    _write(out, chain([head], states, [middle], edges, ["]}\n"]))
+    ids = map('},{"id":%d,"initial":false,"label":'.__mod__, range(1, g.state_count))
+    ids = chain(['{"id":0,"initial":true,"label":'], ids)
+    nodes = _nodes(g, json.dumps, ids, (',"terminal":false', ',"terminal":true'))
+    middle = f'}}],"transition_count":{g.transition_count},"transitions":['
+    event = [f',"event":{json.dumps(to_json(e), sort_keys=True, separators=(",", ":"))},"src":' for e in g.model.labels]
+    edges = _edges(g, str, event, chain(['{"dst":'], repeat('},{"dst":')))
+    tail = "}" * (g.transition_count > 0) + "]}\n"
+    _write(out, chain([head], chain.from_iterable(nodes), [middle], edges, [tail]))
 
 
 def export_graph(g: StateGraph, format: str, out: TextIO) -> None:

@@ -52,6 +52,7 @@ from conftest import (
     OLD_AGENT_GUARD_MUTANT,
     PRIORITY_MUTANT,
     REPLACE_SET_MUTANT,
+    installed,
     mutant,
     variant,
 )
@@ -303,6 +304,23 @@ def test_gates_call_each_check_only_where_it_can_fire():
     assert calls["active-monotone"] == moved <= 76
     assert calls["quiescent-partition"] == sum(map(is_quiescent, cs)) < g.state_count
     assert calls["req2-cancel-answered"] == owing < g.state_count
+
+
+def test_transition_checks_see_shift_flags_flip_while_the_tables_fill():
+    # On cold tables a passive step can flip a label's shift flag after
+    # transitions on it were returned with the flag unset.  A check gated on
+    # the flag alone must then run on every transition that moves a leader's
+    # (active, agent_set), so explore must see each flip as it happens.
+    checked = []
+    check = Check("shift", "transition", lambda m, *t: checked.append(t), gate=lambda t, shift: shift)
+    with installed("agent_accept", processes.agent_accept):  # a fresh model cache: cold tables
+        g = explore(initial_config(3), checks=[check])
+    cs = states(g)
+    index = {g.model.encode(c): i for i, c in enumerate(cs)}
+    checked = {(index[key], ev, index[key2]) for key, ev, key2 in checked}
+    pairs = [[(l.active, l.agent_set) for l in c.leaders] for c in cs]
+    moved = {(i, ev, j) for i, ev, j in g.edges() if pairs[i] != pairs[j]}
+    assert moved and moved <= checked
 
 
 def test_req2_confirm_active_is_vacuous_on_the_active_guard_mutant():

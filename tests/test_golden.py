@@ -28,6 +28,9 @@ def digest(out: str) -> str:
         ("export --agents 3 --format json", "f1f05c70d6d503ce"),
         ("export --agents 3 --format dot", "0db214820b132132"),
         ("export --agents 3 --no-harness --format json", "270f6caab9c75f77"),
+        # The only exports whose labels carry two-agent merge sets.
+        ("export --agents 3 --merge-set-max 2 --format json", "0f935805ef751010"),
+        ("export --agents 3 --merge-set-max 2 --format dot", "0e2f566808ed6bf4"),
         ("scenarios --agents 4 --json", "bfbe8d22d02bda68"),
     ],
 )
