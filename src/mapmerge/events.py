@@ -198,14 +198,25 @@ def participants(e: EventLabel) -> frozenset[ProcessRef]:
     raise InvalidEventError(f"unknown event {e!r}")
 
 
-def _field_key(v):
-    """An AgentId by its index, a frozenset of them as its sorted indices; a field always holds one kind."""
-    return v.index if isinstance(v, AgentId) else tuple(sorted(a.index for a in v))
+def _field_key(v) -> int:
+    """A field's agent indices (an AgentId's own, a frozenset's sorted) as 4-bit digits from the top of 32 bits,
+    the unused digits 0: ints in the order of the index tuples, for indices below 16 and sets of up to 8."""
+    digits = (v.index,) if isinstance(v, AgentId) else sorted(a.index for a in v)
+    out = 0
+    for i in digits:
+        out = out << 4 | i
+    return out << 4 * (8 - len(digits))
 
 
-def sort_key(e: EventLabel):
-    """Canonical total order on labels; fixes successor enumeration order."""
-    return (_TYPE_RANK[type(e)], tuple(_field_key(getattr(e, f.name)) for f in fields(e)))
+def sort_key(e: EventLabel) -> int:
+    """Canonical total order on labels; fixes successor enumeration order.
+    The int orders as the tuple (type rank, each field's sorted agent indices): the rank sits above three 32-bit
+    fields, the absent ones 0, so every type's fields take the same width."""
+    fs = fields(e)
+    key = _TYPE_RANK[type(e)]
+    for f in fs:
+        key = key << 32 | _field_key(getattr(e, f.name))
+    return key << 32 * (3 - len(fs))
 
 
 def label(e: EventLabel) -> str:

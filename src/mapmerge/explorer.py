@@ -292,6 +292,14 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     Traces-model semantics: prefixes count, so the execution need not stop
     once the trace is matched.  The witness is the full unprojected event
     sequence of a matching execution.
+
+    A BFS over the product of the model and the trace automaton.  A product
+    node, a state's key with k trace events matched, is the one int
+    key + (k << `Model.key_bits`), and the search stores one int and one
+    dict entry per node: `visited` maps a node to the node it was found
+    from.  The witness is rebuilt by walking those parents back and taking,
+    from each, its first product edge onto the child in canonical order,
+    which is the edge that found the child.
     """
     if max_states is not None and max_states < 1:
         raise ConfigurationError("exploration bounds must be positive")
@@ -299,38 +307,44 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     if target == 0:
         return TraceResult(True, [])
     m = model(c0.params)
-    matches: dict = {}  # event int -> trace positions it matches, or None if hidden
-    start = (m.encode(c0), 0)
-    visited = {start: None}  # (key, matched) -> (parent, event int) | None
+    bits = m.key_bits
+    one = 1 << bits  # the node delta of one step of k
+    mask, goal = one - 1, target * one
+    # event int -> at each trace position k, its node delta: 0 if hidden, one if it is q.trace[k], None if it cannot
+    # fire there.
+    step_table: dict = {}
+
+    def edges(node: int) -> Iterable[tuple]:
+        """(event int, product node) of every product edge out of `node`, in canonical order."""
+        key = node & mask
+        k = node >> bits
+        for ev, key2 in m.successors(key, m.code(key)):
+            steps = step_table.get(ev)
+            if steps is None:
+                e = m.labels[ev]
+                steps = step_table[ev] = [one if t == e else None for t in q.trace] if q.visible(e) else [0] * target
+            if (d := steps[k]) is not None:
+                yield ev, node - key + key2 + d
+
+    start = m.encode(c0)
+    visited = {start: None}  # product node -> the node it was found from, None at the start
     frontier = deque([start])
     expanded = 0
     while frontier:
         node = frontier.popleft()
-        key, k = node
         expanded += 1
         if max_states is not None and expanded > max_states:
             return TraceResult(False, None, complete=False)
-        for ev, key2 in m.successors(key, m.code(key)):
-            if ev not in matches:
-                e = m.labels[ev]
-                matches[ev] = frozenset(i for i, t in enumerate(q.trace) if t == e) if q.visible(e) else None
-            at = matches[ev]
-            if at is None:
-                nxt = (key2, k)
-            elif k in at:
-                nxt = (key2, k + 1)
-            else:
-                continue
+        for _, nxt in edges(node):
             if nxt in visited:
                 continue
-            visited[nxt] = (node, ev)
-            if nxt[1] == target:
-                steps = [ev]
-                back = node
-                while visited[back] is not None:
-                    back, pe = visited[back]
-                    steps.append(pe)
-                return TraceResult(True, [m.labels[s] for s in reversed(steps)])
+            visited[nxt] = node
+            if nxt >= goal:
+                witness = []
+                while node is not None:
+                    witness.append(next(ev for ev, child in edges(node) if child == nxt))
+                    node, nxt = visited[node], node
+                return TraceResult(True, [m.labels[ev] for ev in reversed(witness)])
             frontier.append(nxt)
     return TraceResult(False, None)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import struct
 from functools import cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .events import EventLabel, MergeCancelled, ProcessRef, RemoveReasoningAbout, participants, sort_key
@@ -123,7 +123,8 @@ class Model:
     its locals' terms.  The term of local int x at slot s (agents at
     0..n-1, leaders at n..2n-1) is x << 16*s plus, in the count word above
     bit 32n, one in each of the MESSAGE, DUTY and BUSY fields (5 bits each)
-    whose fact x has (see `local_faults`); `code` unpacks the slots.  A move
+    whose fact x has (see `local_faults`); `code` unpacks the slots, and
+    every key is below 1 << `key_bits`, so bits above it are free.  A move
     or step table entry holds the delta that its step adds to a key, the
     next local's term minus its own, so a successor's key is a sum.
     Interning a local state interns its moves; the passive participants of
@@ -137,13 +138,14 @@ class Model:
         self.locals: list = []  # int -> local state
         self.labels: list = []  # int -> the shared label object
         self._local_ids: dict = {}  # local state -> int
-        self._label_ids: dict = {}  # label -> (event int, sort key, participant slots)
+        self._label_ids: dict = {}  # label -> (event int, sort key int, participant slots)
         self.faults: list = []  # local int -> local_faults, with each duty's label as its int (-1: none)
         self._terms: list = []  # local int -> its term in a key
-        self._moves: list = []  # local int -> ((event int, sort key, other participants' slots, delta), ...)
+        self._moves: list = []  # local int -> ((event int, sort key int, other participants' slots, delta), ...)
         self._steps: list = []  # local int -> {event int: delta, or None if refused}
         self.shifts = bytearray()  # event int -> 1 once an entry under it changes a leader's _pair
         self.count_shift = 32 * self.n  # key >> count_shift is a key's count word
+        self.key_bits = self.count_shift + BUSY.bit_length()  # the slots and the count word
         self._row = struct.Struct(f"<{2 * self.n}H")
 
     def _label(self, e: EventLabel) -> tuple:
@@ -204,16 +206,20 @@ class Model:
     def successors(self, key: int, code: tuple) -> list[tuple[int, int]]:
         """Every enabled event int with its successor key, in canonical order:
         `key` plus the delta of each participant's step; `code` is
-        `code(key)`.  The moves are walked in slot order; the first process
-        to offer a label keeps it (only leaders offer remove_reasoning_about,
-        so the lowest refusing leader wins, as in apply_event), and only the
-        other participants step."""
+        `code(key)`.  Only the other participants of the process that
+        offers a label step.  The moves are walked from the last slot to the
+        first and each accepted offer overwrites the label's entry, so the
+        lowest slot to offer a label keeps it (only leaders offer
+        remove_reasoning_about, so the lowest refusing leader wins, as in
+        apply_event).  No explored graph has a state where two slots offer
+        one label (none at n=3 and n=4, merge-set max 1 and 2, harness on
+        and off), so test_first_refusing_leader_keeps_remove_reasoning_about
+        pins this rule.  The entries are keyed by the labels' sort key ints,
+        and sorting those gives the canonical order."""
         moves_of, steps_of = self._moves, self._steps
-        found: dict = {}  # event int -> (sort key, event int, successor key)
-        for local in code:
+        found: dict = {}  # sort key int -> (event int, successor key)
+        for local in reversed(code):
             for ev, sort, others, delta in moves_of[local]:
-                if ev in found:
-                    continue
                 new = key + delta
                 for i in others:
                     steps = steps_of[code[i]]
@@ -222,8 +228,8 @@ class Model:
                         break
                     new += d
                 else:
-                    found[ev] = (sort, ev, new)
-        return [(ev, new) for _, ev, new in sorted(found.values(), key=itemgetter(0))]
+                    found[sort] = (ev, new)
+        return list(map(found.__getitem__, sorted(found)))
 
 
 model = cache(Model)  # the one compiled model of each ModelParams in the process

@@ -1,15 +1,17 @@
 """Reference versions of what explorer and export compute over int arrays:
 the Configuration-level invariant checks, the dict-based post-analyses, as
-they were before the graph was stored as arrays, and the node label of a
-decoded state.  The differential tests compare the two on graphs where each
-finds something."""
+they were before the graph was stored as arrays, the node label of a
+decoded state, and the trace search over (key, position) tuple nodes, as it
+was before a product node was one int.  The differential tests compare the
+two on graphs and queries where each finds something."""
 
 from collections import deque
+from typing import Optional
 
 from mapmerge.events import ConfirmMerge, MergeCancelled, MergeCompleted, MergeConfirmed, label
-from mapmerge.explorer import Check, DivergenceWitness, InevitabilityResult
+from mapmerge.explorer import Check, DivergenceWitness, InevitabilityResult, TraceQuery, TraceResult
 from mapmerge.processes import AwaitCompletion, BeingMerged, Considering
-from mapmerge.world import is_terminal, quiescent_partition_violation
+from mapmerge.world import Configuration, ConfigurationError, is_terminal, model, quiescent_partition_violation
 
 
 def states(g) -> list:
@@ -191,3 +193,52 @@ def choice_report(g) -> dict:
         out_labels.setdefault(i, set()).add(e)
     multi = sum(1 for labels in out_labels.values() if len(labels) > 1)
     return {"states_with_choice": multi, "states_total": g.state_count}
+
+
+def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = None) -> TraceResult:
+    """Does some execution project (under hiding) to exactly q.trace?
+
+    Traces-model semantics: prefixes count, so the execution need not stop
+    once the trace is matched.  The witness is the full unprojected event
+    sequence of a matching execution.
+    """
+    if max_states is not None and max_states < 1:
+        raise ConfigurationError("exploration bounds must be positive")
+    target = len(q.trace)
+    if target == 0:
+        return TraceResult(True, [])
+    m = model(c0.params)
+    matches: dict = {}  # event int -> trace positions it matches, or None if hidden
+    start = (m.encode(c0), 0)
+    visited = {start: None}  # (key, matched) -> (parent, event int) | None
+    frontier = deque([start])
+    expanded = 0
+    while frontier:
+        node = frontier.popleft()
+        key, k = node
+        expanded += 1
+        if max_states is not None and expanded > max_states:
+            return TraceResult(False, None, complete=False)
+        for ev, key2 in m.successors(key, m.code(key)):
+            if ev not in matches:
+                e = m.labels[ev]
+                matches[ev] = frozenset(i for i, t in enumerate(q.trace) if t == e) if q.visible(e) else None
+            at = matches[ev]
+            if at is None:
+                nxt = (key2, k)
+            elif k in at:
+                nxt = (key2, k + 1)
+            else:
+                continue
+            if nxt in visited:
+                continue
+            visited[nxt] = (node, ev)
+            if nxt[1] == target:
+                steps = [ev]
+                back = node
+                while visited[back] is not None:
+                    back, pe = visited[back]
+                    steps.append(pe)
+                return TraceResult(True, [m.labels[s] for s in reversed(steps)])
+            frontier.append(nxt)
+    return TraceResult(False, None)

@@ -1,3 +1,6 @@
+from dataclasses import fields
+from itertools import chain, combinations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +25,8 @@ from mapmerge.events import (
     to_json,
     validate_event,
 )
-from mapmerge.ids import AgentId
+from mapmerge.ids import AgentId, universe
+from mapmerge.world import MAX_AGENTS
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
@@ -126,6 +130,28 @@ def test_json_roundtrip_property(e):
 @given(st.lists(events(), max_size=8))
 def test_sort_events_is_order_insensitive(es):
     assert sorted(es, key=sort_key) == sorted(reversed(es), key=sort_key)
+
+
+def tuple_key(e):
+    """The canonical order, stated as a tuple: the type's rank in EVENT_TYPES, then each field in declaration order,
+    an agent id as its index and an agent set as its sorted indices."""
+    rank = list(EVENT_TYPES.values()).index(type(e))
+    values = (getattr(e, f.name) for f in fields(e))
+    return rank, tuple(v.index if isinstance(v, AgentId) else tuple(sorted(a.index for a in v)) for v in values)
+
+
+def test_sort_key_orders_as_the_tuple_key():
+    # Every label of every type over MAX_AGENTS agents: each agent-id field takes every id, each set field every
+    # subset, of every size from 0 to MAX_AGENTS.  The int key must be one per label and order them as the tuple.
+    ids = universe(MAX_AGENTS)
+    sets = [frozenset(c) for c in chain.from_iterable(combinations(ids, k) for k in range(MAX_AGENTS + 1))]
+    labels = [
+        cls(*vals)
+        for cls in EVENT_TYPES.values()
+        for vals in product(*(sets if f.type == "frozenset" else ids for f in fields(cls)))
+    ]
+    assert len(set(map(sort_key, labels))) == len(labels)
+    assert sorted(labels, key=sort_key) == sorted(labels, key=tuple_key)
 
 
 def test_cross_type_labels_not_equal():

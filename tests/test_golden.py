@@ -66,13 +66,32 @@ def write_events(path, events) -> str:
     return str(path)
 
 
+def trace_check(tmp_path, n: int, trace: list) -> list:
+    """trace-check argv for `trace`, given as (requester, other) agent indices, under every n-agent confirm_merge."""
+    ids = universe(n)
+    alphabet = sorted((ConfirmMerge(a, b) for a in ids for b in ids if a != b), key=label)
+    alphabet_file = write_events(tmp_path / "alphabet.jsonl", alphabet)
+    trace_file = write_events(tmp_path / "trace.jsonl", [ConfirmMerge(ids[a - 1], ids[b - 1]) for a, b in trace])
+    return ["trace-check", "--agents", str(n), "--json", "--alphabet-file", alphabet_file, trace_file]
+
+
 def test_golden_negative_trace_check_n4(capsys, tmp_path):
     # REQ1 at n=4: A2 never confirms towards A1, seen through every
     # confirm_merge; the search must exhaust the hidden state space.
-    ids = universe(4)
-    alphabet = sorted((ConfirmMerge(a, b) for a in ids for b in ids if a != b), key=label)
-    alphabet_file = write_events(tmp_path / "alphabet.jsonl", alphabet)
-    trace_file = write_events(tmp_path / "negative.jsonl", [ConfirmMerge(ids[1], ids[0])])
-    argv = ["trace-check", "--agents", "4", "--json", "--alphabet-file", alphabet_file, trace_file]
-    assert main(argv) == 1
+    assert main(trace_check(tmp_path, 4, [(2, 1)])) == 1
     assert digest(capsys.readouterr().out) == "aa42aaee8f602b72"
+
+
+@pytest.mark.parametrize(
+    "n, trace, golden",
+    [
+        # perfbench's deep query; its witness has 15 events.
+        (4, [(3, 4), (2, 3), (1, 2)], "66eebc10bb472353"),
+        # A 13-event witness.
+        (3, [(1, 3), (1, 2)], "d62a44729bc161a9"),
+    ],
+)
+def test_golden_positive_trace_check(capsys, tmp_path, n, trace, golden):
+    # A positive verdict pins its witness byte for byte.
+    assert main(trace_check(tmp_path, n, trace)) == 0
+    assert digest(capsys.readouterr().out) == golden
