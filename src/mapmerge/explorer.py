@@ -4,7 +4,6 @@ divergence detection, and AG-EF inevitability."""
 
 from __future__ import annotations
 
-import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -35,7 +34,6 @@ from .world import (  # noqa: F401
     apply_event,
     enabled_events,
     is_terminal,
-    model,
     quiescent_partition_violation,
 )
 
@@ -66,10 +64,6 @@ class Violation:
     check: str
     message: str
     witness: Path
-
-
-# An n-agent code packed as 2n unsigned shorts (local ints stay below 2**16): a state's row in `StateGraph.rows`.
-_row = cache(lambda n: struct.Struct(f"{2 * n}H"))
 
 
 @dataclass
@@ -103,8 +97,8 @@ class StateGraph:
 
     def code(self, idx: int) -> tuple:
         """The local ints of state idx, read from its row."""
-        row = _row(self.initial.params.n)
-        return row.unpack_from(self.rows, idx * row.size)
+        w = 2 * self.model.n
+        return tuple(self.rows[idx * w : (idx + 1) * w])
 
     def state(self, idx: int) -> Configuration:
         """The configuration of state idx, decoded from its row."""
@@ -218,7 +212,7 @@ def explore(
     # rebuilt when a label is interned or a flag flips, as both happen while the model's tables fill.
     watched, seen = {}, b""
 
-    m = model(c0.params)
+    m = Model(c0.params)
     key0, top = m.encode(c0), m.count_shift
     index = {key0: 0}  # key -> idx
     g = StateGraph(c0, m)
@@ -306,7 +300,7 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     target = len(q.trace)
     if target == 0:
         return TraceResult(True, [])
-    m = model(c0.params)
+    m = Model(c0.params)
     bits = m.key_bits
     one = 1 << bits  # the node delta of one step of k
     mask, goal = one - 1, target * one

@@ -4,7 +4,6 @@ and leader process composed in parallel, stepping jointly on shared events."""
 from __future__ import annotations
 
 import struct
-from functools import cache
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -117,21 +116,20 @@ def local_faults(s) -> tuple:
 
 
 class Model:
-    """One model compiled to integer tables, filled lazily and shared by
-    every caller in the process.  Each local state and each label is one
-    shared object with a small int.  A state is one int, its key: the sum of
-    its locals' terms.  The term of local int x at slot s (agents at
-    0..n-1, leaders at n..2n-1) is x << 16*s plus, in the count word above
-    bit 32n, one in each of the MESSAGE, DUTY and BUSY fields (5 bits each)
-    whose fact x has (see `local_faults`); `code` unpacks the slots, and
-    every key is below 1 << `key_bits`, so bits above it are free.  A move
-    or step table entry holds the delta that its step adds to a key, the
-    next local's term minus its own, so a successor's key is a sum.
-    Interning a local state interns its moves; the passive participants of
-    an event accept it through per-local step tables, each entry filled on
-    its first miss (2,686 passive steps fill the n=4 tables).  A label's
-    shift flag is set as its entries fill, before any transition on it is
-    returned.  A model serves one thread."""
+    """One model compiled to integer tables, filled lazily by the one search that
+    owns it.  Each local state and each label is one shared object with a small
+    int.  A state is one int, its key: the sum of its locals' terms.  The term
+    of local int x at slot s (agents at 0..n-1, leaders at n..2n-1) is x << 16*s
+    plus, in the count word above bit 32n, one in each of the MESSAGE, DUTY and
+    BUSY fields (5 bits each) whose fact x has (see `local_faults`); `code`
+    unpacks the slots, and every key is below 1 << `key_bits`, so bits above it
+    are free.  A move or step table entry holds the delta that its step adds to
+    a key, the next local's term minus its own, so a successor's key is a sum.
+    Interning a local state interns its moves; the passive participants of an
+    event accept it through per-local step tables, each entry filled on its
+    first miss (2,686 passive steps fill the n=4 tables).  A label's shift flag
+    is set as its entries fill, before any transition on it is returned.  A
+    model serves one thread."""
 
     def __init__(self, params: ModelParams):
         self.params, self.n = params, params.n
@@ -232,22 +230,20 @@ class Model:
         return list(map(found.__getitem__, sorted(found)))
 
 
-model = cache(Model)  # the one compiled model of each ModelParams in the process
-
-
 def enabled_events(c: Configuration) -> list[EventLabel]:
-    """All globally enabled events, in canonical order."""
-    m = model(c.params)
-    key = m.encode(c)
-    return [m.labels[ev] for ev, _ in m.successors(key, m.code(key))]
+    """All globally enabled events, in canonical order: every label some
+    process offers among its moves that apply_event accepts."""
+    offered = {e for s in c.agents for e, _ in agent_moves(s, c.params)}
+    offered.update(e for s in c.leaders for e, _ in leader_moves(s, c.params))
+    return sorted((e for e in offered if is_enabled(c, e)), key=sort_key)
 
 
 def apply_event(c: Configuration, e: EventLabel) -> Configuration:
     """Advance every participant simultaneously; refuse with the blocking
     process named otherwise.
 
-    This is the uncached single-event reference path; `Model.successors`
-    computes the same steps through the step tables.
+    This is the single-event reference path, which reads no `Model`;
+    `Model.successors` computes the same steps through the step tables.
     """
     refs = participants(e)
     if isinstance(e, RemoveReasoningAbout):

@@ -3,15 +3,14 @@ import os
 import sys
 import textwrap
 from contextlib import contextmanager
-from functools import cache
 from pathlib import Path
 
 import pytest
 
 import mapmerge
-from mapmerge import explorer, processes, world
+from mapmerge import processes
 from mapmerge.explorer import explore
-from mapmerge.world import Model, initial_config
+from mapmerge.world import initial_config
 
 # Criterion 10's guard mutants, as arguments to `mutant`: each drops one
 # guard of processes.leader_accept.  REQ1: a leader without priority still
@@ -41,24 +40,19 @@ OLD_AGENT_GUARD_MUTANT = (
 @contextmanager
 def installed(name: str, fn):
     """Run the block with `fn` in place of `processes.<name>` on every mapmerge
-    module that binds the original, while `world.model`/`explorer.model`
-    compile into a fresh cache, since models of the same ModelParams would
-    otherwise share tables.  Both are restored on exit; the shared cache is
-    left as it was, so models built before the block keep their ints."""
+    module that binds the original, restored on exit.  Each search compiles
+    its own model, so one built in the block sees `fn` alone."""
     original = getattr(processes, name)
     homes = [
         m for k, m in list(sys.modules.items()) if k.partition(".")[0] == "mapmerge" and vars(m).get(name) is original
     ]
-    saved = world.model, explorer.model
     for m in homes:
         setattr(m, name, fn)
-    world.model = explorer.model = cache(Model)
     try:
         yield
     finally:
         for m in homes:
             setattr(m, name, original)
-        world.model, explorer.model = saved
 
 
 @contextmanager

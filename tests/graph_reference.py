@@ -11,7 +11,7 @@ from typing import Optional
 from mapmerge.events import ConfirmMerge, MergeCancelled, MergeCompleted, MergeConfirmed, label
 from mapmerge.explorer import Check, DivergenceWitness, InevitabilityResult, TraceQuery, TraceResult
 from mapmerge.processes import AwaitCompletion, BeingMerged, Considering
-from mapmerge.world import Configuration, ConfigurationError, is_terminal, model, quiescent_partition_violation
+from mapmerge.world import Configuration, ConfigurationError, Model, is_terminal, quiescent_partition_violation
 
 
 def states(g) -> list:
@@ -207,7 +207,7 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     target = len(q.trace)
     if target == 0:
         return TraceResult(True, [])
-    m = model(c0.params)
+    m = Model(c0.params)
     matches: dict = {}  # event int -> trace positions it matches, or None if hidden
     start = (m.encode(c0), 0)
     visited = {start: None}  # (key, matched) -> (parent, event int) | None

@@ -24,7 +24,6 @@ ALLOWED = {
     "coordmap.invert": "part of the map-merge algebra that acceptance criterion 12 checks",
     "coordmap.merge_grids": "part of the map-merge algebra that acceptance criterion 12 checks",
     "coordmap.GridMap.shifted": "part of the map-merge algebra that acceptance criterion 12 checks",
-    "world.is_enabled": "perfbench/tracer.py wraps it until the benchmark stops counting its calls",
     "scenarios.scenario_to_json": "the writer half of the scenario-file format; tests build input files with it",
 }
 

@@ -81,11 +81,7 @@ def test_too_many_local_states_usage_error(capsys, monkeypatch):
     # A key holds each local int in 16 bits: past world.LOCALS_MAX locals
     # one would carry into the next slot, so the model refuses to grow.
     monkeypatch.setattr(world, "LOCALS_MAX", 50)
-    world.model.cache_clear()
-    try:
-        code, _, err = run(capsys, "explore", "--agents", "3", "--json")
-    finally:
-        world.model.cache_clear()  # drop the half-filled model
+    code, _, err = run(capsys, "explore", "--agents", "3", "--json")
     assert_one_line_usage_error(code, err)
     assert "more than 50 local states" in err
 

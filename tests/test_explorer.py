@@ -52,7 +52,6 @@ from conftest import (
     OLD_AGENT_GUARD_MUTANT,
     PRIORITY_MUTANT,
     REPLACE_SET_MUTANT,
-    installed,
     mutant,
     variant,
 )
@@ -313,8 +312,7 @@ def test_transition_checks_see_shift_flags_flip_while_the_tables_fill():
     # (active, agent_set), so explore must see each flip as it happens.
     checked = []
     check = Check("shift", "transition", lambda m, *t: checked.append(t), gate=lambda t, shift: shift)
-    with installed("agent_accept", processes.agent_accept):  # a fresh model cache: cold tables
-        g = explore(initial_config(3), checks=[check])
+    g = explore(initial_config(3), checks=[check])  # each search fills its own tables from cold
     cs = states(g)
     index = {g.model.encode(c): i for i, c in enumerate(cs)}
     checked = {(index[key], ev, index[key2]) for key, ev, key2 in checked}

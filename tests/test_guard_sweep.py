@@ -5,9 +5,9 @@ Operators for Specifications", ASE 2000).
 
 The operands are read from the `ast` of the five functions below, so a new
 guard conjunct fails `test_every_operand_is_pinned` until it is pinned here.
-Each mutant runs in-process through `conftest.mutant`, on a fresh model
-cache, and an oracle kills it when its output differs from the unmutated
-model's output, or when it raises AttributeError or IndexError.
+Each mutant runs in-process through `conftest.mutant`, and an oracle kills
+it when its output differs from the unmutated model's output, or when it
+raises AttributeError or IndexError.
 """
 
 import ast
@@ -25,7 +25,7 @@ from mapmerge.explorer import explore
 from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge.world import initial_config
 
-from conftest import installed, mutant
+from conftest import mutant
 from graph_reference import states
 from test_successors import alphabet, reference, successors
 
@@ -81,7 +81,8 @@ def scenarios(n: int) -> list:
 def differential() -> list:
     """The n=2 states whose compiled successors differ from apply_event's over the full alphabet."""
     labels = alphabet(2)
-    return [c for c in states(explore(initial_config(2), checks=[])) if successors(c) != reference(c, labels)]
+    g = explore(initial_config(2), checks=[])
+    return [c for c in states(g) if successors(c, g.model) != reference(c, labels)]
 
 
 # Every mutant runs these in order, up to the first kill.
@@ -203,8 +204,7 @@ SURVIVES = {
 
 @cache
 def unmutated() -> dict:
-    with installed(FUNCTIONS[0], getattr(processes, FUNCTIONS[0])):  # a fresh model cache, as for the mutants
-        return {name: oracle() for name, oracle in (ORACLES | VARIANT_ORACLES).items()}
+    return {name: oracle() for name, oracle in (ORACLES | VARIANT_ORACLES).items()}
 
 
 def first_kill(key, where: slice):

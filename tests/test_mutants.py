@@ -7,11 +7,11 @@ from collections import Counter
 
 import pytest
 
-from mapmerge import explorer, processes, world
+from mapmerge import processes, world
 from mapmerge.events import MergeCompleted, MergeMaps
 from mapmerge.explorer import explore
 from mapmerge.export import export_graph
-from mapmerge.world import ModelParams, initial_config
+from mapmerge.world import initial_config
 
 from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, mutant
 
@@ -80,19 +80,13 @@ def test_active_monotone_fires_away_from_merge_completed(spec, events):
 
 
 def test_mutant_is_installed_for_the_block_only():
-    cached, shared = world.model, world.model(ModelParams(3))
     originals = processes.agent_moves, processes.leader_accept
     with mutant("agent_moves", ("if not s.has_outstanding_request:", "if False:")):
         assert world.agent_moves is processes.agent_moves is not originals[0]
-        assert world.model is explorer.model is not cached
-        assert world.model(ModelParams(3)) is not shared
         g = explore(initial_config(3), checks=[])
         assert g.state_count == 1  # no agent ever asks for a merge
     assert (processes.agent_moves, processes.leader_accept) == originals
     assert world.agent_moves is processes.agent_moves
-    assert world.model is explorer.model is cached
-    assert world.model(ModelParams(3)) is shared
-    assert explorer.model(ModelParams(3)) is shared
 
 
 @pytest.mark.parametrize("fragment", ["isinstance(ph, AwaitRequest)", "no such code"])

@@ -1,4 +1,5 @@
-"""Differential test: world.Model.successors against the uncached apply_event path.
+"""Differential test: world.Model.successors against the reference path,
+apply_event and enabled_events, which read no Model.
 
 The reference is every label of the n-agent alphabet that apply_event
 accepts.  Both paths read the same process declarations (processes.*_moves
@@ -7,6 +8,9 @@ slots, the first-mover rule, canonical order, step tables and keys.
 """
 
 import itertools
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields
 
@@ -28,7 +32,7 @@ from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge import world
 from mapmerge import processes
 from mapmerge.processes import LeaderProcState, Refusing
-from mapmerge.world import RefusedEventError, apply_event, initial_config
+from mapmerge.world import Model, RefusedEventError, apply_event, enabled_events, initial_config
 
 from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, installed, variant
 from graph_reference import states, transitions
@@ -43,9 +47,10 @@ VARIANTS = {
 }
 
 
-def successors(c) -> list:
-    """Every enabled event of `c` with its successor configuration, through the compiled model."""
-    m = world.model(c.params)
+def successors(c, m=None) -> list:
+    """Every enabled event of `c` with its successor configuration, through the compiled model `m`, by default a
+    fresh one."""
+    m = m or Model(c.params)
     key = m.encode(c)
     return [(m.labels[ev], m.decode(m.code(key2))) for ev, key2 in m.successors(key, m.code(key))]
 
@@ -84,7 +89,9 @@ def test_successors_match_apply_event(n, stride, spec):
         g = explore(c0, checks=[])
         assert g.complete
         for c in states(g)[::stride]:
-            assert successors(c) == reference(c, labels)
+            succs = successors(c, g.model)
+            assert succs == reference(c, labels)
+            assert enabled_events(c) == [e for e, _ in succs]
 
 
 def test_apply_event_refuses_request_merge_over_merge_set_max():
@@ -106,6 +113,7 @@ def test_first_refusing_leader_keeps_remove_reasoning_about():
         leaders=(c0.leaders[0],) + tuple(l._replace(phase=refusing) for l in c0.leaders[1:]),
     )
     assert successors(c) == reference(c, alphabet(3))
+    assert enabled_events(c) == [e for e, _ in successors(c)]  # both leaders offer the label, listed once
     after = dict(successors(c))[RemoveReasoningAbout(a3, a1)]
     assert after.leader(a2).phase != refusing and after.leader(a3).phase == refusing
 
@@ -140,8 +148,7 @@ def test_moves_and_accepted_events_are_disjoint(spec):
     # A process either initiates an event or joins it passively, never both,
     # and its step takes each of its moves to the move's next state.
     with variant(3, spec) as c0:
-        m = world.model(c0.params)
-        explore(c0, checks=[])
+        m = explore(c0, checks=[]).model
         labels, params = alphabet(3), c0.params
         movers = {}  # label -> the processes that have it among an interned local's moves
         for s in list(m.locals):
@@ -174,7 +181,6 @@ def test_shift_flags_mark_exactly_the_labels_that_move_a_leader_pair(spec):
     # (active, agent_set) carries a flagged label) and, on these graphs,
     # exact (no transition on a flagged label leaves every pair unchanged).
     with variant(3, spec) as c0:
-        world.model.cache_clear()  # a fresh model: locals that other tests build by hand can flag labels too
         g = explore(c0, checks=[])
     pairs = [[(l.active, l.agent_set) for l in c.leaders] for c in states(g)]
     shifts = g.model.shifts
@@ -186,7 +192,7 @@ def test_shift_flags_mark_exactly_the_labels_that_move_a_leader_pair(spec):
 def test_codes_round_trip(spec):
     with variant(3, spec) as c0:
         g = explore(c0, checks=[])
-        m = world.model(g.initial.params)
+        m = g.model
         keys = [m.encode(c) for c in states(g)]
         assert all(m.decode(m.code(key)) == c for key, c in zip(keys, states(g)))
         assert [m.code(key) for key in keys] == [g.code(i) for i in range(g.state_count)]
@@ -228,29 +234,34 @@ def test_successor_keys_match_keys_built_slot_by_slot(spec):
 
 
 def test_each_label_is_one_shared_object():
-    # With every table emptied, the graph stores one object per distinct label.
-    world.model.cache_clear()
+    # A search's own tables hold one object per distinct label, and so does its graph.
     events = [e for _, e, _ in transitions(explore(initial_config(3), checks=[]))]
     assert len({id(e) for e in events}) == len(set(events))
 
 
-def test_fill_order_leaves_the_graph_unchanged():
-    # The cached model is filled by every search that shares it: tables first
-    # filled by the scenario searches give other ints, but the same graph.
+# A first search in a fresh process: its model's tables and the graph's arrays, pickled to stdout.
+FIRST_SEARCH = """
+import pickle, sys
+from mapmerge.explorer import explore
+from mapmerge.world import initial_config
+g = explore(initial_config(3), checks=[])
+m = g.model
+sys.stdout.buffer.write(pickle.dumps((m.locals, m.labels, bytes(m.shifts), g.rows, g.events, g.targets)))
+"""
+
+
+def test_earlier_searches_leave_a_search_unchanged(src_env):
+    # Each search compiles its own model: after the scenario searches and a merge_set_max=2 explore, an n=3
+    # explore gives the same ints, shift flags and arrays as a first search in a fresh process.
+    first = subprocess.run([sys.executable, "-c", FIRST_SEARCH], env=src_env, capture_output=True, timeout=120)
+    assert first.returncode == 0, first.stderr
     c0 = initial_config(3)
-    world.model.cache_clear()
-    fresh = explore(c0, checks=[])
-    world.model.cache_clear()
     for s in builtin_scenarios():
         check_scenario(s, c0)
-    filled = world.model(c0.params)
-    assert filled.locals != fresh.model.locals[: len(filled.locals)]  # another fill order
+    explore(initial_config(3, merge_set_max=2))
     g = explore(c0, checks=[])
-    assert g.model is filled
-    assert states(g) == states(fresh)
-    assert transitions(g) == transitions(fresh)
-    events = [e for _, e, _ in transitions(g)]
-    assert len({id(e) for e in events}) == len(set(events))
+    m = g.model
+    assert (m.locals, m.labels, bytes(m.shifts), g.rows, g.events, g.targets) == pickle.loads(first.stdout)
 
 
 def test_successors_of_replayed_configuration(graph_n3):
@@ -263,4 +274,4 @@ def test_successors_of_replayed_configuration(graph_n3):
         stored = graph_n3.state(idx)
         assert c == stored
         assert any(x is not y for x, y in zip(c.agents + c.leaders, stored.agents + stored.leaders))
-        assert successors(c) == successors(stored)
+        assert successors(c, graph_n3.model) == successors(stored, graph_n3.model)

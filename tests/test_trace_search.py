@@ -84,10 +84,9 @@ def test_bounded_searches_match_reference(max_states):
 
 def test_product_node_memory():
     # One int and one dict entry per node: about 105 B over the 28,561 nodes of the n=4 negative search, against
-    # 203 B for a (key, position) tuple node with its (parent, event) tuple.  The model's tables, which outlive
-    # the search, are filled first.
+    # 203 B for a (key, position) tuple node with its (parent, event) tuple.  The search compiles its own model,
+    # so the peak holds the tables it fills too: about 113 B per node in all.
     c0, q = initial_config(4), negative_query(4)
-    has_trace(c0, q)
     tracemalloc.start()
     try:
         r = has_trace(c0, q)
