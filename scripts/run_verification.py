@@ -14,6 +14,7 @@ import resource
 import sys
 
 from mapmerge.cli import verify
+from mapmerge.explorer import ExploreMemoryError
 from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge.world import MAX_AGENTS, MIN_AGENTS, initial_config
 
@@ -60,5 +61,6 @@ def main() -> int:
 if __name__ == "__main__":
     try:
         raise SystemExit(main())
-    except MemoryError:
-        sys.exit("run_verification: out of memory; lower --max-agents (mapmerge explore --max-states bounds one run)")
+    except MemoryError as exc:
+        what = exc if isinstance(exc, ExploreMemoryError) else "out of memory"
+        sys.exit(f"run_verification: {what}; lower --max-agents (mapmerge explore --max-states bounds one run)")

@@ -15,6 +15,7 @@ from contextlib import nullcontext
 
 from .events import InvalidEventError, from_json, is_internal, label, validate_event
 from .explorer import (
+    ExploreMemoryError,
     TraceQuery,
     check_inevitable,
     explore,
@@ -303,8 +304,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mapmerge: {exc}", file=sys.stderr)
         return CHECK_FAILED
-    except MemoryError:
-        print("mapmerge: out of memory; bound the search with --max-states, or use fewer --agents", file=sys.stderr)
+    except MemoryError as exc:
+        what = exc if isinstance(exc, ExploreMemoryError) else "out of memory"
+        print(f"mapmerge: {what}; bound the search with --max-states, or use fewer --agents", file=sys.stderr)
         return CHECK_FAILED
 
 

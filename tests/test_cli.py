@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mapmerge import world
+from mapmerge import cli, world
 from mapmerge.cli import main
 from mapmerge.events import to_json
 from mapmerge.scenarios import builtin_scenarios, scenario_to_json
@@ -380,8 +380,19 @@ def run_out_of_memory_at(monkeypatch, k: int) -> None:
 
 @pytest.mark.parametrize("argv", [("explore", "--json"), ("export", "--format", "json")])
 def test_out_of_memory_is_one_line_and_exit_1(capsys, monkeypatch, argv):
+    # Expanding its 50th state, explore has found 111.
     run_out_of_memory_at(monkeypatch, 50)
     code, _, err = run(capsys, argv[0], "--agents", "3", *argv[1:])
+    assert code == 1
+    assert err == "mapmerge: out of memory after 111 states; bound the search with --max-states, or use fewer --agents\n"
+
+
+def test_out_of_memory_after_explore_names_no_state_count(capsys, monkeypatch):
+    def failing(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "find_deadlocks", failing)
+    code, _, err = run(capsys, "explore", "--agents", "2")
     assert code == 1
     assert err == "mapmerge: out of memory; bound the search with --max-states, or use fewer --agents\n"
 
@@ -394,4 +405,5 @@ def test_verification_script_out_of_memory_is_one_line_and_exit_1(capsys, monkey
     # The interpreter prints a str exit code as the one stderr line and exits 1.
     line = exit.value.code
     assert capsys.readouterr().err == "" and isinstance(line, str) and "\n" not in line
-    assert line.startswith("run_verification: out of memory;") and "--max-states" in line
+    # n=2 takes 43 expansions, so the 50th is the 7th at n=3, which has then found 24 states.
+    assert line.startswith("run_verification: out of memory after 24 states;") and "--max-states" in line

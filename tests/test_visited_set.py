@@ -1,0 +1,75 @@
+"""Differential test: explorer.explore, which finds a visited state through a
+hash table of arrays confirmed against the state's row, against
+graph_reference.explore, which keeps one dict of every key.  Both must build
+the same graph, cut it at the same bounds, and report the same violations."""
+
+import struct
+from contextlib import nullcontext
+
+import pytest
+
+from mapmerge import explorer
+from mapmerge.explorer import explore
+from mapmerge.world import initial_config
+
+import graph_reference
+from conftest import mutant
+from test_explorer import DIFFERENTIAL_GRAPHS, n3_msm2
+from test_successors import VARIANTS
+
+# Each graph at n=3 as (initial_config flags, the mutant it is built under or None): every VARIANTS graph, and the
+# mutant graphs of DIFFERENTIAL_GRAPHS, all of which n3_msm2 builds.
+GRAPHS = {name: ({}, spec) if isinstance(spec, tuple) else (spec, None) for name, spec in VARIANTS.items()}
+GRAPHS.update((name, ({"merge_set_max": 2}, spec)) for name, (spec, make) in DIFFERENTIAL_GRAPHS.items() if spec)
+# "full" bounds the search at the reference's state count, which cuts nothing.
+BOUNDS = {
+    "unbounded": {},
+    **{f"max_states={k}": {"max_states": k} for k in (1, 2, 50, "full")},
+    **{f"max_depth={d}": {"max_depth": d} for d in range(4)},
+}
+
+
+def test_every_mutant_graph_is_built_by_n3_msm2():
+    assert all(make is n3_msm2 for spec, make in DIFFERENTIAL_GRAPHS.values() if spec)
+
+
+def graph(g) -> tuple:
+    """Everything explore builds, witnesses included."""
+    found = [(v.check, v.message, v.witness) for v in g.violations]
+    return g.rows, g.offsets, g.events, g.targets, g.parent, g.truncated, found
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_explore_matches_the_dict_keyed_reference(name, bound):
+    flags, spec = GRAPHS[name]
+    kwargs = BOUNDS[bound]
+    with mutant(*spec) if spec else nullcontext():
+        c0 = initial_config(3, **flags)
+        if kwargs.get("max_states") == "full":
+            kwargs = {"max_states": graph_reference.explore(c0).state_count}
+        got, ref = explore(c0, **kwargs), graph_reference.explore(c0, **kwargs)
+    assert graph(got) == graph(ref)
+    assert got.complete == (bound in ("unbounded", "max_states=full"))
+
+
+@pytest.mark.parametrize(
+    "merge_set_max, colliding",
+    [(1, lambda key: 0), (2, lambda key: hash(key) & 63)],
+    ids=["msm1-one-hash", "msm2-64-hashes"],
+)
+def test_colliding_hashes_leave_the_graph_unchanged(monkeypatch, merge_set_max, colliding):
+    # Every state in a chain has the hash of every lookup that walks it, so
+    # the row comparison alone tells states apart.  One hash at
+    # merge_set_max=2 would compare each new state's row with those of all
+    # the states found before it, 40M comparisons; 64 hashes cost 1/64.
+    c0 = initial_config(3, merge_set_max=merge_set_max)
+    want = explore(c0, checks=[])
+    monkeypatch.setattr(explorer, "_hash", colliding)
+    assert graph(explore(c0, checks=[])) == graph(want)
+
+
+def test_swapped_key_bytes_are_a_big_endian_row():
+    # A big-endian host stores each of a row's ints high byte first, and
+    # explore swaps a key's little-endian bytes to match.
+    assert explorer._swap16(struct.pack("<3H", 1, 2, 770)) == struct.pack(">3H", 1, 2, 770)
