@@ -10,9 +10,9 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from math import isqrt
-from operator import mod, not_, sub
+from operator import itemgetter, mod, not_, sub
 from typing import Callable, Iterable, Optional
 
 from .events import (
@@ -113,11 +113,6 @@ class StateGraph:
         off = self.offsets
         return map(sub, islice(off, 1, None), off)
 
-    def edges(self) -> Iterable[tuple]:
-        """(source idx, label int, target idx) of every transition, in order."""
-        sources = chain.from_iterable(map(repeat, range(self.state_count), self.degrees()))
-        return zip(sources, self.events, self.targets)
-
     def path_to(self, idx: int) -> Path:
         """Replayable witness path from the initial state to state idx.  The
         first transition of its parent into a state is the one that found it."""
@@ -135,9 +130,8 @@ def _local_state_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
 
 
 def _req2_cancel_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
-    duties = [duty for x in code[m.n :] for duty in m.faults[x][1]]
-    enabled = duties and {ev for ev, _ in succs}
-    return next((msg for ev, msg in duties if ev not in enabled), None)
+    enabled = set(map(itemgetter(0), succs))
+    return next((msg for x in code[m.n :] for ev, msg in m.faults[x][1] if ev not in enabled), None)
 
 
 def _quiescent_violation(m: Model, code: tuple, succs: list) -> Optional[str]:
@@ -465,29 +459,56 @@ class InevitabilityResult:
 
 def check_inevitable(g: StateGraph, goal: Callable[[Configuration], bool]) -> InevitabilityResult:
     """AG EF goal: from every state of `g` some goal state stays reachable.
-    The counterexample is a path to a state from which the goal is
-    unreachable.  An incomplete `g` gives no verdict."""
+    The counterexample is a path to the lowest-index state from which none
+    is.  An incomplete `g` gives no verdict.  An iterative Tarjan search over
+    `offsets` and `targets` from each unsettled state, deepest first, ends
+    once a state it enters has a successor known to reach a goal state, as
+    then does every state on the Tarjan stack (each reaches the DFS path); a
+    finished SCC, a slice of the stack, reads the goal of its own members.
+    It holds 5 bytes per state and its stacks, and no reverse index."""
     if not g.complete:
         return InevitabilityResult(None)
-    # Reverse index by counting sort: preds[first[j]:first[j + 1]] are the sources of the transitions into j.
-    first = array("I", bytes(4 * (g.state_count + 1)))
-    for j in g.targets:
-        first[j] += 1
-    first, preds = array("I", accumulate(first)), array("I", bytes(4 * g.transition_count))
-    for i, _, j in g.edges():  # fills each bucket from its end, leaving first[j] at its start
-        first[j] -= 1
-        preds[first[j]] = i
-    # The goal is read deepest state first, only where no goal state found so far is reachable.
-    reach = bytearray(g.state_count)  # 0 not yet read, 1 reaches a goal state, 2 not a goal state
-    i = g.state_count
-    while (i := reach.rfind(0, 0, i)) >= 0:
-        reach[i] = 1 if goal(g.state(i)) else 2
-        queue = array("I", [i] if reach[i] == 1 else [])
-        for j in queue:  # grows as it is read
-            for p in preds[first[j] : first[j + 1]]:
-                if reach[p] != 1:
-                    reach[p] = 1
-                    queue.append(p)
+    off, targets, reach = g.offsets, g.targets, bytearray(g.state_count)  # reach: 0 unsettled, 1 reaches a goal, 2 not
+    low = array("I", bytes(4 * g.state_count))  # 0 not entered, else the least Tarjan-stack height it reaches
+    for root in range(g.state_count - 1, -1, -1):
+        if reach[root]:
+            continue
+        if 1 in map(reach.__getitem__, targets[off[root] : off[root + 1]]):  # three roots in four at n=4
+            reach[root] = 1
+            continue
+        # tarjan: the entered states in no finished SCC, each one's low its height (1-based) until it reaches a lower
+        # one; path: the DFS path, each state followed by its next transition.  w is the state to enter, or -1.
+        tarjan, path, w = array("I"), array("I"), root
+        while True:
+            if w >= 0:
+                tarjan.append(w)
+                if 1 in map(reach.__getitem__, targets[off[w] : off[w + 1]]):
+                    break
+                low[w] = len(tarjan)
+                path.extend((w, off[w]))
+            v, k, w = path[-2], path[-1], -1
+            for k in range(k, off[v + 1]):
+                u = targets[k]
+                if not reach[u]:  # a settled successor does not reach a goal state
+                    if not low[u]:
+                        w, path[-1] = u, k + 1
+                        break
+                    low[v] = min(low[v], low[u])
+            else:  # v is finished
+                del path[-2:]
+                h = low[v]
+                if tarjan[h - 1] != v:  # v's SCC has its root below it on the path
+                    low[path[-2]] = min(low[path[-2]], h)
+                elif any(goal(g.state(s)) for s in tarjan[h - 1 :]):
+                    break
+                else:
+                    for s in tarjan[h - 1 :]:
+                        reach[s] = 2
+                    del tarjan[h - 1 :]
+                    if not path:
+                        break
+        for s in tarjan:  # empty unless the search ended on a goal state
+            reach[s] = 1
     i = reach.find(2)
     return InevitabilityResult(True) if i < 0 else InevitabilityResult(False, g.path_to(i))
 

@@ -13,7 +13,7 @@ docs/graph_schema.md.
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .events import label, to_json
@@ -36,10 +36,12 @@ def _write(out: TextIO, pieces: Iterator[str]) -> None:
 class _Labels(dict):
     """The label parts of a state's leaders -> render(partition label), joined and rendered on first lookup."""
 
-    def __init__(self, render: Callable[[str], str]):
-        self.render = render
+    def __init__(self, render: Callable[[str], str], whole: Callable[[int], tuple]):
+        self.render, self.whole = render, whole
 
     def __missing__(self, parts: tuple) -> str:
+        for idx in filter(int.__instancecheck__, parts):  # a state idx stands in for a whole-team leader's part
+            return self[self.whole(idx)]
         text = self[parts] = self.render(" ".join(filter(None, parts)) or "(no active leaders)")
         return text
 
@@ -48,19 +50,21 @@ def _nodes(g: StateGraph, render: Callable[[str], str] = str, ids: Optional[Iter
     """(the next of ids, by default the state's idx; render(partition label); flags[terminal]) of each state.
     The label joins the parts of the state's leader ints, read off the leader columns of the rows, and each
     distinct label is rendered once.  is_terminal is False unless an active leader holds the whole team, so
-    only a state with such a leader is decoded for it."""
+    only such a state is decoded for it, when the pass that reads the parts meets it."""
     m, n, count = g.model, g.initial.params.n, g.state_count
-    # By local int: an active leader's label part or "", and whether it holds the whole team.
-    part, whole = [], bytearray()
-    for s in m.locals:
+    # By local int: an active leader's label part or "", in whole if it holds the whole team, else in part.
+    part, whole, terminal = {}, {}, bytearray(count)
+    for x, s in enumerate(m.locals):
         on = isinstance(s, LeaderProcState) and s.active
-        part.append(f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if on else "")
-        whole.append(on and s.agent_set == full_set(n))
+        text = f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if on else ""
+        (whole if on and s.agent_set == full_set(n) else part)[x] = text
+
+    def whole_parts(idx: int) -> tuple:  # sets state idx's terminal flag before the flags are read that far
+        terminal[idx] = is_terminal(g.state(idx))
+        return tuple(whole.get(x, part.get(x)) for x in g.code(idx)[n:])
+
     columns = [g.rows[slot :: 2 * n] for slot in range(n, 2 * n)]  # the leader ints of every state, by slot
-    terminal = bytearray(count)
-    for i in set(chain.from_iterable(compress(range(count), map(whole.__getitem__, c)) for c in columns)):
-        terminal[i] = is_terminal(g.state(i))
-    labels = map(_Labels(render).__getitem__, zip(*(map(part.__getitem__, c) for c in columns)))
+    labels = map(_Labels(render, whole_parts).__getitem__, zip(*(map(part.get, c, range(count)) for c in columns)))
     return zip(range(count) if ids is None else ids, labels, map(flags.__getitem__, terminal))
 
 

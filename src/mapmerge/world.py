@@ -211,8 +211,8 @@ class Model:
         remove_reasoning_about, so the lowest refusing leader wins, as in
         apply_event).  No explored graph has a state where two slots offer
         one label (none at n=3 and n=4, merge-set max 1 and 2, harness on
-        and off), so test_first_refusing_leader_keeps_remove_reasoning_about
-        pins this rule.  The entries are keyed by the labels' sort key ints,
+        and off, nor at n=5), so the rule is pinned by
+        test_first_refusing_leader_keeps_remove_reasoning_about.  The entries are keyed by the labels' sort key ints,
         and sorting those gives the canonical order."""
         moves_of, steps_of = self._moves, self._steps
         found: dict = {}  # sort key int -> (event int, successor key)

@@ -9,6 +9,7 @@ something."""
 
 from collections import deque
 from functools import cache
+from itertools import chain, repeat
 from typing import Iterable, Optional
 
 from mapmerge.events import EVENT_TYPES, ConfirmMerge, MergeCancelled, MergeCompleted, MergeConfirmed, label
@@ -31,10 +32,16 @@ def states(g) -> list:
     return [g.state(i) for i in range(g.state_count)]
 
 
+def edges(g) -> Iterable[tuple]:
+    """(source idx, label int, target idx) of every transition of `g`, in order."""
+    sources = chain.from_iterable(map(repeat, range(g.state_count), g.degrees()))
+    return zip(sources, g.events, g.targets)
+
+
 def transitions(g) -> list:
     """Every transition of `g` as (source idx, event, target idx), in order."""
     labels = g.model.labels
-    return [(i, labels[ev], j) for i, ev, j in g.edges()]
+    return [(i, labels[ev], j) for i, ev, j in edges(g)]
 
 
 # Configuration-level invariant checks.

@@ -55,7 +55,7 @@ from conftest import (
     mutant,
     variant,
 )
-from graph_reference import monotone_violation, states, transitions
+from graph_reference import edges, monotone_violation, states, transitions
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
@@ -317,7 +317,7 @@ def test_transition_checks_see_shift_flags_flip_while_the_tables_fill():
     index = {g.model.encode(c): i for i, c in enumerate(cs)}
     checked = {(index[g.model.encode(g.model.decode(code))], ev, index[key2]) for code, ev, key2 in checked}
     pairs = [[(l.active, l.agent_set) for l in c.leaders] for c in cs]
-    moved = {(i, ev, j) for i, ev, j in g.edges() if pairs[i] != pairs[j]}
+    moved = {(i, ev, j) for i, ev, j in edges(g) if pairs[i] != pairs[j]}
     assert moved and moved <= checked
 
 

@@ -26,7 +26,7 @@ from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge.world import initial_config
 
 from conftest import mutant
-from graph_reference import states
+from graph_reference import edges, states
 from test_successors import alphabet, reference, successors
 
 FUNCTIONS = ("agent_moves", "agent_accept", "leader_moves", "leader_accept", "_after_update")
@@ -67,7 +67,7 @@ def requests_in_flight() -> int:
     a leader sends while it still awaits the reply to an earlier one."""
     g = explore(initial_config(3, merge_set_max=2), max_states=20_000, checks=[])
     labels, count = g.model.labels, 0
-    for i, ev, _ in g.edges():
+    for i, ev, _ in edges(g):
         e = labels[ev]
         count += isinstance(e, RequestLeader) and g.state(i).leader(e.req_leader).phase.current is not None
     return count

@@ -35,7 +35,7 @@ from mapmerge.processes import LeaderProcState, Refusing
 from mapmerge.world import Model, RefusedEventError, apply_event, enabled_events, initial_config
 
 from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, installed, variant
-from graph_reference import states, transitions
+from graph_reference import edges, states, transitions
 
 # Model flags for initial_config, or a mutant of the process functions.
 VARIANTS = {
@@ -185,7 +185,7 @@ def test_shift_flags_mark_exactly_the_labels_that_move_a_leader_pair(spec):
     pairs = [[(l.active, l.agent_set) for l in c.leaders] for c in states(g)]
     shifts = g.model.shifts
     assert any(shifts)
-    assert all(shifts[ev] == (pairs[i] != pairs[j]) for i, ev, j in g.edges())
+    assert all(shifts[ev] == (pairs[i] != pairs[j]) for i, ev, j in edges(g))
 
 
 @pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)

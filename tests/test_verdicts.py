@@ -11,6 +11,7 @@ from mapmerge.explorer import explore
 from mapmerge.world import initial_config
 
 from conftest import OLD_AGENT_GUARD_MUTANT, mutant
+from graph_reference import edges
 
 CHECKS = ["invariants", "deadlock-freedom", "divergence-freedom", "goal-inevitable"]
 MATRIX = [(n, m, harness) for n in (2, 3) for m in range(1, n) for harness in (True, False)]
@@ -52,7 +53,7 @@ def request_merges_under_a_naming_leader(max_states=None) -> tuple:
     as `requesting_agent`."""
     g = explore(initial_config(3, merge_set_max=2), max_states=max_states, checks=[])
     labels, fired, named = g.model.labels, 0, []
-    for i, ev, _ in g.edges():
+    for i, ev, _ in edges(g):
         e = labels[ev]
         if isinstance(e, RequestMerge):
             fired += 1
