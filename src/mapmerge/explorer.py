@@ -473,7 +473,7 @@ def check_inevitable(g: StateGraph, goal: Callable[[Configuration], bool]) -> In
     for root in range(g.state_count - 1, -1, -1):
         if reach[root]:
             continue
-        if 1 in map(reach.__getitem__, targets[off[root] : off[root + 1]]):  # three roots in four at n=4
+        if 1 in map(reach.__getitem__, targets[off[root] : off[root + 1]]):  # 82,981 of 112,201 states at n=4
             reach[root] = 1
             continue
         # tarjan: the entered states in no finished SCC, each one's low its height (1-based) until it reaches a lower
