@@ -2,8 +2,8 @@
 """Run the full verification sweep and print a summary table.
 
 For each agent count, the report of `mapmerge explore` (`cli.verify`):
-state and transition counts, each check's verdict and time, the time taken
-and the peak RSS so far (ru_maxrss); then the six scenario regressions with timings.
+state and transition counts, each check's verdict and time (the invariants take
+the exploration's), their sum, and the peak RSS so far (ru_maxrss); then the six scenario regressions with timings.
 
 Usage:
     python scripts/run_verification.py [--max-agents 4]
@@ -37,7 +37,7 @@ def main() -> int:
         _, r = verify(initial_config(n))
         ok &= r["verdict"] == "pass"
         verdicts = {c["name"]: f"{c['verdict']} {c['duration_ms']:.0f}ms" for c in r["checks"]}
-        seconds = (r["duration_ms"] + sum(c["duration_ms"] for c in r["checks"])) / 1000.0
+        seconds = sum(c["duration_ms"] for c in r["checks"]) / 1000.0
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(f"{n:>2} {r['state_count']:>8} {r['transition_count']:>12} "
               + " ".join(f"{verdicts[c]:>18}" for c in CHECKS) + f" {seconds:>7.1f}s {rss_mb:>6.0f} MB")

@@ -88,96 +88,74 @@ def _config(args):
     )
 
 
-def _emit(report: dict, args) -> None:
+def _check(name: str, ok: bool, detail: str, ms: float) -> dict:
+    """One check entry of a report, timed by the work that decides it."""
+    return {"name": name, "verdict": "pass" if ok else "fail", "detail": detail, "duration_ms": round(ms, 3)}
+
+
+def _report(checks: list, **fields) -> dict:
+    """A report of `fields` and `checks`: it passes iff every check passes."""
+    return {**fields, "checks": checks, "verdict": "pass" if all(c["verdict"] == "pass" for c in checks) else "fail"}
+
+
+def _timed(fn, *args, **kwargs) -> tuple:
+    """`fn(*args, **kwargs)` and the milliseconds it took."""
+    t = time.perf_counter()
+    return fn(*args, **kwargs), (time.perf_counter() - t) * 1000.0
+
+
+def _strip_timings(report: dict) -> dict:
+    """`report` without its checks' durations, the only fields that vary between runs."""
+    return {**report, "checks": [{k: v for k, v in c.items() if k != "duration_ms"} for c in report["checks"]]}
+
+
+def _finish(report: dict, args) -> int:
+    """Print `report`, as JSON under `--json`, and return its exit code."""
     if args.json:
-        if not args.timings:
-            report = _strip_timings(report)
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(report if args.timings else _strip_timings(report), sort_keys=True, separators=(",", ":")))
     else:
         _print_human(report)
-
-
-def _strip_timings(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timings(v) for k, v in obj.items() if not k.startswith("duration")}
-    if isinstance(obj, list):
-        return [_strip_timings(x) for x in obj]
-    return obj
+    return 0 if report["verdict"] == "pass" else CHECK_FAILED
 
 
 def _print_human(report: dict) -> None:
     print(f"command: {report['command']}  agents: {report['agents']}")
     if "state_count" in report:
         print(f"states: {report['state_count']}  transitions: {report['transition_count']}")
-    for chk in report.get("checks", ()):
-        dur = f"  ({chk['duration_ms']:.0f} ms)" if "duration_ms" in chk else ""
-        print(f"  [{'pass' if chk['verdict'] == 'pass' else 'FAIL'}] {chk['name']}{dur}")
-        if chk.get("detail"):
+    for chk in report["checks"]:
+        print(f"  [{'pass' if chk['verdict'] == 'pass' else 'FAIL'}] {chk['name']}  ({chk['duration_ms']:.0f} ms)")
+        if chk["detail"]:
             print(f"         {chk['detail']}")
+        if "witness" in chk:
+            print(f"         witness: {', '.join(chk['witness'])}")
     print(f"verdict: {report['verdict']}")
 
 
 def verify(c0, *, max_states=None, max_depth=None) -> tuple:
     """Explore from `c0` and run every check behind the verdict once: the
     invariants, deadlock freedom, divergence freedom and the inevitability
-    of the goal, all maps merged.  Returns the graph and the report."""
-    t0 = time.perf_counter()
-    g = explore(c0, max_states=max_states, max_depth=max_depth)
-    explore_ms = (time.perf_counter() - t0) * 1000.0
-    checks = []
-
-    def record(name, fn):
-        t = time.perf_counter()
-        ok, detail = fn()
-        checks.append(
-            {
-                "name": name,
-                "verdict": "pass" if ok else "fail",
-                "detail": detail,
-                "duration_ms": round((time.perf_counter() - t) * 1000.0, 3),
-            }
-        )
-        return ok
-
-    def check_invariants():
-        detail = "; ".join(f"{v.check}: {v.message}" for v in g.violations[:3])
-        return not g.violations, detail
-
-    def check_deadlocks():
-        deadlocks = find_deadlocks(g)
-        return not deadlocks, "" if not deadlocks else f"{len(deadlocks)} deadlocks"
-
-    def check_divergence():
-        div = find_hidden_divergence(g, is_internal)
-        if div is None:
-            return True, ""
-        return False, "hidden cycle: " + ", ".join(label(e) for e in div.cycle)
-
-    def check_goal():
-        inev = check_inevitable(g, all_maps_merged)
-        if inev.value is True:
-            return True, ""
-        return False, "exploration incomplete" if inev.value is None else "goal avoidable"
-
-    ok = True
-    ok &= record("invariants", check_invariants)
-    ok &= record("deadlock-freedom", check_deadlocks)
-    ok &= record("divergence-freedom", check_divergence)
-    ok &= record("goal-inevitable", check_goal)
-
-    report = {
-        "agents": c0.params.n,
-        "state_count": g.state_count,
-        "transition_count": g.transition_count,
-        "complete": g.complete,
-        "choice_report": label_nondeterminism_report(g),
-        "checks": checks,
-        "violations": [
-            {"check": v.check, "message": v.message} for v in g.violations
-        ],
-        "duration_ms": round(explore_ms, 3),
-        "verdict": "pass" if ok and g.complete else "fail",
-    }
+    of the goal, all maps merged.  The invariants run inside `explore`, so
+    their check is timed with it.  Returns the graph and the report."""
+    g, ms = _timed(explore, c0, max_states=max_states, max_depth=max_depth)
+    broken = "; ".join(f"{v.check}: {v.message}" for v in g.violations[:3])
+    checks = [_check("invariants", not g.violations, broken, ms)]
+    deadlocks, ms = _timed(find_deadlocks, g)
+    checks.append(_check("deadlock-freedom", not deadlocks, f"{len(deadlocks)} deadlocks" if deadlocks else "", ms))
+    div, ms = _timed(find_hidden_divergence, g, is_internal)
+    cycle = "" if div is None else "hidden cycle: " + ", ".join(label(e) for e in div.cycle)
+    checks.append(_check("divergence-freedom", div is None, cycle, ms))
+    inev, ms = _timed(check_inevitable, g, all_maps_merged)
+    why = "" if inev.value is True else "exploration incomplete" if inev.value is None else "goal avoidable"
+    checks.append(_check("goal-inevitable", inev.value is True, why, ms))
+    report = _report(
+        checks,
+        agents=c0.params.n,
+        state_count=g.state_count,
+        transition_count=g.transition_count,
+        complete=g.complete,
+        choice_report=label_nondeterminism_report(g),
+        violations=[{"check": v.check, "message": v.message} for v in g.violations],
+    )
     return g, report
 
 
@@ -186,8 +164,7 @@ def cmd_explore(args) -> int:
     if args.dot:
         with open(args.dot, "w") as f:
             export_graph(g, "dot", f)
-    _emit({"command": "explore", **report}, args)
-    return 0 if report["verdict"] == "pass" else CHECK_FAILED
+    return _finish({"command": "explore", **report}, args)
 
 
 def cmd_scenarios(args) -> int:
@@ -210,26 +187,14 @@ def cmd_scenarios(args) -> int:
             print(f"mapmerge scenarios: unknown scenario {args.name!r}", file=sys.stderr)
             return USAGE_ERROR
     c0 = _config(args)
-    reports = [check_scenario(s, c0) for s in scenarios]
-    passed = sum(r.verdict for r in reports)
-    report = {
-        "command": "scenarios",
-        "agents": args.agents,
-        "checks": [
-            {
-                "name": r.name,
-                "verdict": "pass" if r.verdict else "fail",
-                "detail": f"[{r.requirement_tag}] trace {'found' if r.found else 'absent'}, expected {r.expected}",
-                "duration_ms": round(r.duration_ms, 3),
-            }
-            for r in reports
-        ],
-        "passed": passed,
-        "total": len(reports),
-        "verdict": "pass" if passed == len(reports) else "fail",
-    }
-    _emit(report, args)
-    return 0 if report["verdict"] == "pass" else CHECK_FAILED
+    checks = []
+    for r in (check_scenario(s, c0) for s in scenarios):
+        detail = f"[{r.requirement_tag}] trace {'found' if r.found else 'absent'}, expected {r.expected}"
+        checks.append(_check(r.name, r.verdict, detail, r.duration_ms))
+        if r.found and not r.expected:
+            checks[-1]["witness"] = [label(e) for e in r.witness]
+    passed = sum(c["verdict"] == "pass" for c in checks)
+    return _finish(_report(checks, command="scenarios", agents=args.agents, passed=passed, total=len(checks)), args)
 
 
 def _read_text(path: str) -> str:
@@ -260,27 +225,12 @@ def _read_jsonl_events(path: str, n: int) -> list:
 def cmd_trace_check(args) -> int:
     trace = _read_jsonl_events(args.trace_file, args.agents)
     alphabet = frozenset(_read_jsonl_events(args.alphabet_file, args.agents)) if args.alphabet_file else None
-    c0 = _config(args)
-    t0 = time.perf_counter()
-    result = has_trace(c0, TraceQuery(tuple(trace), alphabet), max_states=args.max_states)
-    dt = (time.perf_counter() - t0) * 1000.0
-    report = {
-        "command": "trace-check",
-        "agents": args.agents,
-        "trace_length": len(trace),
-        "checks": [
-            {
-                "name": "has-trace",
-                "verdict": "pass" if result.found else "fail",
-                "detail": "" if result.complete else "search truncated by bounds",
-                "duration_ms": round(dt, 3),
-            }
-        ],
-        "witness": None if result.witness is None else [label(e) for e in result.witness],
-        "verdict": "pass" if result.found else "fail",
-    }
-    _emit(report, args)
-    return 0 if result.found else CHECK_FAILED
+    query = TraceQuery(tuple(trace), alphabet)
+    result, ms = _timed(has_trace, _config(args), query, max_states=args.max_states)
+    check = _check("has-trace", result.found, "" if result.complete else "search truncated by bounds", ms)
+    witness = None if result.witness is None else [label(e) for e in result.witness]
+    report = _report([check], command="trace-check", agents=args.agents, trace_length=len(trace), witness=witness)
+    return _finish(report, args)
 
 
 def cmd_export(args) -> int:

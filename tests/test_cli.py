@@ -4,13 +4,15 @@ import json
 import runpy
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mapmerge import cli, world
 from mapmerge.cli import main
-from mapmerge.events import to_json
+from mapmerge.events import label, to_json
 from mapmerge.scenarios import builtin_scenarios, scenario_to_json
 
 
@@ -52,8 +54,86 @@ def test_explore_json_is_byte_stable(capsys):
 def test_explore_timings_opt_in(capsys):
     _, out, _ = run(capsys, "explore", "--agents", "2", "--json", "--timings")
     doc = json.loads(out)
-    assert "duration_ms" in doc
+    # The exploration's time is the invariants check's, not a report field.
+    assert "duration_ms" not in doc
     assert all("duration_ms" in c for c in doc["checks"])
+
+
+def duration_paths(obj, path=()):
+    """The path of every key of a JSON document that names a duration."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if k.startswith("duration"):
+                yield path + (k,)
+            yield from duration_paths(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from duration_paths(v, path + (i,))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("explore", "--agents", "2"),
+        ("scenarios", "--agents", "3"),
+        ("trace-check", "--agents", "2", "{trace}"),
+    ],
+)
+def test_timings_live_in_every_check_and_nowhere_else(capsys, tmp_path, argv):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"type": "done", "leader": "A1"}) + "\n")
+    _, out, _ = run(capsys, *(a.format(trace=trace) for a in argv), "--json", "--timings")
+    doc = json.loads(out)
+    assert list(duration_paths(doc)) == [("checks", i, "duration_ms") for i in range(len(doc["checks"]))]
+
+
+def test_invariants_are_timed_with_the_exploration(monkeypatch):
+    # The invariants run inside explore, so their check takes its time.
+    explore = cli.explore
+
+    def slow_explore(*args, **kwargs):
+        time.sleep(0.05)
+        return explore(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "explore", slow_explore)
+    _, report = cli.verify(world.initial_config(2))
+    assert report["checks"][0]["name"] == "invariants"
+    assert report["checks"][0]["duration_ms"] >= 50
+
+
+def count_calls(monkeypatch, *names) -> Counter:
+    """Wrap each named `cli` global in a call counter, as perfbench's tracer
+    wraps them in spans: a caller that bound the function at import time
+    would bypass the wrapper."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    return calls
+
+
+def test_verify_calls_each_traced_function_once(monkeypatch):
+    names = ("explore", "find_deadlocks", "find_hidden_divergence", "check_inevitable", "label_nondeterminism_report")
+    calls = count_calls(monkeypatch, *names)
+    cli.verify(world.initial_config(2))
+    assert calls == dict.fromkeys(names, 1)
+
+
+def test_commands_call_their_traced_functions(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, "has_trace", "check_scenario", "export_graph")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"type": "done", "leader": "A1"}) + "\n")
+    assert run(capsys, "trace-check", "--agents", "2", str(trace))[0] == 1  # not a whole visible trace
+    assert run(capsys, "scenarios", "--agents", "3")[0] == 0
+    assert run(capsys, "export", "--agents", "2", "--out", str(tmp_path / "graph.dot"))[0] == 0
+    assert calls == {"has_trace": 1, "check_scenario": len(builtin_scenarios()), "export_graph": 1}
 
 
 def test_explore_bounded_fails_incomplete(capsys):
@@ -271,6 +351,30 @@ def test_scenario_file_reusing_a_builtin_name_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path), "--name", "scenario1")
     assert_one_line_usage_error(code, err)
     assert err.startswith(f"mapmerge: parse error: {path}: ") and "'scenario1'" in err
+
+
+def test_failing_scenario_carries_a_witness_that_replays(capsys, tmp_path):
+    # scenario1's trace, expected absent: the report shows the run that has it.
+    absent = dict(scenario_to_json(builtin_scenarios()[0]), name="scenario1-absent", expected=False)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([absent]))
+    argv = ("scenarios", "--agents", "3", "--scenario-file", str(path), "--name", "scenario1-absent")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["verdict"] == "fail" and check["witness"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and f"witness: {', '.join(check['witness'])}" in out
+    # The labels name one event each at every state on the way, so they replay.
+    c, events = world.initial_config(3), []
+    for text in check["witness"]:
+        (e,) = [e for e in world.enabled_events(c) if label(e) == text]
+        events.append(e)
+        c = world.apply_event(c, e)
+    witness = tmp_path / "witness.jsonl"
+    witness.write_text("".join(json.dumps(to_json(e)) + "\n" for e in events))
+    code, out, _ = run(capsys, "trace-check", "--agents", "3", "--json", "--alphabet-file", str(witness), str(witness))
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
 def test_trace_check_pass(capsys, tmp_path):
