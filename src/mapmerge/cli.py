@@ -128,6 +128,8 @@ def _print_human(report: dict) -> None:
             print(f"         {chk['detail']}")
         if "witness" in chk:
             print(f"         witness: {', '.join(chk['witness'])}")
+    if report.get("witness") is not None:
+        print(f"witness: {', '.join(report['witness'])}")
     print(f"verdict: {report['verdict']}")
 
 

@@ -8,7 +8,6 @@ same orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ids import AgentId
@@ -47,15 +46,14 @@ class MergeConflictError(ValueError):
         super().__init__(f"conflicting cell values at {cells}{more}")
 
 
-@dataclass(frozen=True)
 class GridMap:
     """Finite set of known cells in one agent's coordinate frame."""
 
-    cells: dict
-    owner_frame: AgentId
+    def __init__(self, cells: dict, owner_frame: AgentId):
+        self.cells, self.owner_frame = dict(cells), owner_frame
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", dict(self.cells))
+    def __eq__(self, other) -> bool:
+        return type(other) is GridMap and (self.cells, self.owner_frame) == (other.cells, other.owner_frame)
 
     def shifted(self, o: Offset) -> "GridMap":
         return GridMap({transform(p, o): v for p, v in self.cells.items()}, self.owner_frame)

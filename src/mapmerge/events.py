@@ -1,9 +1,6 @@
 """The event alphabet: every protocol and harness event, plus the
 synchronization sets that say which processes must jointly take each event."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, fields
 from typing import NamedTuple, Union
 
 from .ids import AgentId
@@ -32,90 +29,102 @@ def Leader(a: AgentId) -> ProcessRef:
     return ProcessRef("leader", a)
 
 
-@dataclass(frozen=True, slots=True)
-class RequestMerge:
+def _eq(a, b) -> bool:
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+def typed_eq(cls: type) -> type:
+    """`cls`, a NamedTuple, equal only to values of its own type: without this
+    ConfirmMerge(A1, A2) == MergeMaps(A1, A2), as their tuples are equal.  A
+    value still hashes as the tuple of its fields."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _eq, lambda a, b: not _eq(a, b), tuple.__hash__
+    return cls
+
+
+@typed_eq
+class RequestMerge(NamedTuple):
     agent: AgentId
     leader: AgentId
     merge_set: frozenset
 
 
-@dataclass(frozen=True, slots=True)
-class RequestLeader:
+@typed_eq
+class RequestLeader(NamedTuple):
     req_leader: AgentId
     target_agent: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class ReplyLeader:
+@typed_eq
+class ReplyLeader(NamedTuple):
     target_agent: AgentId
     req_leader: AgentId
     its_leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class BeginMerge:
+@typed_eq
+class BeginMerge(NamedTuple):
     leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class ConfirmMerge:
+@typed_eq
+class ConfirmMerge(NamedTuple):
     req_leader: AgentId
     other_leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class MergeCancelled:
+@typed_eq
+class MergeCancelled(NamedTuple):
     req_leader: AgentId
     other_leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class MergeConfirmed:
+@typed_eq
+class MergeConfirmed(NamedTuple):
     req_leader: AgentId
     other_leader: AgentId
     other_agent_set: frozenset
 
 
-@dataclass(frozen=True, slots=True)
-class MergeMaps:
+@typed_eq
+class MergeMaps(NamedTuple):
     req_leader: AgentId
     other_leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class MergeCompleted:
+@typed_eq
+class MergeCompleted(NamedTuple):
     req_leader: AgentId
     other_leader: AgentId
     union_set: frozenset
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateIdentifiedSameGroup:
+@typed_eq
+class UpdateIdentifiedSameGroup(NamedTuple):
     leader: AgentId
     agent: AgentId
     new_set: frozenset
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateIdentified:
+@typed_eq
+class UpdateIdentified(NamedTuple):
     leader: AgentId
     agent: AgentId
     new_set: frozenset
 
 
-@dataclass(frozen=True, slots=True)
-class RemoveReasoningAbout:
+@typed_eq
+class RemoveReasoningAbout(NamedTuple):
     req_agent: AgentId
     other_agent: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class Done:
+@typed_eq
+class Done(NamedTuple):
     leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class Terminate:
+@typed_eq
+class Terminate(NamedTuple):
     leader: AgentId
 
 
@@ -154,8 +163,7 @@ def is_internal(e: EventLabel) -> bool:
 def event_ids(e: EventLabel) -> set[AgentId]:
     """Every agent id occurring anywhere in the payload."""
     out: set[AgentId] = set()
-    for f in fields(e):
-        v = getattr(e, f.name)
+    for v in e:
         if isinstance(v, AgentId):
             out.add(v)
         elif isinstance(v, frozenset):
@@ -212,19 +220,17 @@ def sort_key(e: EventLabel) -> int:
     """Canonical total order on labels; fixes successor enumeration order.
     The int orders as the tuple (type rank, each field's sorted agent indices): the rank sits above three 32-bit
     fields, the absent ones 0, so every type's fields take the same width."""
-    fs = fields(e)
     key = _TYPE_RANK[type(e)]
-    for f in fs:
-        key = key << 32 | _field_key(getattr(e, f.name))
-    return key << 32 * (3 - len(fs))
+    for v in e:
+        key = key << 32 | _field_key(v)
+    return key << 32 * (3 - len(e))
 
 
 def label(e: EventLabel) -> str:
     """Compact dotted rendering, e.g. confirm_merge.A1.A2 or
     merge_completed.A1.A2.{A1,A2}."""
     parts = [TYPE_NAMES[type(e)]]
-    for f in fields(e):
-        v = getattr(e, f.name)
+    for v in e:
         if isinstance(v, frozenset):
             parts.append("{" + ",".join(a.name for a in sorted(v)) + "}")
         else:
@@ -235,12 +241,8 @@ def label(e: EventLabel) -> str:
 def to_json(e: EventLabel) -> dict:
     """JSON object with a "type" tag and named payload fields."""
     d = {"type": TYPE_NAMES[type(e)]}
-    for f in fields(e):
-        v = getattr(e, f.name)
-        if isinstance(v, frozenset):
-            d[f.name] = [a.name for a in sorted(v)]
-        else:
-            d[f.name] = v.name
+    for name, v in zip(e._fields, e):
+        d[name] = [a.name for a in sorted(v)] if isinstance(v, frozenset) else v.name
     return d
 
 
@@ -252,18 +254,17 @@ def from_json(d: dict) -> EventLabel:
     if cls is None:
         raise InvalidEventError(f"unknown event type {d['type']!r}")
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in d:
-            raise InvalidEventError(f"{d['type']}: missing field {f.name!r}")
-        v = d[f.name]
+    for name, t in cls.__annotations__.items():
+        if name not in d:
+            raise InvalidEventError(f"{d['type']}: missing field {name!r}")
+        v = d[name]
+        if t is frozenset and not isinstance(v, list):
+            raise InvalidEventError(f"{d['type']}: field {name!r} must be a JSON array of agent ids, got {v!r}")
         try:
-            if f.type == "frozenset":
-                kwargs[f.name] = frozenset(AgentId.parse(x) for x in v)
-            else:
-                kwargs[f.name] = AgentId.parse(v)
+            kwargs[name] = frozenset(map(AgentId.parse, v)) if t is frozenset else AgentId.parse(v)
         except (TypeError, ValueError) as exc:
-            raise InvalidEventError(f"{d['type']}: bad field {f.name!r}: {exc}") from exc
-    extra = set(d) - {"type"} - {f.name for f in fields(cls)}
+            raise InvalidEventError(f"{d['type']}: bad field {name!r}: {exc}") from exc
+    extra = set(d) - {"type"} - set(cls._fields)
     if extra:
         raise InvalidEventError(f"{d['type']}: unexpected fields {sorted(extra)}")
     return cls(**kwargs)

@@ -8,12 +8,11 @@ import struct
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import compress, islice, repeat
 from math import isqrt
 from operator import itemgetter, mod, not_, sub
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .events import (
     EVENT_TYPES,
@@ -45,8 +44,7 @@ from .world import (  # noqa: F401
 Path = list
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named invariant over int keys (see `world.Model`): fn(model, code, successors) at a
     state, with code its key's local ints (`Model.code`) and successors as `Model.successors`
     gives them, and fn(model, code, event int, successor key) at a transition, with code the
@@ -63,29 +61,24 @@ class Check:
     gate: Optional[Callable] = None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     check: str
     message: str
     witness: Path
 
 
-@dataclass
 class StateGraph:
     """Deduplicated reachable states and transitions, in BFS order, as int
     arrays.  Row i of `rows` holds the local ints of state i, one per slot of
     its key (see `world.Model`); it is decoded only on demand.  Its
     transitions are offsets[i]:offsets[i + 1] of `events` and `targets`."""
 
-    initial: Configuration
-    model: Model  # the model whose ints the arrays hold
-    rows: array = field(default_factory=partial(array, "H"))
-    offsets: array = field(default_factory=partial(array, "I", [0]))
-    events: array = field(default_factory=partial(array, "H"))
-    targets: array = field(default_factory=partial(array, "I"))
-    parent: array = field(default_factory=partial(array, "I", [0]))  # idx -> the state it was discovered from
-    violations: list = field(default_factory=list)
-    truncated: set = field(default_factory=set)  # idx whose successors a bound cut
+    def __init__(self, initial: Configuration, model: Model):
+        self.initial, self.model = initial, model  # the model whose ints the arrays hold
+        self.rows, self.offsets, self.events, self.targets = array("H"), array("I", [0]), array("H"), array("I")
+        self.parent = array("I", [0])  # idx -> the state it was discovered from
+        self.violations: list = []
+        self.truncated: set = set()  # idx whose successors a bound cut
 
     @property
     def complete(self) -> bool:
@@ -317,17 +310,14 @@ def explore(
     return g
 
 
-@dataclass(frozen=True)
 class TraceQuery:
     """A visible-event sequence plus the alphabet it is observed through;
     events outside the alphabet are hidden.  No alphabet shows every event
     that is not internal."""
 
-    trace: tuple
-    alphabet: Optional[frozenset] = None
-
-    def __post_init__(self):
-        for e in self.trace:
+    def __init__(self, trace: tuple, alphabet: Optional[frozenset] = None):
+        self.trace, self.alphabet = trace, alphabet
+        for e in trace:
             if not self.visible(e):
                 raise InvalidEventError(f"trace event {label(e)} not in the visible alphabet")
 
@@ -335,8 +325,7 @@ class TraceQuery:
         return not is_internal(e) if self.alphabet is None else e in self.alphabet
 
 
-@dataclass
-class TraceResult:
+class TraceResult(NamedTuple):
     found: bool
     witness: Optional[list] = None  # full unprojected event sequence
     complete: bool = True
@@ -412,8 +401,7 @@ def find_deadlocks(g: StateGraph) -> list:
     return [g.path_to(i) for i in ends if i not in g.truncated and not is_terminal(g.state(i))]
 
 
-@dataclass
-class DivergenceWitness:
+class DivergenceWitness(NamedTuple):
     prefix: Path  # from the initial state to the cycle entry
     cycle: list  # events around the hidden cycle
 
@@ -451,8 +439,7 @@ def find_hidden_divergence(g: StateGraph, hidden: Callable[[EventLabel], bool]) 
     return None
 
 
-@dataclass
-class InevitabilityResult:
+class InevitabilityResult(NamedTuple):
     value: Optional[bool]  # None when exploration was incomplete
     counterexample: Optional[Path] = None
 

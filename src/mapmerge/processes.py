@@ -7,9 +7,6 @@ events it joins passively.  A step is the matching move, else acceptance; it
 returns None when the process refuses the event in its current state.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -30,6 +27,7 @@ from .events import (
     Terminate,
     UpdateIdentified,
     UpdateIdentifiedSameGroup,
+    typed_eq,
 )
 from .ids import AgentId, priority, universe
 
@@ -49,93 +47,93 @@ from .ids import AgentId, priority, universe
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class AwaitRequest:
+@typed_eq
+class AwaitRequest(NamedTuple):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class StartMerge:
+@typed_eq
+class StartMerge(NamedTuple):
     requesting_agent: AgentId
     queue: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class AwaitReplyLeader:
+@typed_eq
+class AwaitReplyLeader(NamedTuple):
     requesting_agent: AgentId
     current: Optional[AgentId]
     queue: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Confirming:
+@typed_eq
+class Confirming(NamedTuple):
     requesting_agent: AgentId
     other_agent: AgentId
     other_leader: AgentId
     queue: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class AwaitVerdict:
+@typed_eq
+class AwaitVerdict(NamedTuple):
     requesting_agent: AgentId
     other_agent: AgentId
     other_leader: AgentId
     queue: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Refusing:
+@typed_eq
+class Refusing(NamedTuple):
     requesting_agent: AgentId
     other_agent: AgentId
     queue: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Merging:
+@typed_eq
+class Merging(NamedTuple):
     other_leader: AgentId
     other_agent_set: frozenset
 
 
-@dataclass(frozen=True, slots=True)
-class Completing:
+@typed_eq
+class Completing(NamedTuple):
     other_leader: AgentId
     same_pending: tuple
     other_pending: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Updating:
+@typed_eq
+class Updating(NamedTuple):
     same_group_pending: tuple
     other_group_pending: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Considering:
+@typed_eq
+class Considering(NamedTuple):
     req_leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class BeingMerged:
+@typed_eq
+class BeingMerged(NamedTuple):
     req_leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class AwaitCompletion:
+@typed_eq
+class AwaitCompletion(NamedTuple):
     req_leader: AgentId
 
 
-@dataclass(frozen=True, slots=True)
-class DonePhase:
+@typed_eq
+class DonePhase(NamedTuple):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Terminating:
+@typed_eq
+class Terminating(NamedTuple):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Terminated:
+@typed_eq
+class Terminated(NamedTuple):
     pass
 
 

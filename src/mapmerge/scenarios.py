@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .events import (
     ConfirmMerge,
@@ -41,8 +40,7 @@ def _s(*agents: AgentId) -> frozenset:
     return frozenset(agents)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     description: str
     trace: tuple
@@ -168,8 +166,7 @@ def builtin_scenarios() -> tuple:
     )
 
 
-@dataclass
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     name: str
     requirement_tag: str
     verdict: bool

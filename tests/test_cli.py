@@ -266,11 +266,21 @@ def test_scenario_file_event_outside_model_usage_error(capsys, tmp_path, scenari
     [
         ({"type": "done", "leader": "A7"}, None, "outside universe of size 3"),
         ({"type": "request_merge", "agent": "A1", "leader": "A1", "merge_set": []}, None, "empty merge_set"),
+        ({"type": "request_merge", "agent": "A1", "leader": "A1", "merge_set": {"A2": 0}}, None, "JSON array"),
+        ({"type": "merge_completed", "req_leader": "A1", "other_leader": "A2", "union_set": "A2"}, None, "JSON array"),
         ({"type": []}, None, "string 'type'"),
         ({"type": "done", "leader": "A1"}, {"type": "done", "leader": "A4"}, "outside universe of size 3"),
         ({"type": "done", "leader": "A1"}, {"type": "done", "leader": "A2"}, "not in the visible alphabet"),
     ],
-    ids=["outside-universe", "empty-merge-set", "type-not-string", "alphabet-outside-universe", "outside-alphabet"],
+    ids=[
+        "outside-universe",
+        "empty-merge-set",
+        "merge-set-object",
+        "union-set-string",
+        "type-not-string",
+        "alphabet-outside-universe",
+        "outside-alphabet",
+    ],
 )
 def test_trace_check_event_outside_model_usage_error(capsys, tmp_path, trace, alphabet, message):
     argv = ["trace-check", "--agents", "3"]
@@ -385,6 +395,16 @@ def test_trace_check_pass(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["trace_length"] == 9 and doc["witness"]
+
+
+def test_trace_check_prints_its_witness(capsys, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(to_json(e)) + "\n" for e in builtin_scenarios()[0].trace))
+    code, out, _ = run(capsys, "trace-check", "--agents", "3", "--json", str(path))
+    witness = json.loads(out)["witness"]
+    assert code == 0 and len(witness) > 9
+    code, out, _ = run(capsys, "trace-check", "--agents", "3", str(path))
+    assert code == 0 and f"\nwitness: {', '.join(witness)}\nverdict: pass\n" in out
 
 
 def test_trace_check_absent_trace_fails(capsys, tmp_path):

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from itertools import chain, combinations, product
 
 import pytest
@@ -27,6 +26,8 @@ from mapmerge.events import (
 )
 from mapmerge.ids import AgentId, universe
 from mapmerge.world import MAX_AGENTS
+
+from test_explorer import LEADER_PHASES
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
@@ -114,11 +115,11 @@ def events(draw):
     name = draw(st.sampled_from(sorted(EVENT_TYPES)))
     cls = EVENT_TYPES[name]
     kwargs = {}
-    for f in cls.__dataclass_fields__.values():
-        if f.name in ("merge_set", "other_agent_set", "union_set", "new_set"):
-            kwargs[f.name] = draw(id_sets)
+    for field in cls._fields:
+        if field in ("merge_set", "other_agent_set", "union_set", "new_set"):
+            kwargs[field] = draw(id_sets)
         else:
-            kwargs[f.name] = draw(ids)
+            kwargs[field] = draw(ids)
     return cls(**kwargs)
 
 
@@ -136,8 +137,7 @@ def tuple_key(e):
     """The canonical order, stated as a tuple: the type's rank in EVENT_TYPES, then each field in declaration order,
     an agent id as its index and an agent set as its sorted indices."""
     rank = list(EVENT_TYPES.values()).index(type(e))
-    values = (getattr(e, f.name) for f in fields(e))
-    return rank, tuple(v.index if isinstance(v, AgentId) else tuple(sorted(a.index for a in v)) for v in values)
+    return rank, tuple(v.index if isinstance(v, AgentId) else tuple(sorted(a.index for a in v)) for v in e)
 
 
 def test_sort_key_orders_as_the_tuple_key():
@@ -148,7 +148,7 @@ def test_sort_key_orders_as_the_tuple_key():
     labels = [
         cls(*vals)
         for cls in EVENT_TYPES.values()
-        for vals in product(*(sets if f.type == "frozenset" else ids for f in fields(cls)))
+        for vals in product(*(sets if t is frozenset else ids for t in cls.__annotations__.values()))
     ]
     assert len(set(map(sort_key, labels))) == len(labels)
     assert sorted(labels, key=sort_key) == sorted(labels, key=tuple_key)
@@ -159,3 +159,15 @@ def test_cross_type_labels_not_equal():
     from mapmerge.events import MergeMaps
 
     assert ConfirmMerge(req_leader=A1, other_leader=A2) != MergeMaps(req_leader=A1, other_leader=A2)
+
+
+@pytest.mark.parametrize("types", [EVENT_TYPES.values(), LEADER_PHASES], ids=["events", "phases"])
+def test_equality_compares_types(types):
+    # Every field of every value is A1, so two types of one arity have equal tuples; only the type tells them apart.
+    values = [cls(*[A1] * len(cls._fields)) for cls in types]
+    assert any(tuple(x) == tuple(y) for x, y in combinations(values, 2))
+    for x, y in combinations(values, 2):
+        assert not x == y and x != y
+    for x in values:
+        assert x == type(x)(*x) and not x != type(x)(*x)
+        assert hash(x) == hash(tuple(x))

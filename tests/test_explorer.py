@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import tracemalloc
 from collections import Counter
@@ -341,12 +340,12 @@ def test_req2_confirm_active_is_vacuous_on_the_active_guard_mutant():
     assert all(cs[i].leader(e.other_leader).active for i, e in confirmed)
 
 
-# The leader phase classes: the dataclasses that processes.py defines.
+# The leader phase classes: the NamedTuples that processes.py defines, but for the two process states.
 LEADER_PHASES = {
     c
     for c in vars(processes).values()
-    if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == processes.__name__
-}
+    if isinstance(c, type) and hasattr(c, "_fields") and c.__module__ == processes.__name__
+} - {processes.AgentProcState, processes.LeaderProcState}
 
 
 def reached(g):

@@ -1,11 +1,14 @@
-"""Import hygiene: no module of the package imports a name it never uses.
+"""Import hygiene: no module of the package imports a name it never uses,
+and importing the CLI loads no module that only slows its start.
 
-This stands in for a linter's unused-import rule (F401).  `__init__.py`
+The first stands in for a linter's unused-import rule (F401).  `__init__.py`
 re-exports by design, and so does any import statement whose first line
 carries `# noqa: F401`.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,19 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def added_modules(src_env, statement: str) -> set:
+    """The modules that `statement` adds to a fresh interpreter's sys.modules."""
+    code = f"import sys\nbare = set(sys.modules)\n{statement}\nprint(*sorted(set(sys.modules) - bare))"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(src_env):
+    # Each dataclass generates its methods with exec, and dataclasses imports inspect, dis, ast and tokenize: for
+    # the package's 39 value types that was about two thirds of the time that importing the CLI took.
+    assert added_modules(src_env, "import dataclasses") >= {"dataclasses", "inspect"}
+    added = added_modules(src_env, "import mapmerge.cli")
+    assert "mapmerge.cli" in added and not added & {"dataclasses", "inspect"}

@@ -12,7 +12,6 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 
@@ -61,7 +60,7 @@ def alphabet(n: int) -> list:
     sets = [frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(ids, k)]
     out = []
     for cls in EVENT_TYPES.values():
-        domains = [sets if f.type == "frozenset" else ids for f in fields(cls)]
+        domains = [sets if t is frozenset else ids for t in cls.__annotations__.values()]
         out.extend(cls(*args) for args in itertools.product(*domains))
     return out
 
