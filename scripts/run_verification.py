@@ -3,7 +3,8 @@
 
 For each agent count, the report of `mapmerge explore` (`cli.verify`):
 state and transition counts, each check's verdict and time (the invariants take
-the exploration's), their sum, and the peak RSS so far (ru_maxrss); then the six scenario regressions with timings.
+the exploration's), their sum, and the peak RSS so far (ru_maxrss); then, for
+n >= 3, the check entries of `mapmerge scenarios` (`cli.check_scenarios`).
 
 Usage:
     python scripts/run_verification.py [--max-agents 4]
@@ -13,9 +14,9 @@ import argparse
 import resource
 import sys
 
-from mapmerge.cli import verify
+from mapmerge.cli import check_scenarios, verify
 from mapmerge.explorer import ExploreMemoryError
-from mapmerge.scenarios import builtin_scenarios, check_scenario
+from mapmerge.scenarios import builtin_scenarios
 from mapmerge.world import MAX_AGENTS, MIN_AGENTS, initial_config
 
 CHECKS = ("invariants", "deadlock-freedom", "divergence-freedom", "goal-inevitable")
@@ -43,14 +44,12 @@ def main() -> int:
               + " ".join(f"{verdicts[c]:>18}" for c in CHECKS) + f" {seconds:>7.1f}s {rss_mb:>6.0f} MB")
 
     print()
-    print(f"{'scenario':<12} {'req':<5} " + " ".join(
-        f"{'n=' + str(n):>8}" for n in range(3, args.max_agents + 1)))
-    for s in builtin_scenarios():
-        cells = []
-        for n in range(3, args.max_agents + 1):
-            rep = check_scenario(s, initial_config(n))
-            ok &= rep.verdict
-            cells.append(f"{'ok' if rep.verdict else 'FAIL'} {rep.duration_ms:4.0f}ms")
+    ns = range(3, args.max_agents + 1)
+    reports = [check_scenarios(builtin_scenarios(), initial_config(n)) for n in ns]
+    ok &= all(r["verdict"] == "pass" for r in reports)
+    print(f"{'scenario':<12} {'req':<5} " + " ".join(f"{'n=' + str(n):>8}" for n in ns))
+    for s, *row in zip(builtin_scenarios(), *(r["checks"] for r in reports)):
+        cells = (f"{'ok' if c['verdict'] == 'pass' else 'FAIL'} {c['duration_ms']:4.0f}ms" for c in row)
         print(f"{s.name:<12} {s.requirement_tag:<5} " + " ".join(f"{c:>8}" for c in cells))
 
     print()

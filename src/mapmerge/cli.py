@@ -161,6 +161,21 @@ def verify(c0, *, max_states=None, max_depth=None) -> tuple:
     return g, report
 
 
+def check_scenarios(scenarios, c0) -> dict:
+    """Search for each scenario's trace from `c0`: a scenario passes iff its
+    trace is found exactly when expected, and one found against expectation
+    carries its witness.  Returns the report."""
+    checks = []
+    for s in scenarios:
+        r, ms = _timed(check_scenario, s, c0)
+        detail = f"[{s.requirement_tag}] trace {'found' if r.found else 'absent'}, expected {s.expected}"
+        checks.append(_check(s.name, r.found == s.expected, detail, ms))
+        if r.found and not s.expected:
+            checks[-1]["witness"] = [label(e) for e in r.witness]
+    passed = sum(c["verdict"] == "pass" for c in checks)
+    return _report(checks, agents=c0.params.n, passed=passed, total=len(checks))
+
+
 def cmd_explore(args) -> int:
     g, report = verify(_config(args), max_states=args.max_states, max_depth=args.max_depth)
     if args.dot:
@@ -180,6 +195,7 @@ def cmd_scenarios(args) -> int:
                     raise ValueError(f"scenario {s.name!r} reuses the name of a built-in scenario")
                 for e in s.trace + tuple(s.alphabet or ()):
                     validate_event(e, args.agents)
+                s.query()  # each trace event must be visible through the alphabet
                 scenarios.append(s)
         except ValueError as exc:  # malformed JSON, scenario or event objects
             raise InvalidEventError(f"{args.scenario_file}: {exc}") from exc
@@ -188,15 +204,7 @@ def cmd_scenarios(args) -> int:
         if not scenarios:
             print(f"mapmerge scenarios: unknown scenario {args.name!r}", file=sys.stderr)
             return USAGE_ERROR
-    c0 = _config(args)
-    checks = []
-    for r in (check_scenario(s, c0) for s in scenarios):
-        detail = f"[{r.requirement_tag}] trace {'found' if r.found else 'absent'}, expected {r.expected}"
-        checks.append(_check(r.name, r.verdict, detail, r.duration_ms))
-        if r.found and not r.expected:
-            checks[-1]["witness"] = [label(e) for e in r.witness]
-    passed = sum(c["verdict"] == "pass" for c in checks)
-    return _finish(_report(checks, command="scenarios", agents=args.agents, passed=passed, total=len(checks)), args)
+    return _finish({"command": "scenarios", **check_scenarios(scenarios, _config(args))}, args)
 
 
 def _read_text(path: str) -> str:

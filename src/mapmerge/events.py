@@ -183,9 +183,9 @@ def validate_event(e: EventLabel, n: int) -> None:
 def participants(e: EventLabel) -> frozenset[ProcessRef]:
     """The set of processes that must jointly take `e` (rendezvous set).
 
-    Note: remove_reasoning_about is additionally gated by the map leader
-    currently handling the named agent's request; that leader is resolved
-    from the configuration by the world model, not from the label.
+    Note: remove_reasoning_about is also taken by the map leader refusing
+    the named agent's request, which the label does not name: the world
+    model takes the first leader whose `processes.leader_moves` offer it.
     """
     if isinstance(e, RequestMerge):
         return frozenset({Agent(e.agent), Leader(e.leader)})

@@ -10,7 +10,6 @@ interference from a third agent.
 from __future__ import annotations
 
 import json
-import time
 from typing import NamedTuple, Optional
 
 from .events import (
@@ -50,12 +49,6 @@ class Scenario(NamedTuple):
 
     def query(self) -> TraceQuery:
         return TraceQuery(self.trace, self.alphabet)
-
-    def agent_ids(self) -> set:
-        out: set = set()
-        for e in self.trace:
-            out |= event_ids(e)
-        return out
 
 
 _PAIR_MERGE = (
@@ -166,34 +159,12 @@ def builtin_scenarios() -> tuple:
     )
 
 
-class ScenarioReport(NamedTuple):
-    name: str
-    requirement_tag: str
-    verdict: bool
-    found: bool
-    expected: bool
-    witness: Optional[list]
-    duration_ms: float
-
-
-def check_scenario(s: Scenario, c0: Configuration) -> ScenarioReport:
-    """Run one scenario's has-trace check from the initial configuration `c0`."""
-    n = c0.params.n
-    needed = max((a.index for a in s.agent_ids()), default=1)
-    if needed > n:
-        raise ConfigurationError(f"{s.name} names A{needed}; universe of {n} agents is too small")
-    t0 = time.perf_counter()
-    result: TraceResult = has_trace(c0, s.query())
-    dt = (time.perf_counter() - t0) * 1000.0
-    return ScenarioReport(
-        name=s.name,
-        requirement_tag=s.requirement_tag,
-        verdict=result.found == s.expected,
-        found=result.found,
-        expected=s.expected,
-        witness=result.witness if result.found else None,
-        duration_ms=dt,
-    )
+def check_scenario(s: Scenario, c0: Configuration) -> TraceResult:
+    """Search for one scenario's trace from the initial configuration `c0`."""
+    needed = max((a.index for e in s.trace for a in event_ids(e)), default=1)
+    if needed > c0.params.n:
+        raise ConfigurationError(f"{s.name} names A{needed}; universe of {c0.params.n} agents is too small")
+    return has_trace(c0, s.query())
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from .processes import (
     BeingMerged,
     Considering,
     LeaderProcState,
-    Refusing,
     Terminated,
     agent_accept,
     agent_moves,
@@ -87,14 +86,6 @@ def initial_config(n: int, *, harness: bool = True, merge_set_max: int = 1) -> C
         leaders=tuple(initial_leader(a) for a in ids),
         params=ModelParams(n, harness, merge_set_max),
     )
-
-
-def _refusing_leader(c: Configuration, e: RemoveReasoningAbout) -> Optional[LeaderProcState]:
-    for l in c.leaders:
-        ph = l.phase
-        if isinstance(ph, Refusing) and ph.requesting_agent == e.req_agent and ph.other_agent == e.other_agent:
-            return l
-    return None
 
 
 def local_faults(s) -> tuple:
@@ -247,8 +238,8 @@ def apply_event(c: Configuration, e: EventLabel) -> Configuration:
     """
     refs = participants(e)
     if isinstance(e, RemoveReasoningAbout):
-        # The co-participant is the first leader refusing that request.
-        l = _refusing_leader(c, e)
+        # The co-participant is the first leader whose moves offer it.
+        l = next((l for l in c.leaders if any(m == e for m, _ in leader_moves(l, c.params))), None)
         if l is None:
             raise RefusedEventError(e, None)
         refs = refs | {ProcessRef("leader", l.id)}

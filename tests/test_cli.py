@@ -6,14 +6,17 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
-from mapmerge import cli, world
+from mapmerge import cli, scenarios, world
 from mapmerge.cli import main
 from mapmerge.events import label, to_json
 from mapmerge.scenarios import builtin_scenarios, scenario_to_json
+
+from conftest import PRIORITY_MUTANT, mutant
 
 
 def run(capsys, *argv):
@@ -249,16 +252,27 @@ def test_scenario_file_bad_requirement_or_description_usage_error(capsys, tmp_pa
             },
             "A9, outside universe of size 3",
         ),
+        (
+            {
+                "name": "hidden",
+                "trace": [{"type": "confirm_merge", "req_leader": "A1", "other_leader": "A2"}],
+                "alphabet": [{"type": "done", "leader": "A1"}],
+            },
+            "confirm_merge.A1.A2 not in the visible alphabet",
+        ),
+        ({"name": "internal", "trace": [{"type": "begin_merge", "leader": "A1"}]}, "not in the visible alphabet"),
     ],
-    ids=["empty-merge-set", "alphabet-outside-universe"],
+    ids=["empty-merge-set", "alphabet-outside-universe", "outside-alphabet", "internal-event"],
 )
-def test_scenario_file_event_outside_model_usage_error(capsys, tmp_path, scenario, message):
+def test_scenario_file_event_outside_model_usage_error(capsys, monkeypatch, tmp_path, scenario, message):
     path = tmp_path / "extra.json"
     path.write_text(json.dumps([scenario]))
+    calls = count_calls(monkeypatch, "check_scenario")
     code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path))
     assert_one_line_usage_error(code, err)
     assert err.startswith(f"mapmerge: parse error: {path}: ")
     assert message in err
+    assert not calls  # rejected on load, before any search
 
 
 @pytest.mark.parametrize(
@@ -478,6 +492,24 @@ def test_verification_script_passes(tmp_path, src_env):
     proc = subprocess.run(argv, env=src_env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("overall: pass")
+
+
+@pytest.mark.parametrize("break_model", [True, False], ids=["priority-mutant", "scenario3-expected-absent"])
+def test_verification_script_fails_a_broken_scenario(capsys, monkeypatch, break_model):
+    # Without the priority guard a leader confirms a merge it should deny, so scenario3's trace is absent, and the
+    # explored graphs break an invariant too.  On the intact model, expecting scenario3's trace absent fails that
+    # scenario alone: the sweep's verdict must then come from the scenario report.
+    monkeypatch.setattr(sys, "argv", [str(VERIFICATION_SCRIPT), "--max-agents", "3"])
+    if not break_model:
+        flipped = tuple(s._replace(expected=s.name != "scenario3") for s in builtin_scenarios())
+        monkeypatch.setattr(scenarios, "builtin_scenarios", lambda: flipped)
+    with mutant(*PRIORITY_MUTANT) if break_model else nullcontext(), pytest.raises(SystemExit) as exit:
+        runpy.run_path(str(VERIFICATION_SCRIPT), run_name="__main__")
+    out = capsys.readouterr().out
+    assert exit.value.code == 1
+    row = next(line for line in out.splitlines() if line.startswith("scenario3 "))
+    assert "FAIL" in row and out.rstrip().endswith("overall: FAIL")
+    assert break_model or "fail" not in out  # every explore check passed
 
 
 @pytest.mark.parametrize("max_agents", ["1", "9"])

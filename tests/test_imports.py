@@ -1,5 +1,5 @@
-"""Import hygiene: no module of the package imports a name it never uses,
-and importing the CLI loads no module that only slows its start.
+"""Import hygiene: no module of the package and no script imports a name it
+never uses, and importing the CLI loads no module that only slows its start.
 
 The first stands in for a linter's unused-import rule (F401).  `__init__.py`
 re-exports by design, and so does any import statement whose first line
@@ -15,7 +15,9 @@ import pytest
 
 import mapmerge
 
-MODULES = sorted(p for p in Path(mapmerge.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(mapmerge.__file__).resolve().parent
+SCRIPTS = sorted(PACKAGE.parents[1].glob("scripts/*.py"))
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + SCRIPTS
 
 
 def unused_imports(source: str) -> list:

@@ -29,7 +29,7 @@ def test_six_builtins():
 @pytest.mark.parametrize("s", builtin_scenarios(), ids=lambda s: s.name)
 def test_builtin_passes_at_n3(s):
     r = check_scenario(s, initial_config(3))
-    assert r.verdict, f"{s.name}: found={r.found}, expected={r.expected}"
+    assert r.found == s.expected, f"{s.name}: found={r.found}, expected={s.expected}"
     assert r.witness is not None
 
 
@@ -94,15 +94,17 @@ def test_negative_scenario():
         alphabet=frozenset({bad}),
     )
     r = check_scenario(s, initial_config(3))
-    assert r.verdict and not r.found and r.witness is None
+    assert r.found == s.expected and not r.found and r.witness is None
 
 
 def test_mutated_model_fails_scenarios():
     # Disabling the priority guard breaks the denial scenarios.
     with mutant(*PRIORITY_MUTANT):
-        r = check_scenario(BY_NAME["scenario3"], initial_config(3))
-    assert not r.verdict
+        s = BY_NAME["scenario3"]
+        r = check_scenario(s, initial_config(3))
+    assert r.found != s.expected
     # Disabling the active-flag guard breaks the stale-reply cancellation.
     with mutant(*ACTIVE_MUTANT):
-        r = check_scenario(BY_NAME["scenario4b"], initial_config(3))
-    assert not r.verdict
+        s = BY_NAME["scenario4b"]
+        r = check_scenario(s, initial_config(3))
+    assert r.found != s.expected

@@ -104,7 +104,7 @@ def test_apply_event_refuses_request_merge_over_merge_set_max():
 def test_first_refusing_leader_keeps_remove_reasoning_about():
     # No explored model reaches two leaders refusing the same request, so the
     # configuration is built by hand: both offer one label, and the first
-    # leader takes it, as apply_event's _refusing_leader picks.
+    # leader takes it, as apply_event picks.
     a1, a2, a3 = universe(3)
     c0, refusing = initial_config(3), Refusing(a3, a1, ())
     c = c0._replace(
