@@ -47,10 +47,10 @@ def main() -> int:
     ns = range(3, args.max_agents + 1)
     reports = [check_scenarios(builtin_scenarios(), initial_config(n)) for n in ns]
     ok &= all(r["verdict"] == "pass" for r in reports)
-    print(f"{'scenario':<12} {'req':<5} " + " ".join(f"{'n=' + str(n):>8}" for n in ns))
+    print(f"{'scenario':<12} {'req':<5} " + " ".join(f"{'n=' + str(n):>11}" for n in ns))  # as wide as "FAIL    1ms"
     for s, *row in zip(builtin_scenarios(), *(r["checks"] for r in reports)):
-        cells = (f"{'ok' if c['verdict'] == 'pass' else 'FAIL'} {c['duration_ms']:4.0f}ms" for c in row)
-        print(f"{s.name:<12} {s.requirement_tag:<5} " + " ".join(f"{c:>8}" for c in cells))
+        cells = (f"{'ok' if c['verdict'] == 'pass' else 'FAIL':<4} {c['duration_ms']:4.0f}ms" for c in row)
+        print(f"{s.name:<12} {s.requirement_tag:<5} " + " ".join(cells))
 
     print()
     print("overall:", "pass" if ok else "FAIL")

@@ -39,10 +39,6 @@ from .world import (  # noqa: F401
     quiescent_partition_violation,
 )
 
-# A witness path alternates configurations and events, starting and ending
-# on a configuration: [c0, e1, c1, ..., ek, ck].
-Path = list
-
 
 class Check(NamedTuple):
     """A named invariant over int keys (see `world.Model`): fn(model, code, successors) at a
@@ -62,9 +58,13 @@ class Check(NamedTuple):
 
 
 class Violation(NamedTuple):
+    """A check that fired at state idx, or on its transition labelled event (None for a state check).  Its
+    witness is `StateGraph.path_to(idx)`, then event for a transition check."""
+
     check: str
     message: str
-    witness: Path
+    idx: int
+    event: Optional[EventLabel]
 
 
 class StateGraph:
@@ -106,14 +106,13 @@ class StateGraph:
         off = self.offsets
         return map(sub, islice(off, 1, None), off)
 
-    def path_to(self, idx: int) -> Path:
-        """Replayable witness path from the initial state to state idx.  The
-        first transition of its parent into a state is the one that found it."""
-        path: Path = [self.state(idx)]
+    def path_to(self, idx: int) -> list:
+        """The event labels from the initial state to state idx along `parent`, each the first transition of its
+        parent into a state, which found it.  No state is decoded; `world.apply_event` replays the labels."""
+        path = []
         while idx:
             p = self.parent[idx]
-            ev = self.events[self.targets.index(idx, self.offsets[p], self.offsets[p + 1])]
-            path += (self.model.labels[ev], self.state(p))
+            path.append(self.model.labels[self.events[self.targets.index(idx, self.offsets[p], self.offsets[p + 1])]])
             idx = p
         return path[::-1]
 
@@ -261,7 +260,7 @@ def explore(
                 for chk in state_checks(key >> top):
                     msg = chk.fn(m, code, succs)
                     if msg is not None:
-                        g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
+                        g.violations.append(Violation(chk.name, msg, idx, None))
                 for ev, key2 in succs:
                     j = nxt.get(key2)
                     if j is None:
@@ -294,8 +293,7 @@ def explore(
                         for chk in watched[ev]:
                             msg = chk.fn(m, code, ev, key2)
                             if msg is not None:
-                                witness = g.path_to(idx) + [labels[ev], m.decode(m.code(key2))]
-                                g.violations.append(Violation(chk.name, msg, witness))
+                                g.violations.append(Violation(chk.name, msg, idx, labels[ev]))
                 g.offsets.append(len(targets))
                 idx += 1
             if len(parent) > size:  # relink every state into twice as many buckets
@@ -395,15 +393,15 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
 
 
 def find_deadlocks(g: StateGraph) -> list:
-    """Witness paths to every state of `g` that is not terminal and has no
-    enabled events.  States whose successors a bound cut are not deadlocks."""
+    """The indices of the states of `g` that are not terminal and have no enabled events, in order; `g.path_to`
+    gives each one's witness.  States whose successors a bound cut are not deadlocks."""
     ends = compress(range(g.state_count), map(not_, g.degrees()))
-    return [g.path_to(i) for i in ends if i not in g.truncated and not is_terminal(g.state(i))]
+    return [i for i in ends if i not in g.truncated and not is_terminal(g.state(i))]
 
 
 class DivergenceWitness(NamedTuple):
-    prefix: Path  # from the initial state to the cycle entry
-    cycle: list  # events around the hidden cycle
+    prefix: list  # event labels from the initial state to the cycle entry
+    cycle: list  # event labels around the hidden cycle
 
 
 def find_hidden_divergence(g: StateGraph, hidden: Callable[[EventLabel], bool]) -> Optional[DivergenceWitness]:
@@ -441,12 +439,12 @@ def find_hidden_divergence(g: StateGraph, hidden: Callable[[EventLabel], bool]) 
 
 class InevitabilityResult(NamedTuple):
     value: Optional[bool]  # None when exploration was incomplete
-    counterexample: Optional[Path] = None
+    counterexample: Optional[list] = None  # on False, the event labels to a state that reaches no goal
 
 
 def check_inevitable(g: StateGraph, goal: Callable[[Configuration], bool]) -> InevitabilityResult:
     """AG EF goal: from every state of `g` some goal state stays reachable.
-    The counterexample is a path to the lowest-index state from which none
+    The counterexample is the path to the lowest-index state from which none
     is.  An incomplete `g` gives no verdict.  An iterative Tarjan search over
     `offsets` and `targets` from each unsettled state, deepest first, ends
     once a state it enters has a successor known to reach a goal state, as

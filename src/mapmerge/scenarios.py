@@ -195,7 +195,10 @@ def scenario_from_json(d: dict) -> Scenario:
     if not isinstance(d, dict) or not isinstance(d.get("name", ""), str):
         raise ValueError(f"scenario must be an object with a string 'name': {d!r}")
     try:
-        alphabet = d.get("alphabet", "all_visible")
+        trace, alphabet = d["trace"], d.get("alphabet", "all_visible")
+        for field, v in (("trace", trace), ("alphabet", [] if alphabet == "all_visible" else alphabet)):
+            if not isinstance(v, list):
+                raise ValueError(f"scenario field {field!r} must be a JSON array, got {v!r}")
         alpha = None if alphabet == "all_visible" else frozenset(from_json(x) for x in alphabet)
         expected = d.get("expected", True)
         if not isinstance(expected, bool):
@@ -208,15 +211,13 @@ def scenario_from_json(d: dict) -> Scenario:
         return Scenario(
             name=d["name"],
             description=description,
-            trace=tuple(from_json(x) for x in d["trace"]),
+            trace=tuple(from_json(x) for x in trace),
             requirement_tag=requirement,
             expected=expected,
             alphabet=alpha,
         )
     except KeyError as exc:
         raise ValueError(f"scenario object missing field {exc}") from exc
-    except TypeError as exc:  # a field of the wrong JSON type, e.g. "trace": 5
-        raise ValueError(f"malformed scenario object: {exc}") from exc
 
 
 def load_scenarios(text: str) -> list:

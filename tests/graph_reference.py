@@ -5,7 +5,8 @@ decoded state, the trace search over (key, position) tuple nodes, as it
 was before a product node was one int, and the BFS over one dict of every
 key, as it was before the visited set moved to a table of arrays.  The
 differential tests compare the two on graphs and queries where each finds
-something."""
+something.  `replay` checks a witness, a list of event labels, against the
+graph it came from."""
 
 from collections import deque
 from functools import cache
@@ -24,7 +25,14 @@ from mapmerge.explorer import (
     default_checks,
 )
 from mapmerge.processes import AwaitCompletion, BeingMerged, Considering
-from mapmerge.world import Configuration, ConfigurationError, Model, is_terminal, quiescent_partition_violation
+from mapmerge.world import (
+    Configuration,
+    ConfigurationError,
+    Model,
+    apply_event,
+    is_terminal,
+    quiescent_partition_violation,
+)
 
 
 def states(g) -> list:
@@ -42,6 +50,25 @@ def transitions(g) -> list:
     """Every transition of `g` as (source idx, event, target idx), in order."""
     labels = g.model.labels
     return [(i, labels[ev], j) for i, ev, j in edges(g)]
+
+
+def target(g, i: int, e) -> int:
+    """The state that state i's transition labelled e leads to."""
+    return g.targets[g.events.index(g.model.labels.index(e), g.offsets[i], g.offsets[i + 1])]
+
+
+def replay(g, path) -> Configuration:
+    """The configuration that the event labels `path` reach from `g.initial`
+    through `apply_event`.  Each step must take the transition of `g` that
+    found its target, the first from its parent into it, and reach that
+    target's stored state."""
+    c, i, off, labels = g.initial, 0, g.offsets, g.model.labels
+    for e in path:
+        c, j = apply_event(c, e), target(g, i, e)
+        assert g.parent[j] == i and labels[g.events[g.targets.index(j, off[i], off[i + 1])]] == e
+        assert c == g.state(j)
+        i = j
+    return c
 
 
 # Configuration-level invariant checks.
@@ -107,17 +134,22 @@ def _on_transitions(fn):
     return lambda m, code, ev, key2: fn(m.decode(code), m.labels[ev], m.decode(m.code(key2)))
 
 
+# Each default check's Configuration-level twin: fn(c, enabled events) at a state, fn(src, e, dst) at a transition.
+TWINS = {
+    "local-state": local_state_violation,
+    "req2-cancel-answered": req2_cancel_violation,
+    "quiescent-partition": quiescent_violation,
+    "req1-priority": req1_violation,
+    "req2-confirm-active": req2_confirm_violation,
+    "active-monotone": monotone_violation,
+}
+
+
 def reference_checks() -> list:
-    """The default checks, each run on decoded configurations at every
-    state or transition."""
-    return [
-        Check("local-state", "state", _on_states(local_state_violation)),
-        Check("req2-cancel-answered", "state", _on_states(req2_cancel_violation)),
-        Check("quiescent-partition", "state", _on_states(quiescent_violation)),
-        Check("req1-priority", "transition", _on_transitions(req1_violation)),
-        Check("req2-confirm-active", "transition", _on_transitions(req2_confirm_violation)),
-        Check("active-monotone", "transition", _on_transitions(monotone_violation)),
-    ]
+    """The default checks' twins, in the same order, each run on decoded
+    configurations at every state or transition."""
+    on = {"state": _on_states, "transition": _on_transitions}
+    return [Check(k.name, k.kind, on[k.kind](TWINS[k.name])) for k in default_checks()]
 
 
 # The export's node label.
@@ -141,11 +173,7 @@ def find_deadlocks(g) -> list:
     out_degree = [0] * g.state_count
     for i, _, _ in transitions(g):
         out_degree[i] += 1
-    return [
-        g.path_to(i)
-        for i, c in enumerate(states(g))
-        if out_degree[i] == 0 and i not in g.truncated and not is_terminal(c)
-    ]
+    return [i for i, c in enumerate(states(g)) if out_degree[i] == 0 and i not in g.truncated and not is_terminal(c)]
 
 
 def find_hidden_divergence(g, hidden):
@@ -305,7 +333,7 @@ def explore(
         for chk in state_checks(key >> top):
             msg = chk.fn(m, code, succs)
             if msg is not None:
-                g.violations.append(Violation(chk.name, msg, g.path_to(idx)))
+                g.violations.append(Violation(chk.name, msg, idx, None))
         for ev, key2 in succs:
             j = index.get(key2)
             if j is None:
@@ -321,8 +349,7 @@ def explore(
                 for chk in watched[ev]:
                     msg = chk.fn(m, code, ev, key2)
                     if msg is not None:
-                        witness = g.path_to(idx) + [labels[ev], m.decode(m.code(key2))]
-                        g.violations.append(Violation(chk.name, msg, witness))
+                        g.violations.append(Violation(chk.name, msg, idx, labels[ev]))
         g.offsets.append(len(targets))
         idx += 1
     return g

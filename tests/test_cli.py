@@ -222,10 +222,27 @@ def test_scenario_file_wrong_field_type_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("requirement", [1]), ("requirement", "REQ9"), ("description", 5)],
-    ids=["requirement-list", "requirement-unknown", "description-int"],
+    [
+        ("requirement", [1]),
+        ("requirement", "REQ9"),
+        ("description", 5),
+        ("trace", {}),
+        ("trace", ""),
+        ("alphabet", {}),
+        ("alphabet", ""),
+    ],
+    ids=[
+        "requirement-list",
+        "requirement-unknown",
+        "description-int",
+        "trace-object",
+        "trace-string",
+        "alphabet-object",
+        "alphabet-string",
+    ],
 )
 def test_scenario_file_bad_requirement_or_description_usage_error(capsys, tmp_path, field, value):
+    # An empty object or string as the trace or alphabet is not read as an empty one.
     path = tmp_path / "extra.json"
     path.write_text(json.dumps([{"name": "x", "trace": [], field: value}]))
     code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path))
@@ -509,6 +526,10 @@ def test_verification_script_fails_a_broken_scenario(capsys, monkeypatch, break_
     assert exit.value.code == 1
     row = next(line for line in out.splitlines() if line.startswith("scenario3 "))
     assert "FAIL" in row and out.rstrip().endswith("overall: FAIL")
+    # The scenario table's header and rows, ok or FAIL, have one length, so each n=K sits over its column.
+    table = out.split("\n\n")[1].splitlines()
+    assert table[0].startswith("scenario ") and len(table) == 7
+    assert len(set(map(len, table))) == 1
     assert break_model or "fail" not in out  # every explore check passed
 
 

@@ -22,6 +22,7 @@ from mapmerge.events import (
 from mapmerge.export import export_graph, to_dot, to_json_graph
 from mapmerge.explorer import (
     Check,
+    StateGraph,
     TraceQuery,
     _monotone_violation,
     check_inevitable,
@@ -54,7 +55,7 @@ from conftest import (
     mutant,
     variant,
 )
-from graph_reference import edges, monotone_violation, states, transitions
+from graph_reference import edges, monotone_violation, replay, states, target, transitions
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
@@ -89,13 +90,7 @@ def test_states_deduplicated(graph_n2):
 def test_witness_paths_replay(graph_n2):
     g = graph_n2
     for idx in range(0, g.state_count, 7):
-        path = g.path_to(idx)
-        c = path[0]
-        assert c == g.initial
-        for k in range(1, len(path), 2):
-            c = apply_event(c, path[k])
-            assert c == path[k + 1]
-        assert c == g.state(idx)
+        assert replay(g, g.path_to(idx)) == g.state(idx)
 
 
 def test_bounds_leave_graph_incomplete():
@@ -124,10 +119,7 @@ def test_each_path_completes_at_most_one_merge_at_n2(graph_n2):
     # At n=2 a path can contain at most one merge_completed: the active
     # leader count starts at 2 and each completion demotes exactly one.
     g = graph_n2
-    counts = [
-        sum(isinstance(path[k], MergeCompleted) for k in range(1, len(path), 2))
-        for path in (g.path_to(i) for i in range(g.state_count))
-    ]
+    counts = [sum(isinstance(e, MergeCompleted) for e in g.path_to(i)) for i in range(g.state_count)]
     assert max(counts) == 1
     # Cross-check against the active-leader count in each state.
     for c in states(g):
@@ -194,10 +186,7 @@ def test_divergence_found_when_everything_hidden(graph_n2):
     w = find_hidden_divergence(graph_n2, lambda e: True)
     assert w is not None
     # The witness prefix replays and the cycle closes.
-    c = w.prefix[0]
-    for k in range(1, len(w.prefix), 2):
-        c = apply_event(c, w.prefix[k])
-    entry = c
+    c = entry = replay(graph_n2, w.prefix)
     for e in w.cycle:
         c = apply_event(c, e)
     assert c == entry
@@ -224,17 +213,17 @@ def test_goal_inevitable_allows_a_merge_free_cycle(request, graph, prefix):
     assert check_inevitable(g, all_maps_merged).value is True
     w = find_hidden_divergence(g, lambda e: not isinstance(e, MergeMaps))
     assert ", ".join(map(label, w.cycle)) == MERGE_FREE_CYCLE
-    assert len(w.prefix[1::2]) == prefix
-    c = w.prefix[-1]
+    assert len(w.prefix) == prefix
+    c = entry = replay(g, w.prefix)
     for e in w.cycle:
         c = apply_event(c, e)
-    assert c == w.prefix[-1] and not all_maps_merged(c)
+    assert c == entry and not all_maps_merged(c)
 
 
 def test_inevitability_counterexample_when_goal_unreachable(graph_n2):
     r = check_inevitable(graph_n2, lambda c: False)
     assert r.value is False
-    assert r.counterexample == [graph_n2.initial]
+    assert r.counterexample == []  # the path to the initial state
 
 
 def test_inevitability_none_on_incomplete_graph():
@@ -272,9 +261,7 @@ def test_checks_on_event_types_find_what_checks_on_all_find(spec):
         typed = explore(c0, checks=checks).violations
         untyped = explore(c0, checks=[Check(k.name, k.kind, k.fn) for k in checks]).violations
     assert typed
-    assert [(v.check, v.message, v.witness) for v in typed] == [
-        (v.check, v.message, v.witness) for v in untyped
-    ]
+    assert typed == untyped
 
 
 def test_gates_call_each_check_only_where_it_can_fire():
@@ -445,21 +432,14 @@ def differential_graph(name: str):
         yield make()
 
 
-def replay(path) -> None:
-    c = path[0]
-    for k in range(1, len(path), 2):
-        c = apply_event(c, path[k])
-        assert c == path[k + 1]
-
-
 @pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
 def test_array_post_analyses_match_dict_references(name):
     # The same results, witnesses included, as the dict-based versions.
     with differential_graph(name) as g:
         dead = find_deadlocks(g)
         assert dead == graph_reference.find_deadlocks(g)
-        for path in dead:
-            replay(path)
+        for i in dead:
+            assert replay(g, g.path_to(i)) == g.state(i)
         requests = frozenset(e for _, e, _ in transitions(g) if isinstance(e, RequestMerge))
         for hidden in (is_internal, lambda e: True, requests.__contains__):
             div = find_hidden_divergence(g, hidden)
@@ -467,16 +447,15 @@ def test_array_post_analyses_match_dict_references(name):
             assert (div is None) == (ref is None)
             if div is not None:
                 assert (div.prefix, div.cycle) == (ref.prefix, ref.cycle)
-                replay(div.prefix)
-                c = div.prefix[-1]
+                c = entry = replay(g, div.prefix)
                 for e in div.cycle:
                     c = apply_event(c, e)
-                assert c == div.prefix[-1]
+                assert c == entry
         for goal in (all_maps_merged, is_terminal, lambda c: False):
             inev, ref = check_inevitable(g, goal), graph_reference.check_inevitable(g, goal)
             assert (inev.value, inev.counterexample) == (ref.value, ref.counterexample)
             if inev.counterexample is not None:
-                replay(inev.counterexample)
+                assert not goal(replay(g, inev.counterexample))
         assert label_nondeterminism_report(g) == graph_reference.choice_report(g)
 
 
@@ -500,15 +479,59 @@ def test_int_checks_match_configuration_references(params):
     # The int-level default checks report what the Configuration-level
     # references report at every state and transition, witnesses included.
     with variant(3, params) as c0:
-        got = [(v.check, v.message, v.witness) for v in explore(c0).violations]
-        ref = [
-            (v.check, v.message, v.witness) for v in explore(c0, checks=graph_reference.reference_checks()).violations
-        ]
-        assert got == ref
+        g = explore(c0)
+        assert g.violations == explore(c0, checks=graph_reference.reference_checks()).violations
         if isinstance(params, tuple):
-            assert got  # the mutant is caught, so the comparison is not vacuous
-        for _, _, witness in got:
-            replay(witness)
+            assert g.violations  # the mutant is caught, so the comparison is not vacuous
+        for v in g.violations:
+            c = replay(g, g.path_to(v.idx))
+            if v.event is not None:
+                assert apply_event(c, v.event) == g.state(target(g, v.idx, v.event))
+
+
+MUTANTS = {
+    "priority_guard": PRIORITY_MUTANT,
+    "active_guard": ACTIVE_MUTANT,
+    "demote_on_merge": DEMOTE_ON_MERGE_MUTANT,
+    "replace_set": REPLACE_SET_MUTANT,
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_first_witness_of_each_check_replays_to_where_its_twin_fires(name):
+    # A violation keeps its state and label, and its witness is the path to the state: replayed through apply_event,
+    # the check's Configuration-level twin must give its message at the configuration reached, or on its label there.
+    with mutant(*MUTANTS[name]):
+        g = explore(initial_config(3))
+        first = {}
+        for v in g.violations:
+            first.setdefault(v.check, v)
+        assert first
+        for v in first.values():
+            c = replay(g, g.path_to(v.idx))
+            twin = graph_reference.TWINS[v.check]
+            if v.event is None:
+                assert twin(c, enabled_events(c)) == v.message
+            else:
+                assert twin(c, v.event, apply_event(c, v.event)) == v.message
+
+
+def test_the_old_agent_guard_deadlock_replays_to_a_stuck_state():
+    with differential_graph("n3-msm2-old-agent-guard") as g:
+        (d,) = find_deadlocks(g)
+        c = replay(g, g.path_to(d))
+        assert not is_terminal(c) and enabled_events(c) == []
+
+
+def test_no_path_is_built_during_a_search(monkeypatch):
+    # A violation and a deadlock keep a state index; only a reader of the witness calls path_to.
+    calls, path_to = [], StateGraph.path_to
+    monkeypatch.setattr(StateGraph, "path_to", lambda g, idx: calls.append(idx) or path_to(g, idx))
+    with mutant(*PRIORITY_MUTANT):
+        g = explore(initial_config(3))
+    assert (len(g.violations), calls) == (744, [])
+    with differential_graph("n3-msm2-old-agent-guard") as g:
+        assert (len(find_deadlocks(g)), calls) == (1, [])
 
 
 def test_bytes_per_state_at_n3():

@@ -15,7 +15,8 @@ from mapmerge.world import all_maps_merged, initial_config
 
 class Csr:
     """What check_inevitable reads of a StateGraph, over the successor lists
-    `succs`: state i is the int i, and the path to it is [i]."""
+    `succs`: state i is the int i, and its witness is [i] in place of the
+    event labels of a path to it."""
 
     complete = True
 

@@ -62,7 +62,7 @@ def test_req2_confirm_active_catches_a_demoted_leader_confirming():
     caught = [v for v in g.violations if v.check == "req2-confirm-active"]
     assert caught
     for v in caught:
-        before, e = v.witness[-3], v.witness[-2]
+        before, e = g.state(v.idx), v.event
         assert e.other_agent_set == frozenset() and not before.leader(e.other_leader).active
 
 
@@ -76,7 +76,7 @@ def test_active_monotone_fires_away_from_merge_completed(spec, events):
     # the merge_maps witnesses.
     with mutant(*spec):
         g = explore(initial_config(3))
-    assert Counter(type(v.witness[-2]) for v in g.violations if v.check == "active-monotone") == events
+    assert Counter(type(v.event) for v in g.violations if v.check == "active-monotone") == events
 
 
 def test_mutant_is_installed_for_the_block_only():

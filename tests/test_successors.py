@@ -34,7 +34,7 @@ from mapmerge.processes import LeaderProcState, Refusing
 from mapmerge.world import Model, RefusedEventError, apply_event, enabled_events, initial_config
 
 from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, installed, variant
-from graph_reference import edges, states, transitions
+from graph_reference import edges, replay, states, transitions
 
 # Model flags for initial_config, or a mutant of the process functions.
 VARIANTS = {
@@ -266,10 +266,7 @@ def test_earlier_searches_leave_a_search_unchanged(src_env):
 def test_successors_of_replayed_configuration(graph_n3):
     # apply_event builds fresh local states; the tables match them by value.
     for idx in range(1, graph_n3.state_count, 47):
-        path = graph_n3.path_to(idx)
-        c = path[0]
-        for e in path[1::2]:
-            c = apply_event(c, e)
+        c = replay(graph_n3, graph_n3.path_to(idx))
         stored = graph_n3.state(idx)
         assert c == stored
         assert any(x is not y for x, y in zip(c.agents + c.leaders, stored.agents + stored.leaders))
