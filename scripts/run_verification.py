@@ -15,7 +15,6 @@ import resource
 import sys
 
 from mapmerge.cli import check_scenarios, verify
-from mapmerge.explorer import ExploreMemoryError
 from mapmerge.scenarios import builtin_scenarios
 from mapmerge.world import MAX_AGENTS, MIN_AGENTS, initial_config
 
@@ -35,7 +34,7 @@ def main() -> int:
           + f" {'time':>8} {'peak RSS':>9}")
     ok = True
     for n in range(2, args.max_agents + 1):
-        _, r = verify(initial_config(n))
+        r = verify(initial_config(n))
         ok &= r["verdict"] == "pass"
         verdicts = {c["name"]: f"{c['verdict']} {c['duration_ms']:.0f}ms" for c in r["checks"]}
         seconds = sum(c["duration_ms"] for c in r["checks"]) / 1000.0
@@ -61,5 +60,4 @@ if __name__ == "__main__":
     try:
         raise SystemExit(main())
     except MemoryError as exc:
-        what = exc if isinstance(exc, ExploreMemoryError) else "out of memory"
-        sys.exit(f"run_verification: {what}; lower --max-agents (mapmerge explore --max-states bounds one run)")
+        sys.exit(f"run_verification: {str(exc) or 'out of memory'}; lower --max-agents (mapmerge explore --max-states bounds one run)")

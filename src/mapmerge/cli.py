@@ -15,7 +15,6 @@ from contextlib import nullcontext
 
 from .events import InvalidEventError, from_json, is_internal, label, validate_event
 from .explorer import (
-    ExploreMemoryError,
     TraceQuery,
     check_inevitable,
     explore,
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="exhaustive exploration with property checks")
     _add_common(p)
-    p.add_argument("--dot", metavar="PATH", help="also write the state graph as DOT")
     p.set_defaults(run=cmd_explore)
 
     p = sub.add_parser("scenarios", help="run the validation scenario regression")
@@ -133,11 +131,11 @@ def _print_human(report: dict) -> None:
     print(f"verdict: {report['verdict']}")
 
 
-def verify(c0, *, max_states=None, max_depth=None) -> tuple:
+def verify(c0, *, max_states=None, max_depth=None) -> dict:
     """Explore from `c0` and run every check behind the verdict once: the
     invariants, deadlock freedom, divergence freedom and the inevitability
     of the goal, all maps merged.  The invariants run inside `explore`, so
-    their check is timed with it.  Returns the graph and the report."""
+    their check is timed with it.  Returns the report."""
     g, ms = _timed(explore, c0, max_states=max_states, max_depth=max_depth)
     broken = "; ".join(f"{v.check}: {v.message}" for v in g.violations[:3])
     checks = [_check("invariants", not g.violations, broken, ms)]
@@ -149,7 +147,7 @@ def verify(c0, *, max_states=None, max_depth=None) -> tuple:
     inev, ms = _timed(check_inevitable, g, all_maps_merged)
     why = "" if inev.value is True else "exploration incomplete" if inev.value is None else "goal avoidable"
     checks.append(_check("goal-inevitable", inev.value is True, why, ms))
-    report = _report(
+    return _report(
         checks,
         agents=c0.params.n,
         state_count=g.state_count,
@@ -158,7 +156,6 @@ def verify(c0, *, max_states=None, max_depth=None) -> tuple:
         choice_report=label_nondeterminism_report(g),
         violations=[{"check": v.check, "message": v.message} for v in g.violations],
     )
-    return g, report
 
 
 def check_scenarios(scenarios, c0) -> dict:
@@ -177,10 +174,7 @@ def check_scenarios(scenarios, c0) -> dict:
 
 
 def cmd_explore(args) -> int:
-    g, report = verify(_config(args), max_states=args.max_states, max_depth=args.max_depth)
-    if args.dot:
-        with open(args.dot, "w") as f:
-            export_graph(g, "dot", f)
+    report = verify(_config(args), max_states=args.max_states, max_depth=args.max_depth)
     return _finish({"command": "explore", **report}, args)
 
 
@@ -195,15 +189,13 @@ def cmd_scenarios(args) -> int:
                     raise ValueError(f"scenario {s.name!r} reuses the name of a built-in scenario")
                 for e in s.trace + tuple(s.alphabet or ()):
                     validate_event(e, args.agents)
-                s.query()  # each trace event must be visible through the alphabet
                 scenarios.append(s)
         except ValueError as exc:  # malformed JSON, scenario or event objects
             raise InvalidEventError(f"{args.scenario_file}: {exc}") from exc
     if args.name:
         scenarios = [s for s in scenarios if s.name == args.name]
         if not scenarios:
-            print(f"mapmerge scenarios: unknown scenario {args.name!r}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ConfigurationError(f"unknown scenario {args.name!r}")
     return _finish({"command": "scenarios", **check_scenarios(scenarios, _config(args))}, args)
 
 
@@ -265,7 +257,7 @@ def main(argv=None) -> int:
         print(f"mapmerge: {exc}", file=sys.stderr)
         return CHECK_FAILED
     except MemoryError as exc:
-        what = exc if isinstance(exc, ExploreMemoryError) else "out of memory"
+        what = str(exc) or "out of memory"
         print(f"mapmerge: {what}; bound the search with --max-states, or use fewer --agents", file=sys.stderr)
         return CHECK_FAILED
 

@@ -191,9 +191,9 @@ def scenario_to_json(s: Scenario) -> dict:
 
 
 def scenario_from_json(d: dict) -> Scenario:
-    """Parse one scenario object; raises ValueError on malformed input."""
-    if not isinstance(d, dict) or not isinstance(d.get("name", ""), str):
-        raise ValueError(f"scenario must be an object with a string 'name': {d!r}")
+    """Parse one scenario object; raises ValueError on malformed input or a trace its alphabet hides."""
+    if not isinstance(d, dict) or not isinstance(d.get("name"), str) or not d["name"]:
+        raise ValueError(f"scenario must be an object with a non-empty string 'name': {d!r}")
     try:
         trace, alphabet = d["trace"], d.get("alphabet", "all_visible")
         for field, v in (("trace", trace), ("alphabet", [] if alphabet == "all_visible" else alphabet)):
@@ -208,7 +208,7 @@ def scenario_from_json(d: dict) -> Scenario:
             raise ValueError(f"scenario field 'requirement' must be REQ1, REQ2 or GOAL, got {requirement!r}")
         if not isinstance(description, str):
             raise ValueError(f"scenario field 'description' must be a string, got {description!r}")
-        return Scenario(
+        s = Scenario(
             name=d["name"],
             description=description,
             trace=tuple(from_json(x) for x in trace),
@@ -218,6 +218,8 @@ def scenario_from_json(d: dict) -> Scenario:
         )
     except KeyError as exc:
         raise ValueError(f"scenario object missing field {exc}") from exc
+    s.query()  # each trace event must be visible through the alphabet
+    return s
 
 
 def load_scenarios(text: str) -> list:

@@ -32,7 +32,7 @@ def flags(numbers, bare, **valued):
 
 # The flags each command reads.
 OWN = {
-    "explore": flags(["--max-states", "--max-depth"], ["--json", "--timings"], **{"--dot": PATHS}),
+    "explore": flags(["--max-states", "--max-depth"], ["--json", "--timings"]),
     "scenarios": flags(
         [],
         ["--json", "--timings"],

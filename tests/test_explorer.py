@@ -1,4 +1,5 @@
 import io
+import itertools
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager, nullcontext
@@ -106,6 +107,27 @@ def test_truncated_states_are_not_deadlocks():
     g = explore(c0, max_depth=4, checks=[])
     assert g.truncated and not g.complete
     assert find_deadlocks(g) == []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{}, {"merge_set_max": 2}, PRIORITY_MUTANT, ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, REPLACE_SET_MUTANT],
+    ids=["default", "merge-set-max-2", "priority", "active", "demote-on-merge", "replace-set"],
+)
+def test_bounds_add_no_invariant_violations(spec):
+    # A bound cuts transitions, not what a state check sees: a state check still reads every successor of a kept
+    # state.  A bounded run keeps the unbounded run's BFS indices, so its violations are the unbounded run's.
+    with variant(3, spec) as c0:
+        full = explore(c0)
+        runs = [explore(c0, max_states=k) for k in (1, 10, 100, 1000)]
+        for depth in itertools.count():
+            runs.append(explore(c0, max_depth=depth))
+            if runs[-1].complete:
+                break
+    for g in runs:
+        assert set(g.violations) <= set(full.violations)
+        in_states = [v for v in full.violations if v.event is None and v.idx < g.state_count]
+        assert [v for v in g.violations if v.event is None] == in_states
 
 
 def test_bad_bounds_rejected():

@@ -59,7 +59,7 @@ OPERANDS = [op for name in FUNCTIONS for op in operands(name)]
 
 def report(n: int, **flags) -> dict:
     # The bound only cuts a mutant whose graph outgrows the model's many times over.
-    return _strip_timings(verify(initial_config(n, **flags), max_states=20_000)[1])
+    return _strip_timings(verify(initial_config(n, **flags), max_states=20_000))
 
 
 def requests_in_flight() -> int:

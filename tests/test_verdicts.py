@@ -41,7 +41,7 @@ def test_multi_target_requests_pass_and_the_old_agent_guard_deadlocks():
     g = explore(c0, checks=[])
     assert (g.state_count, g.transition_count) == (8929, 28050)
     with mutant(*OLD_AGENT_GUARD_MUTANT):
-        _, report = verify(c0)
+        report = verify(c0)
     assert (report["state_count"], report["transition_count"]) == (8929, 26807)
     assert report["verdict"] == "fail"
     assert verdicts(report) == {**dict.fromkeys(CHECKS, "pass"), "deadlock-freedom": "fail", "goal-inevitable": "fail"}
