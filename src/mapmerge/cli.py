@@ -227,7 +227,10 @@ def _read_jsonl_events(path: str, n: int) -> list:
 def cmd_trace_check(args) -> int:
     trace = _read_jsonl_events(args.trace_file, args.agents)
     alphabet = frozenset(_read_jsonl_events(args.alphabet_file, args.agents)) if args.alphabet_file else None
-    query = TraceQuery(tuple(trace), alphabet)
+    try:
+        query = TraceQuery(tuple(trace), alphabet)
+    except InvalidEventError as exc:
+        raise InvalidEventError(f"{args.trace_file}: {exc}") from exc
     result, ms = _timed(has_trace, _config(args), query, max_states=args.max_states)
     check = _check("has-trace", result.found, "" if result.complete else "search truncated by bounds", ms)
     witness = None if result.witness is None else [label(e) for e in result.witness]

@@ -73,8 +73,8 @@ class StateGraph:
     its key (see `world.Model`); it is decoded only on demand.  Its
     transitions are offsets[i]:offsets[i + 1] of `events` and `targets`."""
 
-    def __init__(self, initial: Configuration, model: Model):
-        self.initial, self.model = initial, model  # the model whose ints the arrays hold
+    def __init__(self, model: Model):
+        self.model = model  # the model whose ints the arrays hold
         self.rows, self.offsets, self.events, self.targets = array("H"), array("I", [0]), array("H"), array("I")
         self.parent = array("I", [0])  # idx -> the state it was discovered from
         self.violations: list = []
@@ -176,14 +176,6 @@ def default_checks() -> list[Check]:
     ]
 
 
-class ExploreMemoryError(MemoryError):
-    """`explore` ran out of memory after discovering `states` states."""
-
-    def __init__(self, states: int):
-        super().__init__(f"out of memory after {states:,} states")
-        self.states = states
-
-
 _hash = hash  # key -> its hash in explore's table
 
 
@@ -213,7 +205,7 @@ def explore(
     Every registered invariant is evaluated at every state or transition
     where its gate admits (see `Check`); BFS order makes every violation
     witness minimal in length.  Hitting a bound leaves the graph flagged
-    incomplete.  Running out of memory raises `ExploreMemoryError`.
+    incomplete.  Running out of memory raises a `MemoryError` that names the states found.
 
     Deduplication is exact and keeps no key of an older layer.  Every
     state is in a chained hash table of arrays: a chain head per bucket, and
@@ -238,7 +230,7 @@ def explore(
 
     m = Model(c0.params)
     key0, top, hash_of = m.encode(c0), m.count_shift, _hash
-    g = StateGraph(c0, m)
+    g = StateGraph(m)
     rows, events, targets, parent, labels, shifts = g.rows, g.events, g.targets, g.parent, m.labels, m.shifts
     # A key's little-endian bytes begin with its row's, swapped on a big-endian host, whose rows store each int high
     # byte first; its slots fix its count word, so a row tells keys apart.  row_at reads a row's local ints.
@@ -304,7 +296,7 @@ def explore(
                     heads[b] = i
             layer, nxt, depth = list(nxt), {}, depth + 1
     except MemoryError as exc:
-        raise ExploreMemoryError(len(parent)) from exc
+        raise MemoryError(f"out of memory after {len(parent):,} states") from exc
     return g
 
 

@@ -46,12 +46,12 @@ class _Labels(dict):
         return text
 
 
-def _nodes(g: StateGraph, render: Callable[[str], str] = str, ids: Optional[Iterable] = None, flags=(False, True)):
-    """(the next of ids, by default the state's idx; render(partition label); flags[terminal]) of each state.
+def _nodes(g: StateGraph, render: Callable[[str], str], ids: Iterable, flags: tuple):
+    """(the next of ids; render(partition label); flags[terminal]) of each state.
     The label joins the parts of the state's leader ints, read off the leader columns of the rows, and each
     distinct label is rendered once.  is_terminal is False unless an active leader holds the whole team, so
     only such a state is decoded for it, when the pass that reads the parts meets it."""
-    m, n, count = g.model, g.initial.params.n, g.state_count
+    m, n, count = g.model, g.model.n, g.state_count
     # By local int: an active leader's label part or "", in whole if it holds the whole team, else in part.
     part, whole, terminal = {}, {}, bytearray(count)
     for x, s in enumerate(m.locals):
@@ -65,7 +65,7 @@ def _nodes(g: StateGraph, render: Callable[[str], str] = str, ids: Optional[Iter
 
     columns = [g.rows[slot :: 2 * n] for slot in range(n, 2 * n)]  # the leader ints of every state, by slot
     labels = map(_Labels(render, whole_parts).__getitem__, zip(*(map(part.get, c, range(count)) for c in columns)))
-    return zip(range(count) if ids is None else ids, labels, map(flags.__getitem__, terminal))
+    return zip(ids, labels, map(flags.__getitem__, terminal))
 
 
 def _edges(g: StateGraph, source: Callable[[int], str], event: list, lead: Optional[Iterator[str]] = None):
@@ -80,6 +80,8 @@ def to_dot(g: StateGraph, out: TextIO) -> None:
     """GraphViz rendering: nodes carry the leader partition, edges the event
     label.  Output is byte-stable for a given graph."""
     head = "digraph mapmerge {\n  rankdir=LR;\n  node [shape=box];\n"
+    if not g.complete:
+        head += '  label="incomplete: a bound cut the search";\n'
     ids = map('  s{0} [label="{0}: '.format, range(g.state_count))
     nodes = _nodes(g, _dot_escape, ids, ('"];\n', '", peripheries=2];\n'))
     node0, label0, end0 = next(nodes)
@@ -93,7 +95,7 @@ def to_json_graph(g: StateGraph, out: TextIO) -> None:
     json.dumps(document, sort_keys=True, separators=(",", ":")) + "\\n".
     Each state's and each transition's closing brace opens the next piece."""
     head = (
-        f'{{"agents":{g.initial.params.n},"complete":{json.dumps(g.complete)},"schema":{json.dumps(GRAPH_SCHEMA)},'
+        f'{{"agents":{g.model.n},"complete":{json.dumps(g.complete)},"schema":{json.dumps(GRAPH_SCHEMA)},'
         f'"state_count":{g.state_count},"states":['
     )
     ids = map('},{"id":%d,"initial":false,"label":'.__mod__, range(1, g.state_count))

@@ -7,7 +7,7 @@ import struct
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .events import EventLabel, MergeCancelled, ProcessRef, RemoveReasoningAbout, participants, sort_key
+from .events import EventLabel, MergeCancelled, ProcessRef, RemoveReasoningAbout, label, participants, sort_key
 from .ids import AgentId, universe
 from .processes import (
     AwaitCompletion,
@@ -44,10 +44,9 @@ class RefusedEventError(ValueError):
     """Raised when apply_event is given an event some participant refuses."""
 
     def __init__(self, event: EventLabel, blocking: Optional[ProcessRef]):
-        self.event = event
         self.blocking = blocking
         who = str(blocking) if blocking is not None else "no process owns it"
-        super().__init__(f"event not enabled ({who})")
+        super().__init__(f"{label(event)} not enabled ({who})")
 
 
 class ModelParams(NamedTuple):

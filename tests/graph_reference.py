@@ -58,11 +58,11 @@ def target(g, i: int, e) -> int:
 
 
 def replay(g, path) -> Configuration:
-    """The configuration that the event labels `path` reach from `g.initial`
+    """The configuration that the event labels `path` reach from `g.state(0)`
     through `apply_event`.  Each step must take the transition of `g` that
     found its target, the first from its parent into it, and reach that
     target's stored state."""
-    c, i, off, labels = g.initial, 0, g.offsets, g.model.labels
+    c, i, off, labels = g.state(0), 0, g.offsets, g.model.labels
     for e in path:
         c, j = apply_event(c, e), target(g, i, e)
         assert g.parent[j] == i and labels[g.events[g.targets.index(j, off[i], off[i + 1])]] == e
@@ -316,7 +316,7 @@ def explore(
     m = Model(c0.params)
     key0, top = m.encode(c0), m.count_shift
     index = {key0: 0}  # key -> idx
-    g = StateGraph(c0, m)
+    g = StateGraph(m)
     rows, events, targets, labels, shifts = g.rows, g.events, g.targets, m.labels, m.shifts
     # Every state is expanded and appends its row, in index order (BFS order); layer_end ends the current depth.
     queue, idx, depth, layer_end = deque([key0]), 0, 0, 1  # queue: the keys of the states not yet expanded

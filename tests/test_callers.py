@@ -1,13 +1,15 @@
 """Caller check: every public module-level function and class of the package
 is referenced by the program, in `src/` or `scripts/`, somewhere other than
 its own definition, and so is every public method or property of those
-classes.  `__init__.py` re-exports by design and tests are not callers, so
-neither counts.  Module-level names are matched by module: `mod.f` is read by
+classes, and every public attribute that such a class assigns on `self`.
+`__init__.py` re-exports by design and tests are not callers, so neither
+counts.  Module-level names are matched by module: `mod.f` is read by
 a bare `f` in `mod` itself or in a module that imported it by `from .mod
 import f` (aliased or not), and by the attribute `mod.f` or `pkg.mod.f`; the
 import alone is no read.  So neither a method nor a function of another module
 that shares the name is a caller.  A member counts as read when some attribute
-`.f` is read outside its own body; dunders are out of scope.
+`.f` is read outside its own body, and an attribute assigned on `self` when
+some `.f` is loaded; a store is no read.  Dunders are out of scope.
 """
 
 import ast
@@ -26,6 +28,8 @@ ALLOWED = {
     "coordmap.GridMap.shifted": "part of the map-merge algebra that acceptance criterion 12 checks",
     "scenarios.scenario_to_json": "the writer half of the scenario-file format; tests build input files with it",
     "world.enabled_events": "the reference path's offered events, read by perfbench's query walk and by the tests' oracle",
+    "world.RefusedEventError.blocking": "the process that refuses the event, which tests/test_world.py reads",
+    "coordmap.MergeConflictError.conflicts": "the conflicting cells of a failed merge, which tests/test_coordmap.py reads",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -36,7 +40,7 @@ def reads(module: str, source: str, modules: set):
     `mod.name`: for `mod.name` or `pkg.mod.name` of one of `modules`, and for
     a bare name read in `module`, where `mod` is the module it was imported
     from by `from [pkg.]mod import name` (aliased or not), else `module`
-    itself.  The key of each attribute `f` read is `.f`.  The scope is the
+    itself.  The key of each attribute `f` loaded is `.f`.  The scope is the
     set of `module.qualname`s of the definitions the read sits in."""
     tree = ast.parse(source)
     imported = {  # local name -> key, for each name imported from a package module
@@ -52,7 +56,7 @@ def reads(module: str, source: str, modules: set):
             scope = scope | {path}
         if isinstance(node, ast.Name):
             yield imported.get(node.id, f"{module}.{node.id}"), scope
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield "." + node.attr, scope
             of = getattr(node.value, "id", getattr(node.value, "attr", None))  # counts as `mod` or `pkg.mod`
             if of in modules:
@@ -66,15 +70,22 @@ def reads(module: str, source: str, modules: set):
 def defined(module: str, source: str):
     """(name, key) for each public top-level function or class of `source`,
     named and read as `module.name`, and for each public
-    method or property of its top-level classes, named `module.Class.name`
-    and read as `.name`."""
+    method or property of its top-level classes and each public attribute
+    that they assign on `self`, named `module.Class.name` and read as `.name`."""
     for node in ast.parse(source).body:
         if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
             yield f"{module}.{node.name}", f"{module}.{node.name}"
         if isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, DEFINITIONS[:2]) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}.{member.name}", "." + member.name
+            members = [m.name for m in node.body if isinstance(m, DEFINITIONS[:2])]
+            members += [  # each attribute assigned on `self`
+                a.attr
+                for a in ast.walk(node)
+                if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Store)
+                and getattr(a.value, "id", None) == "self"
+            ]
+            for name in dict.fromkeys(members):
+                if not name.startswith("_"):
+                    yield f"{module}.{node.name}.{name}", "." + name
 
 
 def uncalled(package: dict, scripts: dict) -> list:
@@ -142,6 +153,18 @@ def test_checker_checks_class_members():
     }
     assert uncalled(package, {}) == ["a.C.f", "a.C.g"]
     assert uncalled(package, {"run": "from a import C\nC().g()\nC().f()\n"}) == []
+
+
+def test_checker_checks_attributes_assigned_on_self():
+    package = {
+        "a": "class C:\n"
+        "    def __init__(self, x, y):\n        self.x, self.y = x, y\n        self._z = 0\n\n"
+        "    def g(self):\n        self.y = self.y + 1\n",
+        "b": "from .a import C\n\nC(1, 2).g()\n",
+    }
+    assert uncalled(package, {}) == ["a.C.x"]
+    assert uncalled(package, {"run": "from a import C\nc = C(1, 2)\nprint(c.x)\n"}) == []
+    assert uncalled(package, {"run": "from a import C\nc = C(1, 2)\nc.x = 3\n"}) == ["a.C.x"]
 
 
 def test_every_public_name_has_a_caller():

@@ -457,6 +457,15 @@ def test_trace_check_parse_error_names_line(capsys, tmp_path):
     assert f"{path}:2:" in err
 
 
+def test_trace_check_event_hidden_by_the_alphabet_names_the_trace_file(capsys, tmp_path):
+    alphabet, trace = tmp_path / "alphabet.jsonl", tmp_path / "trace.jsonl"
+    alphabet.write_text(json.dumps({"type": "confirm_merge", "req_leader": "A2", "other_leader": "A1"}) + "\n")
+    trace.write_text(json.dumps({"type": "confirm_merge", "req_leader": "A1", "other_leader": "A2"}) + "\n")
+    code, _, err = run(capsys, "trace-check", "--agents", "3", "--alphabet-file", str(alphabet), str(trace))
+    assert code == 2
+    assert err == f"mapmerge: parse error: {trace}: trace event confirm_merge.A1.A2 not in the visible alphabet\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -496,6 +505,15 @@ def test_export_dot_to_file(capsys, tmp_path):
     text = path.read_text()
     assert text.startswith("digraph mapmerge {")
     assert text.count("->") == 77
+
+
+def test_export_dot_of_a_bounded_graph_says_so(capsys):
+    line = '  label="incomplete: a bound cut the search";\n'
+    code, out, _ = run(capsys, "export", "--agents", "3", "--max-states", "100", "--format", "dot")
+    assert code == 0
+    assert out.startswith("digraph mapmerge {\n  rankdir=LR;\n  node [shape=box];\n" + line)
+    code, out, _ = run(capsys, "export", "--agents", "3", "--format", "dot")
+    assert code == 0 and line not in out
 
 
 VERIFICATION_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"

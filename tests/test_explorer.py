@@ -360,7 +360,7 @@ LEADER_PHASES = {
 def reached(g):
     """The event types of `g`'s transitions and the leader phase classes of its
     states, read from its rows: `Model.locals` also holds unreached move targets."""
-    n, local = g.initial.params.n, g.model.locals
+    n, local = g.model.n, g.model.locals
     phases = {type(local[x].phase) for k, x in enumerate(g.rows) if k % (2 * n) >= n}
     return {type(g.model.labels[ev]) for ev in set(g.events)}, phases
 

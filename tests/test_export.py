@@ -31,7 +31,7 @@ TERMINALS = {"default": 1, "harness=False": 1, "merge_set_max=2": 1}
 def test_node_attributes_match_the_configuration_reference(name, spec):
     with variant(3, spec) as c0:
         g = explore(c0, checks=[])
-        got = list(export._nodes(g))
+        got = list(export._nodes(g, str, range(g.state_count), (False, True)))
         want = [(i, partition_label(c), is_terminal(c)) for i, c in enumerate(states(g))]
     assert got == want
     if name in TERMINALS:

@@ -24,7 +24,7 @@ from test_successors import VARIANTS
 def json_reference(g) -> str:
     document = {
         "schema": export.GRAPH_SCHEMA,
-        "agents": g.initial.params.n,
+        "agents": g.model.n,
         "complete": g.complete,
         "state_count": g.state_count,
         "transition_count": g.transition_count,
@@ -42,6 +42,8 @@ def dot_reference(g) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     lines = ["digraph mapmerge {", "  rankdir=LR;", "  node [shape=box];"]
+    if not g.complete:
+        lines.append('  label="incomplete: a bound cut the search";')
     for i, c in enumerate(states(g)):
         attrs = [f"label={quote(f'{i}: {partition_label(c)}')}"]
         if i == 0:

@@ -87,6 +87,7 @@ def test_successors_match_apply_event(n, stride, spec):
     with variant(n, spec) as c0:
         g = explore(c0, checks=[])
         assert g.complete
+        assert g.state(0) == c0
         for c in states(g)[::stride]:
             succs = successors(c, g.model)
             assert succs == reference(c, labels)

@@ -63,8 +63,8 @@ def test_explored_path_projections_match_reference(graph_n3):
     # first event moved to the end, which is found for 29 of the 111.
     for i in range(0, graph_n3.state_count, 17):
         visible = tuple(e for e in graph_n3.path_to(i) if not is_internal(e))
-        assert same_as_reference(graph_n3.initial, TraceQuery(visible)).found
-        same_as_reference(graph_n3.initial, TraceQuery(visible[1:] + visible[:1]))
+        assert same_as_reference(graph_n3.state(0), TraceQuery(visible)).found
+        same_as_reference(graph_n3.state(0), TraceQuery(visible[1:] + visible[:1]))
 
 
 @pytest.mark.parametrize("n", [3, 4])

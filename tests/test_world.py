@@ -116,6 +116,7 @@ def test_apply_event_refuses_with_blocker():
         apply_event(c, ConfirmMerge(req_leader=A1, other_leader=A2))
     assert ei.value.blocking is not None
     assert ei.value.blocking.kind == "leader"
+    assert str(ei.value) == "confirm_merge.A1.A2 not enabled (Leader(A1))"
 
 
 def test_remove_reasoning_needs_a_refusing_leader():
