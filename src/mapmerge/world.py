@@ -115,11 +115,11 @@ class Model:
     unpacks the slots, and every key is below 1 << `key_bits`, so bits above it
     are free.  A move or step table entry holds the delta that its step adds to
     a key, the next local's term minus its own, so a successor's key is a sum.
-    Interning a local state interns its moves; the passive participants of an
-    event accept it through per-local step tables, each entry filled on its
-    first miss (2,686 passive steps fill the n=4 tables).  A label's shift flag
-    is set as its entries fill, before any transition on it is returned.  A
-    model serves one thread."""
+    Interning a local state interns its moves, each with at most one
+    partner: the passive participant, which accepts through per-local step
+    tables, each entry filled on its first miss (2,686 passive steps fill
+    the n=4 tables).  A label's shift flag is set as its entries fill,
+    before any transition on it is returned.  A model serves one thread."""
 
     def __init__(self, params: ModelParams):
         self.params, self.n = params, params.n
@@ -129,7 +129,7 @@ class Model:
         self._label_ids: dict = {}  # label -> (event int, sort key int, participant slots)
         self.faults: list = []  # local int -> local_faults, with each duty's label as its int (-1: none)
         self._terms: list = []  # local int -> its term in a key
-        self._moves: list = []  # local int -> ((event int, sort key int, other participants' slots, delta), ...)
+        self._moves: list = []  # local int -> ((event int, sort key int, partner slot or -1, delta), ...)
         self._steps: list = []  # local int -> {event int: delta, or None if refused}
         self.shifts = bytearray()  # event int -> 1 once an entry under it changes a leader's _pair
         self.count_shift = 32 * self.n  # key >> count_shift is a key's count word
@@ -166,7 +166,8 @@ class Model:
             for e, nxt in (leader_moves if leader else agent_moves)(s, self.params):
                 ev, key, slots = self._label(e)
                 self.shifts[ev] |= leader and _pair(s) != _pair(nxt)
-                moves.append((ev, key, tuple(j for j in slots if j != own), self._terms[self._intern(nxt)] - term))
+                (partner,) = [j for j in slots if j != own] or [-1]  # participants names at most two processes
+                moves.append((ev, key, partner, self._terms[self._intern(nxt)] - term))
             self._moves[i] = tuple(moves)
         return i
 
@@ -194,8 +195,8 @@ class Model:
     def successors(self, key: int, code: tuple) -> list[tuple[int, int]]:
         """Every enabled event int with its successor key, in canonical order:
         `key` plus the delta of each participant's step; `code` is
-        `code(key)`.  Only the other participants of the process that
-        offers a label step.  The moves are walked from the last slot to the
+        `code(key)`.  Only the partner of the process that offers a label
+        steps, if it has one.  The moves are walked from the last slot to the
         first and each accepted offer overwrites the label's entry, so the
         lowest slot to offer a label keeps it (only leaders offer
         remove_reasoning_about, so the lowest refusing leader wins, as in
@@ -207,16 +208,14 @@ class Model:
         moves_of, steps_of = self._moves, self._steps
         found: dict = {}  # sort key int -> (event int, successor key)
         for local in reversed(code):
-            for ev, sort, others, delta in moves_of[local]:
-                new = key + delta
-                for i in others:
-                    steps = steps_of[code[i]]
-                    d = steps[ev] if ev in steps else self._step(code[i], ev)
+            for ev, sort, partner, delta in moves_of[local]:
+                if partner >= 0:
+                    steps = steps_of[code[partner]]
+                    d = steps[ev] if ev in steps else self._step(code[partner], ev)
                     if d is None:
-                        break
-                    new += d
-                else:
-                    found[sort] = (ev, new)
+                        continue
+                    delta += d
+                found[sort] = (ev, key + delta)
         return list(map(found.__getitem__, sorted(found)))
 
 

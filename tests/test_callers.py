@@ -2,14 +2,14 @@
 is referenced by the program, in `src/` or `scripts/`, somewhere other than
 its own definition, and so is every public method or property of those
 classes, and every public attribute that such a class assigns on `self`.
-`__init__.py` re-exports by design and tests are not callers, so neither
-counts.  Module-level names are matched by module: `mod.f` is read by
-a bare `f` in `mod` itself or in a module that imported it by `from .mod
-import f` (aliased or not), and by the attribute `mod.f` or `pkg.mod.f`; the
-import alone is no read.  So neither a method nor a function of another module
-that shares the name is a caller.  A member counts as read when some attribute
-`.f` is read outside its own body, and an attribute assigned on `self` when
-some `.f` is loaded; a store is no read.  Dunders are out of scope.
+Tests are not callers.  Module-level names are matched by module: `mod.f`
+is read by a bare `f` in `mod` itself or in a module that imported it by
+`from .mod import f` (aliased or not), and by the attribute `mod.f` or
+`pkg.mod.f`; the import alone is no read.  So neither a method nor a
+function of another module that shares the name is a caller.  A member
+counts as read when some attribute `.f` is read outside its own body, and
+an attribute assigned on `self` when some `.f` is loaded; a store is no
+read.  Dunders are out of scope.
 """
 
 import ast
@@ -168,7 +168,7 @@ def test_checker_checks_attributes_assigned_on_self():
 
 
 def test_every_public_name_has_a_caller():
-    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     scripts = {p.stem: p.read_text() for p in sorted(SCRIPTS.glob("*.py"))}
     assert scripts, f"no scripts under {SCRIPTS}"
     found = set(uncalled(package, scripts))

@@ -1,9 +1,9 @@
 """Import hygiene: no module of the package and no script imports a name it
 never uses, and importing the CLI loads no module that only slows its start.
 
-The first stands in for a linter's unused-import rule (F401).  `__init__.py`
-re-exports by design, and so does any import statement whose first line
-carries `# noqa: F401`.
+The first stands in for a linter's unused-import rule (F401), which exempts
+an import statement whose first line carries `# noqa: F401`.  The package
+root re-exports nothing: every caller imports a name from its module.
 """
 
 import ast
@@ -17,7 +17,7 @@ import mapmerge
 
 PACKAGE = Path(mapmerge.__file__).resolve().parent
 SCRIPTS = sorted(PACKAGE.parents[1].glob("scripts/*.py"))
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + SCRIPTS
+MODULES = sorted(PACKAGE.glob("*.py")) + SCRIPTS
 
 
 def unused_imports(source: str) -> list:
@@ -69,3 +69,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(src_env):
     assert added_modules(src_env, "import dataclasses") >= {"dataclasses", "inspect"}
     added = added_modules(src_env, "import mapmerge.cli")
     assert "mapmerge.cli" in added and not added & {"dataclasses", "inspect"}
+
+
+def test_package_import_loads_no_module_of_the_package(src_env):
+    added = added_modules(src_env, "import mapmerge")
+    assert "mapmerge" in added and not {m for m in added if m.startswith("mapmerge.")}
+
+
+def test_cli_import_does_not_load_the_map_algebra(src_env):
+    added = added_modules(src_env, "import mapmerge.cli")
+    assert "mapmerge.cli" in added and "mapmerge.coordmap" not in added

@@ -1,6 +1,10 @@
+from typing import NamedTuple
+
 import pytest
 
 from mapmerge.events import (
+    EVENT_TYPES,
+    Agent,
     BeginMerge,
     ConfirmMerge,
     MergeCompleted,
@@ -14,8 +18,10 @@ from mapmerge.events import (
     UpdateIdentifiedSameGroup,
     Done,
     Terminate,
+    participants,
 )
-from mapmerge.ids import AgentId
+from mapmerge.ids import AgentId, universe
+from mapmerge.processes import LeaderProcState
 from mapmerge.world import (
     ConfigurationError,
     RefusedEventError,
@@ -156,3 +162,47 @@ def test_partition_violation_detects_overlap():
     l0 = c.leaders[0]._replace(agent_set=frozenset({A1, A2}))
     bad = c._replace(leaders=(l0, c.leaders[1]))
     assert quiescent_partition_violation(bad) is not None
+
+
+def instance(cls):
+    """One instance of event type `cls`: its agent fields name distinct agents, and each set field is {A1}."""
+    ids = iter(universe(len(cls._fields)))
+    return cls(*(frozenset({A1}) if t is frozenset else next(ids) for t in cls.__annotations__.values()))
+
+
+def not_two_party(types, parties=participants) -> list:
+    """Each type among `types` whose instance `parties` gives neither one nor two processes."""
+    return [cls for cls in types if not 1 <= len(parties(instance(cls))) <= 2]
+
+
+class Triple(NamedTuple):
+    """A fixture event type that three agents take."""
+
+    a: AgentId
+    b: AgentId
+    c: AgentId
+
+
+def test_checker_finds_a_three_party_type():
+    def parties(e):
+        return frozenset(map(Agent, e)) if isinstance(e, Triple) else participants(e)
+
+    assert not_two_party([*EVENT_TYPES.values(), Triple], parties) == [Triple]
+
+
+def test_every_event_type_has_one_or_two_participants():
+    # world.Model compiles each move with at most one partner on this premise.
+    assert len(EVENT_TYPES) == 14
+    assert not_two_party(EVENT_TYPES.values()) == []
+
+
+def test_every_compiled_move_steps_each_participant(graph_n3):
+    m = graph_n3.model
+    kinds = set()
+    for i, s in enumerate(m.locals):
+        own = s.id.index - 1 + (m.n if isinstance(s, LeaderProcState) else 0)
+        for ev, _, partner, _ in m._moves[i]:
+            slots = {r.id.index - 1 + (m.n if r.kind == "leader" else 0) for r in participants(m.labels[ev])}
+            assert slots | {own} == {own, partner} - {-1}
+            kinds.add(partner >= 0)
+    assert kinds == {False, True}
