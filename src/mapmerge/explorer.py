@@ -106,6 +106,10 @@ class StateGraph:
         off = self.offsets
         return map(sub, islice(off, 1, None), off)
 
+    def ends(self) -> Iterable[int]:
+        """The indices of the states with no transition, in order: terminal, deadlocked or cut by a bound."""
+        return compress(range(self.state_count), map(not_, self.degrees()))
+
     def path_to(self, idx: int) -> list:
         """The event labels from the initial state to state idx along `parent`, each the first transition of its
         parent into a state, which found it.  No state is decoded; `world.apply_event` replays the labels."""
@@ -334,7 +338,8 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
     dict entry per node: `visited` maps a node to the node it was found
     from.  The witness is rebuilt by walking those parents back and taking,
     from each, its first product edge onto the child in canonical order,
-    which is the edge that found the child.
+    which is the edge that found the child.  Given max_states K, the search
+    stops, incomplete, after expanding K product nodes.
     """
     if max_states is not None and max_states < 1:
         raise ConfigurationError("exploration bounds must be positive")
@@ -387,8 +392,7 @@ def has_trace(c0: Configuration, q: TraceQuery, *, max_states: Optional[int] = N
 def find_deadlocks(g: StateGraph) -> list:
     """The indices of the states of `g` that are not terminal and have no enabled events, in order; `g.path_to`
     gives each one's witness.  States whose successors a bound cut are not deadlocks."""
-    ends = compress(range(g.state_count), map(not_, g.degrees()))
-    return [i for i in ends if i not in g.truncated and not is_terminal(g.state(i))]
+    return [i for i in g.ends() if i not in g.truncated and not is_terminal(g.state(i))]
 
 
 class DivergenceWitness(NamedTuple):

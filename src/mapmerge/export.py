@@ -3,8 +3,8 @@ streamed from the graph's arrays to a text file in chunks of 4,096 pieces
 that C-level iterators (map, zip, repeat, chain) interleave, with no Python
 frame per state or transition.  Besides the graph, a writer holds one string
 per label, one rendered string per distinct partition label and the leader
-columns of the rows; the labels are joined from per-local parts, not from
-decoded states, and the bytes are those the decoded labels gave.
+columns of the rows; the labels are joined from per-local parts, and only
+the graph's ends, the states with no transition, are decoded, for `is_terminal`.
 
 The JSON schema is versioned as "mapmerge-graph/1" and documented in
 docs/graph_schema.md.
@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .events import label, to_json
 from .explorer import StateGraph
-from .processes import LeaderProcState, full_set
+from .processes import LeaderProcState
 from .world import is_terminal
 
 GRAPH_SCHEMA = "mapmerge-graph/1"
@@ -36,12 +36,10 @@ def _write(out: TextIO, pieces: Iterator[str]) -> None:
 class _Labels(dict):
     """The label parts of a state's leaders -> render(partition label), joined and rendered on first lookup."""
 
-    def __init__(self, render: Callable[[str], str], whole: Callable[[int], tuple]):
-        self.render, self.whole = render, whole
+    def __init__(self, render: Callable[[str], str]):
+        self.render = render
 
     def __missing__(self, parts: tuple) -> str:
-        for idx in filter(int.__instancecheck__, parts):  # a state idx stands in for a whole-team leader's part
-            return self[self.whole(idx)]
         text = self[parts] = self.render(" ".join(filter(None, parts)) or "(no active leaders)")
         return text
 
@@ -49,23 +47,16 @@ class _Labels(dict):
 def _nodes(g: StateGraph, render: Callable[[str], str], ids: Iterable, flags: tuple):
     """(the next of ids; render(partition label); flags[terminal]) of each state.
     The label joins the parts of the state's leader ints, read off the leader columns of the rows, and each
-    distinct label is rendered once.  is_terminal is False unless an active leader holds the whole team, so
-    only such a state is decoded for it, when the pass that reads the parts meets it."""
-    m, n, count = g.model, g.model.n, g.state_count
-    # By local int: an active leader's label part or "", in whole if it holds the whole team, else in part.
-    part, whole, terminal = {}, {}, bytearray(count)
-    for x, s in enumerate(m.locals):
-        on = isinstance(s, LeaderProcState) and s.active
-        text = f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if on else ""
-        (whole if on and s.agent_set == full_set(n) else part)[x] = text
-
-    def whole_parts(idx: int) -> tuple:  # sets state idx's terminal flag before the flags are read that far
-        terminal[idx] = is_terminal(g.state(idx))
-        return tuple(whole.get(x, part.get(x)) for x in g.code(idx)[n:])
-
-    columns = [g.rows[slot :: 2 * n] for slot in range(n, 2 * n)]  # the leader ints of every state, by slot
-    labels = map(_Labels(render, whole_parts).__getitem__, zip(*(map(part.get, c, range(count)) for c in columns)))
-    return zip(ids, labels, map(flags.__getitem__, terminal))
+    distinct label is rendered once.  A terminal state has no transition, so only the graph's ends are decoded,
+    for `is_terminal`."""
+    m, n = g.model, g.model.n
+    terminal = {i for i in g.ends() if is_terminal(g.state(i))}
+    on = [isinstance(s, LeaderProcState) and s.active for s in m.locals]
+    # By local int: an active leader's label part, or "".
+    part = [f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if o else "" for s, o in zip(m.locals, on)]
+    columns = [map(part.__getitem__, g.rows[slot :: 2 * n]) for slot in range(n, 2 * n)]  # by leader slot
+    labels = map(_Labels(render).__getitem__, zip(*columns))
+    return zip(ids, labels, map(flags.__getitem__, map(terminal.__contains__, range(g.state_count))))
 
 
 def _edges(g: StateGraph, source: Callable[[int], str], event: list, lead: Optional[Iterator[str]] = None):

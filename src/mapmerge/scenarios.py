@@ -191,9 +191,11 @@ def scenario_to_json(s: Scenario) -> dict:
 
 
 def scenario_from_json(d: dict) -> Scenario:
-    """Parse one scenario object; raises ValueError on malformed input or a trace its alphabet hides."""
+    """Parse one scenario object; raises ValueError on malformed input, an unknown field or a hidden trace event."""
     if not isinstance(d, dict) or not isinstance(d.get("name"), str) or not d["name"]:
         raise ValueError(f"scenario must be an object with a non-empty string 'name': {d!r}")
+    if extra := set(d) - {"name", "description", "requirement", "expected", "trace", "alphabet"}:
+        raise ValueError(f"scenario {d['name']!r}: unexpected fields {sorted(extra)}")
     try:
         trace, alphabet = d["trace"], d.get("alphabet", "all_visible")
         for field, v in (("trace", trace), ("alphabet", [] if alphabet == "all_visible" else alphabet)):

@@ -41,7 +41,7 @@ from mapmerge.explorer import (
 )
 from mapmerge.ids import AgentId
 from mapmerge.scenarios import builtin_scenarios, check_scenario
-from mapmerge.world import all_maps_merged, apply_event, enabled_events, initial_config, is_terminal
+from mapmerge.world import all_maps_merged, apply_event, enabled_events, initial_config
 
 from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, mutant
 from graph_reference import states, transitions

@@ -232,6 +232,7 @@ def test_scenario_file_wrong_field_type_usage_error(capsys, tmp_path):
         ("alphabet", {}),
         ("alphabet", ""),
         ("name", ""),
+        ("expect", False),
     ],
     ids=[
         "requirement-list",
@@ -242,6 +243,7 @@ def test_scenario_file_wrong_field_type_usage_error(capsys, tmp_path):
         "alphabet-object",
         "alphabet-string",
         "name-empty",
+        "expect-unknown",
     ],
 )
 def test_scenario_file_bad_requirement_or_description_usage_error(capsys, tmp_path, field, value):

@@ -1,18 +1,18 @@
 """The export's node attributes against their Configuration-level reference.
 
 `export._nodes` joins each label from per-local parts read off the state's
-row and decodes a state for `is_terminal` only where an active leader holds
-the whole team; these tests compare it with the decoded reference and count
-its decodes.
+row and decodes only the graph's ends, the states with no transition, for
+`is_terminal`; these tests compare it with the decoded reference, count its
+decodes and pin its premise: every terminal state is an end.
 """
 
 import io
 
 import pytest
 
+import conftest
 from mapmerge import export
-from mapmerge.explorer import explore
-from mapmerge.processes import full_set
+from mapmerge.explorer import explore, find_deadlocks
 from mapmerge.world import Model, initial_config, is_terminal
 
 from conftest import DEMOTE_ON_MERGE_MUTANT, REPLACE_SET_MUTANT, variant
@@ -39,10 +39,31 @@ def test_node_attributes_match_the_configuration_reference(name, spec):
     assert any(label.count(":") >= 2 for _, label, _ in got)  # some label names two active leaders
 
 
+MODELS = {**VARIANTS, **{k: v for k, v in vars(conftest).items() if k.endswith("_MUTANT")}}
+
+
+@pytest.mark.parametrize(
+    "n, spec, bound",
+    [*((n, spec, {}) for n in (2, 3) for spec in MODELS.values()), (3, {}, {"max_depth": 4})],
+    ids=[*(f"n={n}-{name}" for n in (2, 3) for name in MODELS), "n=3-default-max_depth=4"],
+)
+def test_every_end_is_terminal_deadlocked_or_cut(n, spec, bound):
+    # The export decodes only the ends for is_terminal: no terminal state has a transition.
+    with variant(n, spec) as c0:
+        g = explore(c0, checks=[], **bound)
+        ends = list(g.ends())
+        terminal = {i for i, c in enumerate(states(g)) if is_terminal(c)}
+        deadlocks = set(find_deadlocks(g))
+    assert g.complete == (not bound)
+    assert terminal <= set(ends)
+    for i in ends:
+        assert (i in terminal) + (i in deadlocks) + (i in g.truncated) == 1
+
+
 @pytest.mark.parametrize("format", ["json", "dot"])
-def test_export_decodes_only_states_with_a_whole_team_leader(monkeypatch, format):
+def test_export_decodes_only_the_graph_ends(monkeypatch, format):
     g = explore(initial_config(3), checks=[])
-    whole = sum(any(l.active and l.agent_set == full_set(3) for l in c.leaders) for c in states(g))
+    ends = len(list(g.ends()))
     decodes = 0
     decode = Model.decode
 
@@ -53,5 +74,4 @@ def test_export_decodes_only_states_with_a_whole_team_leader(monkeypatch, format
 
     monkeypatch.setattr(Model, "decode", counted)
     export.export_graph(g, format, io.StringIO())
-    assert decodes == whole
-    assert 0 < decodes <= g.state_count // 50  # 21 of 1,879
+    assert decodes == ends == 1  # the terminal state, of 1,879

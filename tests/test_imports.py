@@ -1,5 +1,6 @@
-"""Import hygiene: no module of the package and no script imports a name it
-never uses, and importing the CLI loads no module that only slows its start.
+"""Import hygiene: no module of the package, no script and no test module
+imports a name it never uses, and importing the CLI loads no module that
+only slows its start.
 
 The first stands in for a linter's unused-import rule (F401), which exempts
 an import statement whose first line carries `# noqa: F401`.  The package
@@ -16,8 +17,8 @@ import pytest
 import mapmerge
 
 PACKAGE = Path(mapmerge.__file__).resolve().parent
-SCRIPTS = sorted(PACKAGE.parents[1].glob("scripts/*.py"))
-MODULES = sorted(PACKAGE.glob("*.py")) + SCRIPTS
+ROOT = PACKAGE.parents[1]
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -1,5 +1,3 @@
-import pytest
-
 from mapmerge.events import (
     ConfirmMerge,
     Done,
@@ -24,11 +22,9 @@ from mapmerge.processes import (
     Confirming,
     Considering,
     DonePhase,
-    Merging,
     Refusing,
     StartMerge,
     Terminated,
-    Terminating,
     Updating,
     agent_step,
     initial_agent,
