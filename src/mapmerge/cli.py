@@ -190,7 +190,7 @@ def cmd_scenarios(args) -> int:
                 for e in s.trace + tuple(s.alphabet or ()):
                     validate_event(e, args.agents)
                 scenarios.append(s)
-        except ValueError as exc:  # malformed JSON, scenario or event objects
+        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, scenario or event objects
             raise InvalidEventError(f"{args.scenario_file}: {exc}") from exc
     if args.name:
         scenarios = [s for s in scenarios if s.name == args.name]
@@ -218,7 +218,7 @@ def _read_jsonl_events(path: str, n: int) -> list:
         try:
             e = from_json(json.loads(line))
             validate_event(e, n)
-        except (json.JSONDecodeError, InvalidEventError) as exc:
+        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or a malformed event
             raise InvalidEventError(f"{path}:{lineno}: {exc}") from exc
         events.append(e)
     return events

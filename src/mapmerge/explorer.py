@@ -9,7 +9,7 @@ import sys
 from array import array
 from collections import deque
 from functools import cache
-from itertools import compress, islice, repeat
+from itertools import compress, islice, repeat, starmap
 from math import isqrt
 from operator import itemgetter, mod, not_, sub
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -180,7 +180,7 @@ def default_checks() -> list[Check]:
     ]
 
 
-_hash = hash  # key -> its hash in explore's table
+_hash = hash  # a row's bytes -> its hash in explore's table
 
 
 def _swap16(b: bytes) -> bytes:
@@ -212,13 +212,13 @@ def explore(
     incomplete.  Running out of memory raises a `MemoryError` that names the states found.
 
     Deduplication is exact and keeps no key of an older layer.  Every
-    state is in a chained hash table of arrays: a chain head per bucket, and
-    a link and the key's hash per state.  A hit is confirmed against the
-    state's row in `StateGraph.rows`, written when the state is found, so
-    no two states merge.  A dict of the next layer's keys serves the
-    transitions into that layer, 83% of them at n=4, without walking the
-    table.  At n=4 the search peaks at about 75 bytes per state, against
-    180 with one dict of every key.
+    state is in a chained hash table of arrays: a chain head per bucket and
+    a link per state.  A state's bucket is the hash of its row in
+    `StateGraph.rows`, written when the state is found, and a hit is
+    confirmed against that row, so no two states merge.  A dict of the next
+    layer's keys serves the transitions into that layer, 83% of them at
+    n=4, without walking the table.  At n=4 the search peaks at about 70
+    bytes per state, against 180 with one dict of every key.
     """
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
@@ -241,9 +241,9 @@ def explore(
     width, nbytes, swap = 2 * m.n, (m.key_bits + 7) // 8, sys.byteorder == "big"
     row_at, stride = struct.Struct(f"={width}H").unpack_from, width * rows.itemsize
     rows.extend(m.code(key0))
-    # nxt: the keys of the next layer -> idx.  The table of all states: hashes[i] is state i's hash, heads[h % size] is
+    # nxt: the keys of the next layer -> idx.  The table of all states: heads[h % size], h the hash of a row's bytes, is
     # 1 + the idx of the newest state in h's bucket, links[i] 1 + the next older one in state i's, and 0 ends a chain.
-    nxt, hashes, heads, links = {}, array("q", [hash_of(key0)]), array("I", [1]), array("I", [0])
+    nxt, heads, links = {}, array("I", [1]), array("I", [0])
     size, layer, depth, idx = 1, [key0], 0, 0  # layer: the keys of the current layer; idx: the state expanded
     try:
         while layer:
@@ -260,14 +260,15 @@ def explore(
                 for ev, key2 in succs:
                     j = nxt.get(key2)
                     if j is None:
-                        h, kb = hash_of(key2), key2.to_bytes(nbytes, "little")
+                        kb = key2.to_bytes(nbytes, "little")
                         if swap:
                             kb = _swap16(kb)
-                        b = h % size
+                        row = kb[:stride]
+                        b = hash_of(row) % size
                         i = heads[b]
                         while i:
                             i -= 1
-                            if hashes[i] == h and kb.startswith(rows[i * width : i * width + width]):
+                            if kb.startswith(rows[i * width : i * width + width]):
                                 j = i
                                 break
                             i = links[i]
@@ -279,8 +280,7 @@ def explore(
                                 continue
                             j = nxt[key2] = len(parent)
                             parent.append(idx)
-                            rows.frombytes(kb[:stride])
-                            hashes.append(h)
+                            rows.frombytes(row)
                             links.append(heads[b])
                             heads[b] = j + 1
                     events.append(ev)
@@ -294,8 +294,8 @@ def explore(
                 idx += 1
             if len(parent) > size:  # relink every state into twice as many buckets
                 size = _prime_at_least(2 * len(parent))
-                heads, links = array("I", bytes(4 * size)), array("I")
-                for i, b in enumerate(map(mod, hashes, repeat(size)), 1):
+                heads, links, all_rows = array("I", bytes(4 * size)), array("I"), struct.iter_unpack(f"{stride}s", rows)
+                for i, b in enumerate(map(mod, starmap(hash_of, all_rows), repeat(size)), 1):
                     links.append(heads[b])
                     heads[b] = i
             layer, nxt, depth = list(nxt), {}, depth + 1

@@ -486,6 +486,27 @@ def test_input_file_not_utf8_usage_error(capsys, tmp_path, argv):
     assert err.startswith(f"mapmerge: parse error: {bad}: ")
 
 
+@pytest.mark.parametrize(
+    "argv, text, where",
+    [
+        # json.loads raises RecursionError on deep nesting, and ValueError on an int of more than 4,300 digits.
+        (("trace-check", "{bad}"), "[" * 200_000, ":1: "),
+        (("trace-check", "--alphabet-file", "{bad}", "{trace}"), "[" * 200_000, ":1: "),
+        (("scenarios", "--scenario-file", "{bad}"), "[" * 200_000, ": "),
+        (("trace-check", "{bad}"), "1" * 5_000, ":1: "),
+        (("trace-check", "--alphabet-file", "{bad}", "{trace}"), "1" * 5_000, ":1: "),
+    ],
+    ids=["trace-nested", "alphabet-nested", "scenarios-nested", "trace-5000-digits", "alphabet-5000-digits"],
+)
+def test_input_file_json_too_deep_or_too_long_usage_error(capsys, tmp_path, argv, text, where):
+    bad, trace = tmp_path / "bad.json", tmp_path / "trace.jsonl"
+    bad.write_text(text + "\n")
+    trace.write_text(json.dumps({"type": "done", "leader": "A1"}) + "\n")
+    code, _, err = run(capsys, *(a.format(bad=bad, trace=trace) for a in argv))
+    assert_one_line_usage_error(code, err)
+    assert err.startswith(f"mapmerge: parse error: {bad}{where}")
+
+
 def test_trace_check_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "trace-check", str(tmp_path / "absent.jsonl"))
     assert code == 1

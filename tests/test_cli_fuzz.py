@@ -17,8 +17,9 @@ from mapmerge.scenarios import builtin_scenarios, scenario_to_json
 # Agent counts stay at 3 and below, so that every run is quick.
 NUMBERS = st.sampled_from(["1", "2", "2", "3", "3", "-1", "0", "x", "2.5"])
 # Placeholders for paths in the example's directory: two written inputs, a
+# file of too deeply nested JSON, one of an int too long for json.loads, a
 # missing file, a file in a missing directory, and the directory itself.
-PATHS = st.sampled_from(["@jsonl", "@scenarios", "@missing", "@missing/out", "@dir", "@out"])
+PATHS = st.sampled_from(["@jsonl", "@scenarios", "@nested", "@digits", "@missing", "@missing/out", "@dir", "@out"])
 
 
 def flags(numbers, bare, **valued):
@@ -92,7 +93,10 @@ def test_cli_exits_0_1_or_2_on_any_command_line(argv, jsonl, scenarios, two_agen
         d = Path(tmp)
         (d / "jsonl").write_text(jsonl, encoding="utf-8", errors="surrogatepass")
         (d / "scenarios").write_text(scenarios, encoding="utf-8", errors="surrogatepass")
-        paths = {p: str(d / p[1:]) for p in ("@jsonl", "@scenarios", "@missing", "@missing/out", "@out")}
+        (d / "nested").write_text("[" * 200_000)
+        (d / "digits").write_text("1" * 5_000)
+        written = ("@jsonl", "@scenarios", "@nested", "@digits", "@missing", "@missing/out", "@out")
+        paths = {p: str(d / p[1:]) for p in written}
         paths["@dir"] = tmp
         tokens = head + ["--agents", "2"] * two_agents + [a for f in drawn for a in f] + list(stray)
         args = [paths.get(a, a) for a in tokens]

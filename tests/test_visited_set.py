@@ -1,5 +1,5 @@
 """Differential test: explorer.explore, which finds a visited state through a
-hash table of arrays confirmed against the state's row, against
+hash table of arrays keyed and confirmed by the state's row, against
 graph_reference.explore, which keeps one dict of every key.  Both must build
 the same graph, cut it at the same bounds, and report the same violations."""
 
@@ -54,14 +54,14 @@ def test_explore_matches_the_dict_keyed_reference(name, bound):
 
 @pytest.mark.parametrize(
     "merge_set_max, colliding",
-    [(1, lambda key: 0), (2, lambda key: hash(key) & 63)],
+    [(1, lambda row: 0), (2, lambda row: hash(row) & 63)],
     ids=["msm1-one-hash", "msm2-64-hashes"],
 )
 def test_colliding_hashes_leave_the_graph_unchanged(monkeypatch, merge_set_max, colliding):
-    # Every state in a chain has the hash of every lookup that walks it, so
-    # the row comparison alone tells states apart.  One hash at
-    # merge_set_max=2 would compare each new state's row with those of all
-    # the states found before it, 40M comparisons; 64 hashes cost 1/64.
+    # With one row hash every state shares a chain, and with 64 a lookup
+    # walks a 64th of them; the row comparison alone tells states apart.
+    # One hash at merge_set_max=2 would compare each new state's row with
+    # those of all the states found before it, 40M comparisons.
     c0 = initial_config(3, merge_set_max=merge_set_max)
     want = explore(c0, checks=[])
     monkeypatch.setattr(explorer, "_hash", colliding)
