@@ -13,7 +13,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from .events import InvalidEventError, from_json, is_internal, label, validate_event
+from .events import InvalidEventError, from_json, is_internal, label, reject_repeated_keys, validate_event
 from .explorer import (
     TraceQuery,
     check_inevitable,
@@ -190,7 +190,7 @@ def cmd_scenarios(args) -> int:
                 for e in s.trace + tuple(s.alphabet or ()):
                     validate_event(e, args.agents)
                 scenarios.append(s)
-        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, scenario or event objects
+        except (ValueError, RecursionError) as exc:  # bad JSON (too deep, a repeated key), scenario or event
             raise InvalidEventError(f"{args.scenario_file}: {exc}") from exc
     if args.name:
         scenarios = [s for s in scenarios if s.name == args.name]
@@ -216,9 +216,9 @@ def _read_jsonl_events(path: str, n: int) -> list:
         if not line:
             continue
         try:
-            e = from_json(json.loads(line))
+            e = from_json(json.loads(line, object_pairs_hook=reject_repeated_keys))
             validate_event(e, n)
-        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or a malformed event
+        except (ValueError, RecursionError) as exc:  # bad JSON (too deep, a repeated key) or event
             raise InvalidEventError(f"{path}:{lineno}: {exc}") from exc
         events.append(e)
     return events

@@ -246,6 +246,17 @@ def to_json(e: EventLabel) -> dict:
     return d
 
 
+def reject_repeated_keys(pairs: list) -> dict:
+    """`json.loads`' object_pairs_hook for every input file: a key that an
+    object repeats is an error, so no reading hangs on which one comes last."""
+    d = {}
+    for k, v in pairs:
+        if k in d:
+            raise ValueError(f"JSON object repeats the key {k!r}")
+        d[k] = v
+    return d
+
+
 def from_json(d: dict) -> EventLabel:
     """Parse one event object; raises InvalidEventError on malformed input."""
     if not isinstance(d, dict) or not isinstance(d.get("type"), str):

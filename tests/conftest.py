@@ -1,4 +1,5 @@
 import inspect
+import json
 import os
 import sys
 import textwrap
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mapmerge
-from mapmerge import processes
+from mapmerge import processes, scenarios
 from mapmerge.explorer import explore
 from mapmerge.world import initial_config
 
@@ -35,6 +36,13 @@ OLD_AGENT_GUARD_MUTANT = (
     "agent_accept",
     ("isinstance(e, RemoveReasoningAbout):", "isinstance(e, RemoveReasoningAbout) and s.has_outstanding_request:"),
 )
+# The guard-sweep operand of _after_update whose drop makes a leader done after its first merge.
+DONE_AFTER_FIRST_MERGE_MUTANT = ("_after_update", ("s.agent_set == full_set(params.n)", "True"))
+
+# The built-in scenarios' own JSON objects, as the package's scenario file holds them, by name in file order.
+BUILTIN_JSON = {
+    d["name"]: d for d in json.loads(Path(scenarios.__file__).with_name("scenarios.json").read_text(encoding="utf-8"))
+}
 
 
 @contextmanager

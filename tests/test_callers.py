@@ -26,7 +26,6 @@ ALLOWED = {
     "coordmap.invert": "part of the map-merge algebra that acceptance criterion 12 checks",
     "coordmap.merge_grids": "part of the map-merge algebra that acceptance criterion 12 checks",
     "coordmap.GridMap.shifted": "part of the map-merge algebra that acceptance criterion 12 checks",
-    "scenarios.scenario_to_json": "the writer half of the scenario-file format; tests build input files with it",
     "world.enabled_events": "the reference path's offered events, read by perfbench's query walk and by the tests' oracle",
     "world.RefusedEventError.blocking": "the process that refuses the event, which tests/test_world.py reads",
     "coordmap.MergeConflictError.conflicts": "the conflicting cells of a failed merge, which tests/test_coordmap.py reads",

@@ -14,9 +14,9 @@ import pytest
 from mapmerge import cli, scenarios, world
 from mapmerge.cli import main
 from mapmerge.events import label, to_json
-from mapmerge.scenarios import builtin_scenarios, scenario_to_json
+from mapmerge.scenarios import builtin_scenarios
 
-from conftest import PRIORITY_MUTANT, mutant
+from conftest import BUILTIN_JSON, PRIORITY_MUTANT, mutant
 
 
 def run(capsys, *argv):
@@ -381,7 +381,7 @@ def test_scenarios_universe_too_small(capsys):
 
 
 def test_scenario_file_loaded(capsys, tmp_path):
-    extra = dict(scenario_to_json(builtin_scenarios()[0]), name="copy-of-1")
+    extra = dict(BUILTIN_JSON["scenario1"], name="copy-of-1")
     path = tmp_path / "extra.json"
     path.write_text(json.dumps([extra]))
     code, out, _ = run(
@@ -393,7 +393,7 @@ def test_scenario_file_loaded(capsys, tmp_path):
 
 def test_scenario_file_reusing_a_builtin_name_usage_error(capsys, tmp_path):
     path = tmp_path / "extra.json"
-    path.write_text(json.dumps([scenario_to_json(builtin_scenarios()[0])]))
+    path.write_text(json.dumps([BUILTIN_JSON["scenario1"]]))
     code, _, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", str(path), "--name", "scenario1")
     assert_one_line_usage_error(code, err)
     assert err.startswith(f"mapmerge: parse error: {path}: ") and "'scenario1'" in err
@@ -401,7 +401,7 @@ def test_scenario_file_reusing_a_builtin_name_usage_error(capsys, tmp_path):
 
 def test_failing_scenario_carries_a_witness_that_replays(capsys, tmp_path):
     # scenario1's trace, expected absent: the report shows the run that has it.
-    absent = dict(scenario_to_json(builtin_scenarios()[0]), name="scenario1-absent", expected=False)
+    absent = dict(BUILTIN_JSON["scenario1"], name="scenario1-absent", expected=False)
     path = tmp_path / "extra.json"
     path.write_text(json.dumps([absent]))
     argv = ("scenarios", "--agents", "3", "--scenario-file", str(path), "--name", "scenario1-absent")
@@ -425,7 +425,7 @@ def test_failing_scenario_carries_a_witness_that_replays(capsys, tmp_path):
 
 def test_trace_check_pass(capsys, tmp_path):
     path = tmp_path / "trace.jsonl"
-    lines = [json.dumps(to_json(e)) for e in builtin_scenarios()[0].trace]
+    lines = [json.dumps(e) for e in BUILTIN_JSON["scenario1"]["trace"]]
     path.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "trace-check", "--agents", "3", "--json", str(path))
     assert code == 0
@@ -435,7 +435,7 @@ def test_trace_check_pass(capsys, tmp_path):
 
 def test_trace_check_prints_its_witness(capsys, tmp_path):
     path = tmp_path / "trace.jsonl"
-    path.write_text("".join(json.dumps(to_json(e)) + "\n" for e in builtin_scenarios()[0].trace))
+    path.write_text("".join(json.dumps(e) + "\n" for e in BUILTIN_JSON["scenario1"]["trace"]))
     code, out, _ = run(capsys, "trace-check", "--agents", "3", "--json", str(path))
     witness = json.loads(out)["witness"]
     assert code == 0 and len(witness) > 9
@@ -486,6 +486,10 @@ def test_input_file_not_utf8_usage_error(capsys, tmp_path, argv):
     assert err.startswith(f"mapmerge: parse error: {bad}: ")
 
 
+REPEATED_EXPECTED = '[{{"name": "s", "trace": [], "expected": {}, "expected": {}}}]'
+REPEATED_KEY = '{"type": "confirm_merge", "req_leader": "A2", "other_leader": "A1", "req_leader": "A1"}'
+
+
 @pytest.mark.parametrize(
     "argv, text, where",
     [
@@ -495,10 +499,25 @@ def test_input_file_not_utf8_usage_error(capsys, tmp_path, argv):
         (("scenarios", "--scenario-file", "{bad}"), "[" * 200_000, ": "),
         (("trace-check", "{bad}"), "1" * 5_000, ":1: "),
         (("trace-check", "--alphabet-file", "{bad}", "{trace}"), "1" * 5_000, ":1: "),
+        # A key that an object repeats is an error, whichever of its values comes last.
+        (("scenarios", "--scenario-file", "{bad}", "--name", "s"), REPEATED_EXPECTED.format("false", "true"), ": "),
+        (("scenarios", "--scenario-file", "{bad}", "--name", "s"), REPEATED_EXPECTED.format("true", "false"), ": "),
+        (("trace-check", "{bad}"), REPEATED_KEY, ":1: "),
+        (("trace-check", "--alphabet-file", "{bad}", "{trace}"), REPEATED_KEY, ":1: "),
     ],
-    ids=["trace-nested", "alphabet-nested", "scenarios-nested", "trace-5000-digits", "alphabet-5000-digits"],
+    ids=[
+        "trace-nested",
+        "alphabet-nested",
+        "scenarios-nested",
+        "trace-5000-digits",
+        "alphabet-5000-digits",
+        "scenarios-repeated-key-last-true",
+        "scenarios-repeated-key-last-false",
+        "trace-repeated-key",
+        "alphabet-repeated-key",
+    ],
 )
-def test_input_file_json_too_deep_or_too_long_usage_error(capsys, tmp_path, argv, text, where):
+def test_input_file_json_rejected_usage_error(capsys, tmp_path, argv, text, where):
     bad, trace = tmp_path / "bad.json", tmp_path / "trace.jsonl"
     bad.write_text(text + "\n")
     trace.write_text(json.dumps({"type": "done", "leader": "A1"}) + "\n")

@@ -11,8 +11,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from mapmerge.cli import main
-from mapmerge.events import to_json
-from mapmerge.scenarios import builtin_scenarios, scenario_to_json
+
+from conftest import BUILTIN_JSON
 
 # Agent counts stay at 3 and below, so that every run is quick.
 NUMBERS = st.sampled_from(["1", "2", "2", "3", "3", "-1", "0", "x", "2.5"])
@@ -58,7 +58,7 @@ JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8,
 )
-EVENTS = [to_json(e) for s in builtin_scenarios() for e in s.trace]
+EVENTS = [e for d in BUILTIN_JSON.values() for e in d["trace"]]
 
 
 def edited(d: dict, values) -> st.SearchStrategy:
@@ -75,7 +75,7 @@ EVENT_LINE = st.one_of(
 JSONL = st.lists(EVENT_LINE, max_size=4).map("\n".join)
 SCENARIOS = st.one_of(
     st.lists(
-        st.sampled_from([scenario_to_json(s) for s in builtin_scenarios()]).flatmap(
+        st.sampled_from(list(BUILTIN_JSON.values())).flatmap(
             lambda d: edited(d, JSON | st.lists(st.sampled_from(EVENTS)))
         ),
         max_size=2,

@@ -1,21 +1,18 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from mapmerge.events import ConfirmMerge, RemoveReasoningAbout
-from mapmerge.scenarios import (
-    Scenario,
-    builtin_scenarios,
-    check_scenario,
-    load_scenarios,
-    scenario_from_json,
-    scenario_to_json,
-)
+from mapmerge.events import ConfirmMerge, RemoveReasoningAbout, label
+from mapmerge.scenarios import Scenario, builtin_scenarios, check_scenario, load_scenarios, scenario_from_json
 from mapmerge.world import ConfigurationError, initial_config
 
-from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, mutant
+from conftest import ACTIVE_MUTANT, BUILTIN_JSON, DONE_AFTER_FIRST_MERGE_MUTANT, PRIORITY_MUTANT, mutant
 
 BY_NAME = {s.name: s for s in builtin_scenarios()}
+# Scenarios that tell a mutant apart from the model, kept beside the tests (ROADMAP item 18).
+MUTANT_SCENARIOS = Path(__file__).with_name("mutant_scenarios.json")
 
 
 def test_six_builtins():
@@ -45,20 +42,36 @@ def test_scenario_too_small_universe():
         check_scenario(BY_NAME["scenario2"], initial_config(2))
 
 
-def test_scenario_json_roundtrip():
-    for s in builtin_scenarios():
-        assert scenario_from_json(scenario_to_json(s)) == s
+# A sha256 prefix of each built-in's name, tag, expectation, alphabet and trace labels, taken from the Python
+# constructors that the scenario file replaced: a slip in the file that still leaves its trace found fails here.
+PINNED = {
+    "scenario1": "904ac3882e45b6da",
+    "scenario2": "92f6950abaa7b59e",
+    "scenario3": "e5656d489dec0139",
+    "scenario4a": "179b58a0ee7c7336",
+    "scenario4b": "f2775f66a265b7b0",
+    "scenario5": "ce0797fc66cfc61b",
+}
+
+
+def test_builtins_say_what_the_constructors_said():
+    def digest(s):
+        alphabet = "all_visible" if s.alphabet is None else sorted(map(label, s.alphabet))
+        text = json.dumps([s.name, s.requirement_tag, s.expected, alphabet, [label(e) for e in s.trace]])
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    assert {s.name: digest(s) for s in builtin_scenarios()} == PINNED
 
 
 def test_load_scenarios_from_text():
-    text = json.dumps([scenario_to_json(s) for s in builtin_scenarios()[:2]])
+    text = json.dumps([BUILTIN_JSON["scenario1"], BUILTIN_JSON["scenario2"]])
     loaded = load_scenarios(text)
     assert [s.name for s in loaded] == ["scenario1", "scenario2"]
     assert loaded[0].alphabet is None
 
 
 def test_load_scenarios_rejects_duplicates():
-    doc = [scenario_to_json(builtin_scenarios()[0])] * 2
+    doc = [BUILTIN_JSON["scenario1"]] * 2
     with pytest.raises(ValueError):
         load_scenarios(json.dumps(doc))
 
@@ -76,7 +89,7 @@ def test_scenario_from_json_missing_field():
 @pytest.mark.parametrize("expected", ["false", 0, None])
 def test_scenario_from_json_expected_must_be_a_boolean(expected):
     with pytest.raises(ValueError, match="'expected'"):
-        scenario_from_json(dict(scenario_to_json(BY_NAME["scenario3"]), expected=expected))
+        scenario_from_json(dict(BUILTIN_JSON["scenario3"], expected=expected))
 
 
 def test_negative_scenario():
@@ -108,3 +121,20 @@ def test_mutated_model_fails_scenarios():
         s = BY_NAME["scenario4b"]
         r = check_scenario(s, initial_config(3))
     assert r.found != s.expected
+
+
+def test_done_needs_the_whole_team():
+    # With merge_completed and done visible at n=3, A1 is never done right after it merges with A2 alone: a leader
+    # is done only once it holds the whole team.  Dropping that guard operand lets the trace through.
+    (s,) = load_scenarios(MUTANT_SCENARIOS.read_text(encoding="utf-8"))
+    assert s.requirement_tag == "GOAL" and not s.expected
+    r = check_scenario(s, initial_config(3))
+    assert not r.found and r.complete
+    with mutant(*DONE_AFTER_FIRST_MERGE_MUTANT):
+        r = check_scenario(s, initial_config(3))
+    assert r.found and [label(e) for e in r.witness][-4:] == [
+        "merge_completed.A1.A2.{A1,A2}",
+        "update_identified_same_group.A1.A1.{A1,A2}",
+        "update_identified.A1.A2.{A1,A2}",
+        "done.A1",
+    ]
