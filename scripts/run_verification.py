@@ -40,14 +40,15 @@ def main() -> int:
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(f"{n:>2} {r['state_count']:>8} {r['transition_count']:>12} {cells} {seconds:>7.1f}s {rss_mb:>6.0f} MB")
 
-    print()
     ns = range(3, args.max_agents + 1)
     reports = [check_scenarios(builtin_scenarios(), initial_config(n)) for n in ns]
     ok &= all(r["verdict"] == "pass" for r in reports)
-    print(f"{'scenario':<12} {'req':<5} " + " ".join(f"{'n=' + str(n):>11}" for n in ns))  # as wide as "FAIL    1ms"
-    for s, *row in zip(builtin_scenarios(), *(r["checks"] for r in reports)):
-        cells = (f"{'ok' if c['verdict'] == 'pass' else 'FAIL':<4} {c['duration_ms']:4.0f}ms" for c in row)
-        print(f"{s.name:<12} {s.requirement_tag:<5} " + " ".join(cells))
+    if ns:  # scenarios need n >= 3
+        print()
+        print(f"{'scenario':<12} {'req':<5} " + " ".join(f"{f'n={n}':>11}" for n in ns))  # as wide as "FAIL    1ms"
+        for s, *row in zip(builtin_scenarios(), *(r["checks"] for r in reports)):
+            cells = (f"{'ok' if c['verdict'] == 'pass' else 'FAIL':<4} {c['duration_ms']:4.0f}ms" for c in row)
+            print(f"{s.name:<12} {s.requirement_tag:<5} " + " ".join(cells))
 
     print()
     print("overall:", "pass" if ok else "FAIL")

@@ -241,7 +241,7 @@ def cmd_trace_check(args) -> int:
 def cmd_export(args) -> int:
     c0 = _config(args)
     g = explore(c0, max_states=args.max_states, max_depth=args.max_depth, checks=[])
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+    with open(args.out, "w") if args.out is not None else nullcontext(sys.stdout) as out:
         export_graph(g, args.format, out)
     return 0
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from bisect import bisect_right
 from collections import deque
 from functools import cache
 from itertools import compress, islice, repeat, starmap
@@ -68,15 +69,15 @@ class Violation(NamedTuple):
 
 
 class StateGraph:
-    """Deduplicated reachable states and transitions, in BFS order, as int
-    arrays.  Row i of `rows` holds the local ints of state i, one per slot of
-    its key (see `world.Model`); it is decoded only on demand.  Its
-    transitions are offsets[i]:offsets[i + 1] of `events` and `targets`."""
+    """Deduplicated reachable states and transitions, in BFS order, as int arrays.  Row i of `rows` holds the local
+    ints of state i, one per slot of its key (see `world.Model`); it is decoded only on demand.  Its transitions are
+    offsets[i]:offsets[i + 1] of `events` and `targets`, and BFS layer d is layers[d]:layers[d + 1].  No array holds
+    a state's parent: `path_to` finds the transition that found a state among those of the layer before."""
 
     def __init__(self, model: Model):
         self.model = model  # the model whose ints the arrays hold
         self.rows, self.offsets, self.events, self.targets = array("H"), array("I", [0]), array("H"), array("I")
-        self.parent = array("I", [0])  # idx -> the state it was discovered from
+        self.layers = array("I", [0])  # the first idx of each BFS layer, then the state count
         self.violations: list = []
         self.truncated: set = set()  # idx whose successors a bound cut
 
@@ -86,7 +87,7 @@ class StateGraph:
 
     @property
     def state_count(self) -> int:
-        return len(self.parent)
+        return len(self.offsets) - 1
 
     @property
     def transition_count(self) -> int:
@@ -111,13 +112,13 @@ class StateGraph:
         return compress(range(self.state_count), map(not_, self.degrees()))
 
     def path_to(self, idx: int) -> list:
-        """The event labels from the initial state to state idx along `parent`, each the first transition of its
-        parent into a state, which found it.  No state is decoded; `world.apply_event` replays the labels."""
-        path = []
-        while idx:
-            p = self.parent[idx]
-            path.append(self.model.labels[self.events[self.targets.index(idx, self.offsets[p], self.offsets[p + 1])]])
-            idx = p
+        """The labels from the initial state to state idx, one per BFS layer: each the first transition into a state,
+        which found it, sought among the previous layer's.  No state is decoded; `world.apply_event` replays them."""
+        path, off, layers, targets = [], self.offsets, self.layers, self.targets
+        for d in range(bisect_right(layers, idx) - 1, 0, -1):  # the layer of idx, then each one before it
+            k = targets.index(idx, off[layers[d - 1]], off[layers[d]])
+            path.append(self.model.labels[self.events[k]])
+            idx = bisect_right(off, k) - 1
         return path[::-1]
 
 
@@ -207,9 +208,9 @@ def explore(
     """Breadth-first closure of `world.Model.successors` over integer keys.
 
     Every registered invariant is evaluated at every state or transition
-    where its gate admits (see `Check`); BFS order makes every violation
-    witness minimal in length.  Hitting a bound leaves the graph flagged
-    incomplete.  Running out of memory raises a `MemoryError` that names the states found.
+    where its gate admits (see `Check`); BFS order makes every witness, one
+    transition per layer, minimal in length.  Hitting a bound leaves the
+    graph flagged incomplete.  Running out of memory raises a `MemoryError` that names the states found.
 
     Deduplication is exact and keeps no key of an older layer.  Every
     state is in a chained hash table of arrays: a chain head per bucket and
@@ -217,7 +218,7 @@ def explore(
     `StateGraph.rows`, written when the state is found, and a hit is
     confirmed against that row, so no two states merge.  A dict of the next
     layer's keys serves the transitions into that layer, 83% of them at
-    n=4, without walking the table.  At n=4 the search peaks at about 70
+    n=4, without walking the table.  At n=4 the search peaks at about 65
     bytes per state, against 180 with one dict of every key.
     """
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
@@ -235,7 +236,7 @@ def explore(
     m = Model(c0.params)
     key0, top, hash_of = m.encode(c0), m.count_shift, _hash
     g = StateGraph(m)
-    rows, events, targets, parent, labels, shifts = g.rows, g.events, g.targets, g.parent, m.labels, m.shifts
+    rows, events, targets, layers, labels, shifts = g.rows, g.events, g.targets, g.layers, m.labels, m.shifts
     # A key's little-endian bytes begin with its row's, swapped on a big-endian host, whose rows store each int high
     # byte first; its slots fix its count word, so a row tells keys apart.  row_at reads a row's local ints.
     width, nbytes, swap = 2 * m.n, (m.key_bits + 7) // 8, sys.byteorder == "big"
@@ -244,9 +245,10 @@ def explore(
     # nxt: the keys of the next layer -> idx.  The table of all states: heads[h % size], h the hash of a row's bytes, is
     # 1 + the idx of the newest state in h's bucket, links[i] 1 + the next older one in state i's, and 0 ends a chain.
     nxt, heads, links = {}, array("I", [1]), array("I", [0])
-    size, layer, depth, idx = 1, [key0], 0, 0  # layer: the keys of the current layer; idx: the state expanded
+    size, layer, depth, idx, count = 1, [key0], 0, 0, 1  # layer: the current layer's keys; idx: the state expanded
     try:
         while layer:
+            layers.append(count)
             for key in layer:
                 code = row_at(rows, idx * stride)
                 succs = m.successors(key, code)
@@ -273,13 +275,11 @@ def explore(
                                 break
                             i = links[i]
                         else:
-                            if (max_states is not None and len(parent) >= max_states) or (
-                                max_depth is not None and depth >= max_depth
-                            ):
+                            if count == max_states or depth == max_depth:  # a bound reached (None matches no int)
                                 g.truncated.add(idx)
                                 continue
-                            j = nxt[key2] = len(parent)
-                            parent.append(idx)
+                            j = nxt[key2] = count
+                            count += 1
                             rows.frombytes(row)
                             links.append(heads[b])
                             heads[b] = j + 1
@@ -292,15 +292,15 @@ def explore(
                                 g.violations.append(Violation(chk.name, msg, idx, labels[ev]))
                 g.offsets.append(len(targets))
                 idx += 1
-            if len(parent) > size:  # relink every state into twice as many buckets
-                size = _prime_at_least(2 * len(parent))
+            if count > size:  # relink every state into twice as many buckets
+                size = _prime_at_least(2 * count)
                 heads, links, all_rows = array("I", bytes(4 * size)), array("I"), struct.iter_unpack(f"{stride}s", rows)
                 for i, b in enumerate(map(mod, starmap(hash_of, all_rows), repeat(size)), 1):
                     links.append(heads[b])
                     heads[b] = i
             layer, nxt, depth = list(nxt), {}, depth + 1
     except MemoryError as exc:
-        raise MemoryError(f"out of memory after {len(parent):,} states") from exc
+        raise MemoryError(f"out of memory after {count:,} states") from exc
     return g
 
 

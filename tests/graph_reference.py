@@ -3,10 +3,11 @@ the Configuration-level invariant checks, the dict-based post-analyses, as
 they were before the graph was stored as arrays, the node label of a
 decoded state, the trace search over (key, position) tuple nodes, as it
 was before a product node was one int, and the BFS over one dict of every
-key, as it was before the visited set moved to a table of arrays.  The
-differential tests compare the two on graphs and queries where each finds
-something.  `replay` checks a witness, a list of event labels, against the
-graph it came from."""
+key, as it was before the visited set moved to a table of arrays, which
+also keeps the state that found each one, as `StateGraph` did before it kept
+only its BFS layers.  The differential tests compare the two on graphs and
+queries where each finds something.  `replay` checks a witness, a list of
+event labels, against the graph it came from."""
 
 from collections import deque
 from functools import cache
@@ -57,15 +58,38 @@ def target(g, i: int, e) -> int:
     return g.targets[g.events.index(g.model.labels.index(e), g.offsets[i], g.offsets[i + 1])]
 
 
+def found_path(ref, idx: int) -> list:
+    """The event labels from the initial state to state idx of the reference
+    graph `ref`, along its `found_by`."""
+    path = []
+    while ref.found_by[idx] is not None:
+        idx, ev = ref.found_by[idx]
+        path.append(ref.model.labels[ev])
+    return path[::-1]
+
+
+def depths(g) -> list:
+    """The fewest transitions of `g` from the initial state to each state."""
+    depth, queue = [0] + [None] * (g.state_count - 1), deque([0])
+    while queue:
+        i = queue.popleft()
+        for j in g.targets[g.offsets[i] : g.offsets[i + 1]]:
+            if depth[j] is None:
+                depth[j] = depth[i] + 1
+                queue.append(j)
+    return depth
+
+
 def replay(g, path) -> Configuration:
     """The configuration that the event labels `path` reach from `g.state(0)`
     through `apply_event`.  Each step must take the transition of `g` that
-    found its target, the first from its parent into it, and reach that
+    found its target, the first transition of `g` into it, and reach that
     target's stored state."""
     c, i, off, labels = g.state(0), 0, g.offsets, g.model.labels
     for e in path:
         c, j = apply_event(c, e), target(g, i, e)
-        assert g.parent[j] == i and labels[g.events[g.targets.index(j, off[i], off[i + 1])]] == e
+        k = g.targets.index(j)  # no transition targets a state before the one that found it
+        assert off[i] <= k < off[i + 1] and labels[g.events[k]] == e
         assert c == g.state(j)
         i = j
     return c
@@ -300,7 +324,10 @@ def explore(
 ) -> StateGraph:
     """Breadth-first closure of `world.Model.successors` over integer keys,
     deduplicated on one dict of every key; each check is given the code
-    that the state's row holds."""
+    that the state's row holds.  The graph's `layers` are the first idx of
+    each BFS layer, as this search counts them, then the state count, and its
+    `found_by[idx]` is None for the initial state, else (the idx that found
+    state idx, the label int of that transition)."""
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
     checks = list(default_checks() if checks is None else checks)
@@ -318,12 +345,14 @@ def explore(
     index = {key0: 0}  # key -> idx
     g = StateGraph(m)
     rows, events, targets, labels, shifts = g.rows, g.events, g.targets, m.labels, m.shifts
+    g.found_by = [None]
     # Every state is expanded and appends its row, in index order (BFS order); layer_end ends the current depth.
-    queue, idx, depth, layer_end = deque([key0]), 0, 0, 1  # queue: the keys of the states not yet expanded
+    queue, idx, depth, layer_end = deque([key0]), 0, -1, 0  # queue: the keys of the states not yet expanded
     while queue:
         key = queue.popleft()
-        if idx == layer_end:
+        if idx == layer_end:  # a layer begins, all of whose states are indexed
             depth, layer_end = depth + 1, len(index)
+            g.layers.append(layer_end)
         code = m.code(key)
         rows.extend(code)
         succs = m.successors(key, code)
@@ -341,7 +370,7 @@ def explore(
                     g.truncated.add(idx)
                     continue
                 j = index[key2] = len(index)
-                g.parent.append(idx)
+                g.found_by.append((idx, ev))
                 queue.append(key2)
             events.append(ev)
             targets.append(j)

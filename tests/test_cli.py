@@ -549,6 +549,13 @@ def test_export_dot_to_file(capsys, tmp_path):
     assert text.count("->") == 77
 
 
+def test_export_to_an_empty_path_fails_like_any_unwritable_path(capsys):
+    # An empty --out, say from an unset shell variable, names no file: it must not send the graph to stdout.
+    code, out, err = run(capsys, "export", "--agents", "2", "--out", "")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("mapmerge: ")
+
+
 def test_export_dot_of_a_bounded_graph_says_so(capsys):
     line = '  label="incomplete: a bound cut the search";\n'
     code, out, _ = run(capsys, "export", "--agents", "3", "--max-states", "100", "--format", "dot")
@@ -597,6 +604,16 @@ def test_verification_script_rejects_agent_count_out_of_bounds(tmp_path, src_env
     proc = subprocess.run(argv, env=src_env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.count("\n") == 1 and "--max-agents must be in [2, 8]" in proc.stderr
+
+
+def test_verification_script_at_two_agents_prints_no_scenario_table(capsys, monkeypatch):
+    # Scenarios need n >= 3, so at --max-agents 2 there is no column to print; the verdict line stays.
+    monkeypatch.setattr(sys, "argv", [str(VERIFICATION_SCRIPT), "--max-agents", "2"])
+    with pytest.raises(SystemExit) as exit:
+        runpy.run_path(str(VERIFICATION_SCRIPT), run_name="__main__")
+    table, verdict = capsys.readouterr().out.split("\n\n")
+    assert exit.value.code == 0 and verdict == "overall: pass\n"
+    assert [line.split()[0] for line in table.splitlines()] == ["n", "2"]
 
 
 def run_out_of_memory_at(monkeypatch, k: int) -> None:

@@ -1,6 +1,8 @@
 import io
 import itertools
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 
@@ -557,7 +559,7 @@ def test_no_path_is_built_during_a_search(monkeypatch):
 
 
 def test_bytes_per_state_at_n3():
-    # Each stored state is a packed code, a row of local ints, its parent and
+    # Each stored state is a row of local ints, its transitions' offset and
     # about three transitions of two ints each; no decoded Configuration.
     c0 = initial_config(3)
     tracemalloc.start()
@@ -567,6 +569,16 @@ def test_bytes_per_state_at_n3():
     finally:
         tracemalloc.stop()
     assert retained / g.state_count <= 250
+
+
+def test_the_graph_keeps_no_per_state_array_beyond_rows_and_offsets():
+    # A state's row holds 2n two-byte ints and its offset one four-byte int, and a transition an event of two bytes
+    # and a target of four; an array grows by a 16th of its size at most, and the fixed part covers each array's
+    # header and the few ints of `layers`.  A parent or a hash per state, 4 bytes or more, exceeds both.
+    n = 3
+    g = explore(initial_config(n), checks=[])
+    held = sum(sys.getsizeof(v) for v in vars(g).values() if isinstance(v, array))
+    assert held <= 17 / 16 * ((4 * n + 4) * g.state_count + 6 * g.transition_count) + 1024
 
 
 def test_explore_peak_bytes_per_state_at_n3_msm2():

@@ -1,7 +1,9 @@
 """Differential test: explorer.explore, which finds a visited state through a
 hash table of arrays keyed and confirmed by the state's row, against
 graph_reference.explore, which keeps one dict of every key.  Both must build
-the same graph, cut it at the same bounds, and report the same violations."""
+the same graph, cut it at the same bounds, and report the same violations.
+`StateGraph.path_to`, which searches the BFS layers, must give each state the
+labels along the chain of states that found it, as the reference records it."""
 
 import struct
 from contextlib import nullcontext
@@ -12,8 +14,15 @@ from mapmerge import explorer
 from mapmerge.explorer import explore
 from mapmerge.world import initial_config
 
+import conftest
 import graph_reference
-from conftest import mutant
+from conftest import (
+    DEMOTE_ON_MERGE_MUTANT,
+    DONE_AFTER_FIRST_MERGE_MUTANT,
+    OLD_AGENT_GUARD_MUTANT,
+    REPLACE_SET_MUTANT,
+    mutant,
+)
 from test_explorer import DIFFERENTIAL_GRAPHS, n3_msm2
 from test_successors import VARIANTS
 
@@ -35,7 +44,7 @@ def test_every_mutant_graph_is_built_by_n3_msm2():
 
 def graph(g) -> tuple:
     """Everything explore builds, each violation's state and label included."""
-    return g.rows, g.offsets, g.events, g.targets, g.parent, g.truncated, g.violations
+    return g.rows, g.offsets, g.events, g.targets, g.layers, g.truncated, g.violations
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
@@ -50,6 +59,41 @@ def test_explore_matches_the_dict_keyed_reference(name, bound):
         got, ref = explore(c0, **kwargs), graph_reference.explore(c0, **kwargs)
     assert graph(got) == graph(ref)
     assert got.complete == (bound in ("unbounded", "max_states=full"))
+
+
+# Every VARIANTS model and every conftest mutant, as (initial_config flags, the mutant or None); the old agent guard
+# at merge_set_max=2, the only bound under which it changes the graph.
+MODELS = {name: GRAPHS[name] for name in VARIANTS}
+MODELS.update(
+    demote_on_merge=({}, DEMOTE_ON_MERGE_MUTANT),
+    replace_set=({}, REPLACE_SET_MUTANT),
+    done_after_first_merge=({}, DONE_AFTER_FIRST_MERGE_MUTANT),
+    old_agent_guard=({"merge_set_max": 2}, OLD_AGENT_GUARD_MUTANT),
+)
+
+
+def test_models_hold_every_conftest_mutant():
+    mutants = {v for k, v in vars(conftest).items() if k.endswith("_MUTANT")}
+    assert {spec for _, spec in MODELS.values() if spec} == mutants
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_witness_is_the_path_that_found_its_state(n, name, bound):
+    # The witness of every state follows the reference's record of which
+    # state found which, label for label, and has its BFS depth: the fewest
+    # transitions of the graph that reach the state.
+    flags, spec = MODELS[name]
+    kwargs = BOUNDS[bound]
+    with mutant(*spec) if spec else nullcontext():
+        c0 = initial_config(n, **flags)
+        if kwargs.get("max_states") == "full":
+            kwargs = {"max_states": graph_reference.explore(c0, checks=[]).state_count}
+        got, ref = explore(c0, checks=[], **kwargs), graph_reference.explore(c0, checks=[], **kwargs)
+    paths = [got.path_to(i) for i in range(got.state_count)]
+    assert paths == [graph_reference.found_path(ref, i) for i in range(ref.state_count)]
+    assert list(map(len, paths)) == graph_reference.depths(got)
 
 
 @pytest.mark.parametrize(
