@@ -240,9 +240,9 @@ def cmd_trace_check(args) -> int:
 
 def cmd_export(args) -> int:
     c0 = _config(args)
-    g = explore(c0, max_states=args.max_states, max_depth=args.max_depth, checks=[])
+    # --out opens before the search, as a shell's `>` does: a bad path fails at once, not after the search.
     with open(args.out, "w") if args.out is not None else nullcontext(sys.stdout) as out:
-        export_graph(g, args.format, out)
+        export_graph(explore(c0, max_states=args.max_states, max_depth=args.max_depth, checks=[]), args.format, out)
     return 0
 
 

@@ -21,14 +21,6 @@ class ProcessRef(NamedTuple):
         return f"{self.kind.capitalize()}({self.id})"
 
 
-def Agent(a: AgentId) -> ProcessRef:
-    return ProcessRef("agent", a)
-
-
-def Leader(a: AgentId) -> ProcessRef:
-    return ProcessRef("leader", a)
-
-
 def _eq(a, b) -> bool:
     return type(a) is type(b) and tuple.__eq__(a, b)
 
@@ -128,28 +120,35 @@ class Terminate(NamedTuple):
     leader: AgentId
 
 
-# Wire names, fixed: these spellings are the trace-file and scenario-file
-# contract.
-EVENT_TYPES: dict[str, type] = {
-    "request_merge": RequestMerge,
-    "request_leader": RequestLeader,
-    "reply_leader": ReplyLeader,
-    "begin_merge": BeginMerge,
-    "confirm_merge": ConfirmMerge,
-    "merge_cancelled": MergeCancelled,
-    "merge_confirmed": MergeConfirmed,
-    "merge_maps": MergeMaps,
-    "merge_completed": MergeCompleted,
-    "update_identified_same_group": UpdateIdentifiedSameGroup,
-    "update_identified": UpdateIdentified,
-    "remove_reasoning_about": RemoveReasoningAbout,
-    "done": Done,
-    "terminate": Terminate,
-}
+# One row per event type, in canonical order: its wire name, its class and
+# its rendezvous set, as (process kind, field naming the process) pairs.  The
+# wire names are fixed: their spellings are the trace-file and scenario-file
+# contract, and the row order is each type's rank in `sort_key`.
+# remove_reasoning_about is also taken by the map leader refusing the named
+# agent's request, which the label does not name: the world model takes the
+# first leader whose `processes.leader_moves` offer it.
+_EVENTS: tuple[tuple[str, type, tuple[tuple[str, str], ...]], ...] = (
+    ("request_merge", RequestMerge, (("agent", "agent"), ("leader", "leader"))),
+    ("request_leader", RequestLeader, (("leader", "req_leader"), ("agent", "target_agent"))),
+    ("reply_leader", ReplyLeader, (("agent", "target_agent"), ("leader", "req_leader"))),
+    ("begin_merge", BeginMerge, (("leader", "leader"),)),
+    ("confirm_merge", ConfirmMerge, (("leader", "req_leader"), ("leader", "other_leader"))),
+    ("merge_cancelled", MergeCancelled, (("leader", "req_leader"), ("leader", "other_leader"))),
+    ("merge_confirmed", MergeConfirmed, (("leader", "req_leader"), ("leader", "other_leader"))),
+    ("merge_maps", MergeMaps, (("leader", "req_leader"), ("leader", "other_leader"))),
+    ("merge_completed", MergeCompleted, (("leader", "req_leader"), ("leader", "other_leader"))),
+    ("update_identified_same_group", UpdateIdentifiedSameGroup, (("leader", "leader"), ("agent", "agent"))),
+    ("update_identified", UpdateIdentified, (("leader", "leader"), ("agent", "agent"))),
+    ("remove_reasoning_about", RemoveReasoningAbout, (("agent", "req_agent"),)),
+    ("done", Done, (("leader", "leader"),)),
+    ("terminate", Terminate, (("leader", "leader"),)),
+)
+EVENT_TYPES: dict[str, type] = {name: cls for name, cls, _ in _EVENTS}
 EventLabel = Union[tuple(EVENT_TYPES.values())]
 
-TYPE_NAMES: dict[type, str] = {cls: name for name, cls in EVENT_TYPES.items()}
-_TYPE_RANK: dict[type, int] = {cls: i for i, cls in enumerate(EVENT_TYPES.values())}
+TYPE_NAMES: dict[type, str] = {cls: name for name, cls, _ in _EVENTS}
+_TYPE_RANK: dict[type, int] = {cls: i for i, (_, cls, _) in enumerate(_EVENTS)}
+_PARTIES: dict[type, tuple[tuple[str, str], ...]] = {cls: parties for _, cls, parties in _EVENTS}
 
 # Events internal to one process; hidden by default in divergence checks and
 # invisible to all-visible trace queries.
@@ -181,29 +180,11 @@ def validate_event(e: EventLabel, n: int) -> None:
 
 
 def participants(e: EventLabel) -> frozenset[ProcessRef]:
-    """The set of processes that must jointly take `e` (rendezvous set).
-
-    Note: remove_reasoning_about is also taken by the map leader refusing
-    the named agent's request, which the label does not name: the world
-    model takes the first leader whose `processes.leader_moves` offer it.
-    """
-    if isinstance(e, RequestMerge):
-        return frozenset({Agent(e.agent), Leader(e.leader)})
-    if isinstance(e, RequestLeader):
-        return frozenset({Leader(e.req_leader), Agent(e.target_agent)})
-    if isinstance(e, ReplyLeader):
-        return frozenset({Agent(e.target_agent), Leader(e.req_leader)})
-    if isinstance(e, BeginMerge):
-        return frozenset({Leader(e.leader)})
-    if isinstance(e, (ConfirmMerge, MergeCancelled, MergeConfirmed, MergeMaps, MergeCompleted)):
-        return frozenset({Leader(e.req_leader), Leader(e.other_leader)})
-    if isinstance(e, (UpdateIdentifiedSameGroup, UpdateIdentified)):
-        return frozenset({Leader(e.leader), Agent(e.agent)})
-    if isinstance(e, RemoveReasoningAbout):
-        return frozenset({Agent(e.req_agent)})
-    if isinstance(e, (Done, Terminate)):
-        return frozenset({Leader(e.leader)})
-    raise InvalidEventError(f"unknown event {e!r}")
+    """The set of processes that must jointly take `e` (rendezvous set)."""
+    parties = _PARTIES.get(type(e))
+    if parties is None:
+        raise InvalidEventError(f"unknown event {e!r}")
+    return frozenset(ProcessRef(kind, getattr(e, field)) for kind, field in parties)
 
 
 def _field_key(v) -> int:

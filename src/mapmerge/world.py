@@ -44,7 +44,6 @@ class RefusedEventError(ValueError):
     """Raised when apply_event is given an event some participant refuses."""
 
     def __init__(self, event: EventLabel, blocking: Optional[ProcessRef]):
-        self.blocking = blocking
         who = str(blocking) if blocking is not None else "no process owns it"
         super().__init__(f"{label(event)} not enabled ({who})")
 

@@ -1,7 +1,8 @@
 """Reference versions of what explorer and export compute over int arrays:
 the Configuration-level invariant checks, the dict-based post-analyses, as
 they were before the graph was stored as arrays, the node label of a
-decoded state, the trace search over (key, position) tuple nodes, as it
+decoded state, the rendezvous set of an event as an `isinstance` chain,
+the trace search over (key, position) tuple nodes, as it
 was before a product node was one int, and the BFS over one dict of every
 key, as it was before the visited set moved to a table of arrays, which
 also keeps the state that found each one, as `StateGraph` did before it kept
@@ -14,7 +15,26 @@ from functools import cache
 from itertools import chain, repeat
 from typing import Iterable, Optional
 
-from mapmerge.events import EVENT_TYPES, ConfirmMerge, MergeCancelled, MergeCompleted, MergeConfirmed, label
+from mapmerge.events import (
+    EVENT_TYPES,
+    BeginMerge,
+    ConfirmMerge,
+    Done,
+    InvalidEventError,
+    MergeCancelled,
+    MergeCompleted,
+    MergeConfirmed,
+    MergeMaps,
+    ProcessRef,
+    RemoveReasoningAbout,
+    ReplyLeader,
+    RequestLeader,
+    RequestMerge,
+    Terminate,
+    UpdateIdentified,
+    UpdateIdentifiedSameGroup,
+    label,
+)
 from mapmerge.explorer import (
     Check,
     DivergenceWitness,
@@ -34,6 +54,28 @@ from mapmerge.world import (
     is_terminal,
     quiescent_partition_violation,
 )
+
+
+def participants(e) -> frozenset:
+    """`events.participants` as an `isinstance` chain, as it was before one
+    table stated each event type's rendezvous set."""
+    if isinstance(e, RequestMerge):
+        return frozenset({ProcessRef("agent", e.agent), ProcessRef("leader", e.leader)})
+    if isinstance(e, RequestLeader):
+        return frozenset({ProcessRef("leader", e.req_leader), ProcessRef("agent", e.target_agent)})
+    if isinstance(e, ReplyLeader):
+        return frozenset({ProcessRef("agent", e.target_agent), ProcessRef("leader", e.req_leader)})
+    if isinstance(e, BeginMerge):
+        return frozenset({ProcessRef("leader", e.leader)})
+    if isinstance(e, (ConfirmMerge, MergeCancelled, MergeConfirmed, MergeMaps, MergeCompleted)):
+        return frozenset({ProcessRef("leader", e.req_leader), ProcessRef("leader", e.other_leader)})
+    if isinstance(e, (UpdateIdentifiedSameGroup, UpdateIdentified)):
+        return frozenset({ProcessRef("leader", e.leader), ProcessRef("agent", e.agent)})
+    if isinstance(e, RemoveReasoningAbout):
+        return frozenset({ProcessRef("agent", e.req_agent)})
+    if isinstance(e, (Done, Terminate)):
+        return frozenset({ProcessRef("leader", e.leader)})
+    raise InvalidEventError(f"unknown event {e!r}")
 
 
 def states(g) -> list:

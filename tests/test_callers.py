@@ -1,8 +1,9 @@
-"""Caller check: every public module-level function and class of the package
-is referenced by the program, in `src/` or `scripts/`, somewhere other than
-its own definition, and so is every public method or property of those
-classes, and every public attribute that such a class assigns on `self`.
-Tests are not callers.  Module-level names are matched by module: `mod.f`
+"""Caller check: every public module-level function, class and constant (a
+name that a top-level assignment binds) of the package is referenced by the
+program, in `src/` or `scripts/`, somewhere other than its own definition,
+and so is every public method or property of those classes, and every
+public attribute that such a class assigns on `self`.  Tests are not
+callers.  Module-level names are matched by module: `mod.f`
 is read by a bare `f` in `mod` itself or in a module that imported it by
 `from .mod import f` (aliased or not), and by the attribute `mod.f` or
 `pkg.mod.f`; the import alone is no read.  So neither a method nor a
@@ -26,8 +27,8 @@ ALLOWED = {
     "coordmap.invert": "part of the map-merge algebra that acceptance criterion 12 checks",
     "coordmap.merge_grids": "part of the map-merge algebra that acceptance criterion 12 checks",
     "coordmap.GridMap.shifted": "part of the map-merge algebra that acceptance criterion 12 checks",
+    "coordmap.IDENTITY": "part of the map-merge algebra that acceptance criterion 12 checks",
     "world.enabled_events": "the reference path's offered events, read by perfbench's query walk and by the tests' oracle",
-    "world.RefusedEventError.blocking": "the process that refuses the event, which tests/test_world.py reads",
     "coordmap.MergeConflictError.conflicts": "the conflicting cells of a failed merge, which tests/test_coordmap.py reads",
 }
 
@@ -53,7 +54,7 @@ def reads(module: str, source: str, modules: set):
         if isinstance(node, DEFINITIONS):
             path = f"{path}.{node.name}"
             scope = scope | {path}
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield imported.get(node.id, f"{module}.{node.id}"), scope
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield "." + node.attr, scope
@@ -67,13 +68,19 @@ def reads(module: str, source: str, modules: set):
 
 
 def defined(module: str, source: str):
-    """(name, key) for each public top-level function or class of `source`,
-    named and read as `module.name`, and for each public
+    """(name, key) for each public top-level function, class or constant of
+    `source` (each name that a top-level assignment binds, tuple targets
+    included), named and read as `module.name`, and for each public
     method or property of its top-level classes and each public attribute
     that they assign on `self`, named `module.Class.name` and read as `.name`."""
     for node in ast.parse(source).body:
-        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", f"{module}.{node.name}"
+        names = [node.name] if isinstance(node, DEFINITIONS) else []
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        for name in names:
+            if not name.startswith("_"):
+                yield f"{module}.{name}", f"{module}.{name}"
         if isinstance(node, ast.ClassDef):
             members = [m.name for m in node.body if isinstance(m, DEFINITIONS[:2])]
             members += [  # each attribute assigned on `self`
@@ -164,6 +171,15 @@ def test_checker_checks_attributes_assigned_on_self():
     assert uncalled(package, {}) == ["a.C.x"]
     assert uncalled(package, {"run": "from a import C\nc = C(1, 2)\nprint(c.x)\n"}) == []
     assert uncalled(package, {"run": "from a import C\nc = C(1, 2)\nc.x = 3\n"}) == ["a.C.x"]
+
+
+def test_checker_checks_module_level_constants():
+    package = {
+        "a": "X: int = 1\nY, (Z, _W) = X, (2, 3)\n_V = [n for n in range(2)]\n",
+        "b": "from .a import Z\n\nprint(Z)\n",
+    }
+    assert uncalled(package, {}) == ["a.Y"]
+    assert uncalled(package, {"run": "import a\nprint(a.Y)\n"}) == []
 
 
 def test_every_public_name_has_a_caller():

@@ -556,6 +556,14 @@ def test_export_to_an_empty_path_fails_like_any_unwritable_path(capsys):
     assert err.count("\n") == 1 and err.startswith("mapmerge: ")
 
 
+def test_export_opens_out_before_it_explores(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, "explore")
+    code, out, err = run(capsys, "export", "--agents", "2", "--out", str(tmp_path / "missing" / "g.json"))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("mapmerge: ")
+    assert calls == {}
+
+
 def test_export_dot_of_a_bounded_graph_says_so(capsys):
     line = '  label="incomplete: a bound cut the search";\n'
     code, out, _ = run(capsys, "export", "--agents", "3", "--max-states", "100", "--format", "dot")

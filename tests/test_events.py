@@ -1,17 +1,16 @@
 from itertools import chain, combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mapmerge.events import (
-    Agent,
     BeginMerge,
     ConfirmMerge,
     Done,
     EVENT_TYPES,
     InvalidEventError,
-    Leader,
     MergeCompleted,
+    ProcessRef,
     RemoveReasoningAbout,
     RequestMerge,
     UpdateIdentified,
@@ -27,6 +26,7 @@ from mapmerge.events import (
 from mapmerge.ids import AgentId, universe
 from mapmerge.world import MAX_AGENTS
 
+from graph_reference import participants as reference_participants
 from test_explorer import LEADER_PHASES
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
@@ -34,23 +34,61 @@ A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)
 
 def test_participants_request_merge():
     e = RequestMerge(agent=A2, leader=A1, merge_set=frozenset({A3}))
-    assert participants(e) == frozenset({Agent(A2), Leader(A1)})
+    assert participants(e) == frozenset({ProcessRef("agent", A2), ProcessRef("leader", A1)})
 
 
 def test_participants_leader_pair():
     e = ConfirmMerge(req_leader=A1, other_leader=A3)
-    assert participants(e) == frozenset({Leader(A1), Leader(A3)})
+    assert participants(e) == frozenset({ProcessRef("leader", A1), ProcessRef("leader", A3)})
 
 
 def test_participants_update():
     e = UpdateIdentified(leader=A1, agent=A2, new_set=frozenset({A1, A2}))
-    assert participants(e) == frozenset({Leader(A1), Agent(A2)})
+    assert participants(e) == frozenset({ProcessRef("leader", A1), ProcessRef("agent", A2)})
 
 
 def test_participants_remove_reasoning_is_agent_side():
     # The handling leader is resolved from the configuration, not the label.
     e = RemoveReasoningAbout(req_agent=A2, other_agent=A1)
-    assert participants(e) == frozenset({Agent(A2)})
+    assert participants(e) == frozenset({ProcessRef("agent", A2)})
+
+
+def test_event_types_keep_their_wire_names_in_canonical_order():
+    # The wire names are the trace-file and scenario-file contract, and the order is each type's rank in sort_key,
+    # which fixes successor order.
+    assert list(EVENT_TYPES) == [
+        "request_merge",
+        "request_leader",
+        "reply_leader",
+        "begin_merge",
+        "confirm_merge",
+        "merge_cancelled",
+        "merge_confirmed",
+        "merge_maps",
+        "merge_completed",
+        "update_identified_same_group",
+        "update_identified",
+        "remove_reasoning_about",
+        "done",
+        "terminate",
+    ]
+
+
+any_id = st.integers(min_value=1, max_value=MAX_AGENTS).map(AgentId)
+
+
+@pytest.mark.parametrize("cls", EVENT_TYPES.values(), ids=EVENT_TYPES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_participants_match_the_reference_chain(cls, data):
+    # Each agent field is any of A1-A8 and each set field any subset of them; 30 draws per type, 420 in all.
+    e = cls(*(data.draw(st.frozensets(any_id) if t is frozenset else any_id) for t in cls.__annotations__.values()))
+    assert participants(e) == reference_participants(e)
+
+
+def test_participants_rejects_an_unknown_type():
+    with pytest.raises(InvalidEventError, match="unknown event"):
+        participants((A1, A2))
 
 
 def test_begin_merge_is_internal():

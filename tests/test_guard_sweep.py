@@ -27,7 +27,7 @@ from mapmerge.world import initial_config
 
 from conftest import mutant
 from graph_reference import edges, states
-from test_successors import alphabet, reference, successors
+from test_successors import VARIANTS, alphabet, reference, successors
 
 FUNCTIONS = ("agent_moves", "agent_accept", "leader_moves", "leader_accept", "_after_update")
 
@@ -235,3 +235,23 @@ def test_every_operand_is_pinned():
 @pytest.mark.parametrize("key, where", OPERANDS, ids=[f"{name}:{text}:{k}" for (name, text, k), _ in OPERANDS])
 def test_operand_mutant(key, where):
     assert first_kill(key, where) == KILLED.get(key)
+
+
+FLAG_VARIANTS = {name: spec for name, spec in VARIANTS.items() if isinstance(spec, dict)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("flags", FLAG_VARIANTS.values(), ids=FLAG_VARIANTS)
+def test_absorbed_target_reply_is_unreachable(n, flags):
+    # leader_accept's `if other == s.id:` drops a target that the leader's own map already holds, and no run takes
+    # it: an agent names a leader only once that leader's set holds it, and an active leader's set never loses an
+    # agent; a leader serves a request only for agents outside its set, and the set does not change until the
+    # request ends.  So the graph is the same with the branch cut out.  It stays as specification, as the sweep's
+    # surviving guards do.
+    def graph():
+        g = explore(initial_config(n, **flags), checks=[])
+        return g.rows, g.events, g.targets
+
+    model = graph()
+    with mutant("leader_accept", ("if other == s.id:", "if False:")):
+        assert graph() == model

@@ -17,8 +17,6 @@ import pytest
 
 from mapmerge.events import (
     EVENT_TYPES,
-    Agent,
-    Leader,
     ProcessRef,
     RemoveReasoningAbout,
     RequestMerge,
@@ -34,7 +32,7 @@ from mapmerge.processes import LeaderProcState, Refusing
 from mapmerge.world import Model, RefusedEventError, apply_event, enabled_events, initial_config
 
 from conftest import ACTIVE_MUTANT, DEMOTE_ON_MERGE_MUTANT, PRIORITY_MUTANT, REPLACE_SET_MUTANT, installed, variant
-from graph_reference import edges, replay, states, transitions
+from graph_reference import edges, participants as reference_participants, replay, states, transitions
 
 # Model flags for initial_config, or a mutant of the process functions.
 VARIANTS = {
@@ -118,6 +116,15 @@ def test_first_refusing_leader_keeps_remove_reasoning_about():
     assert after.leader(a2).phase != refusing and after.leader(a3).phase == refusing
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
+def test_participants_match_the_reference_chain_on_every_graph_label(n, spec):
+    with variant(n, spec) as c0:
+        g = explore(c0, checks=[])
+    labels = [g.model.labels[ev] for ev in set(g.events)]
+    assert labels and all(participants(e) == reference_participants(e) for e in labels)
+
+
 @pytest.mark.parametrize("spec", VARIANTS.values(), ids=VARIANTS)
 def test_accept_is_asked_only_of_participants(spec):
     # events.participants alone says whom a label addresses: the model asks
@@ -153,10 +160,10 @@ def test_moves_and_accepted_events_are_disjoint(spec):
         movers = {}  # label -> the processes that have it among an interned local's moves
         for s in list(m.locals):
             if isinstance(s, LeaderProcState):
-                moves, step, me = processes.leader_moves(s, params), processes.leader_step, Leader(s.id)
+                moves, step, me = processes.leader_moves(s, params), processes.leader_step, ProcessRef("leader", s.id)
                 accepted = [e for e in labels if processes.leader_accept(s, e) is not None]
             else:
-                moves, step, me = processes.agent_moves(s, params), processes.agent_step, Agent(s.id)
+                moves, step, me = processes.agent_moves(s, params), processes.agent_step, ProcessRef("agent", s.id)
                 accepted = [e for e in labels if processes.agent_accept(s, e) is not None]
             moved = dict(moves)
             assert len(moved) == len(moves)
