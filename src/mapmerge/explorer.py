@@ -11,7 +11,6 @@ from bisect import bisect_right
 from collections import deque
 from functools import cache
 from itertools import compress, islice, repeat, starmap
-from math import isqrt
 from operator import itemgetter, mod, not_, sub
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -191,13 +190,6 @@ def _swap16(b: bytes) -> bytes:
     return a.tobytes()
 
 
-def _prime_at_least(n: int) -> int:
-    """The least prime >= n, for n >= 2."""
-    while any(n % p == 0 for p in range(2, isqrt(n) + 1)):
-        n += 1
-    return n
-
-
 def explore(
     c0: Configuration,
     *,
@@ -213,10 +205,11 @@ def explore(
     graph flagged incomplete.  Running out of memory raises a `MemoryError` that names the states found.
 
     Deduplication is exact and keeps no key of an older layer.  Every
-    state is in a chained hash table of arrays: a chain head per bucket and
-    a link per state.  A state's bucket is the hash of its row in
-    `StateGraph.rows`, written when the state is found, and a hit is
-    confirmed against that row, so no two states merge.  A dict of the next
+    state is in a chained hash table of arrays: a chain head per bucket,
+    twice as many as states after each relink, and a link per state.  A
+    bucket is `hash()` of a row's bytes, even under any bucket count, so no
+    prime is needed; a hit is confirmed against the state's row in
+    `StateGraph.rows`, so no two states merge.  A dict of the next
     layer's keys serves the transitions into that layer, 83% of them at
     n=4, without walking the table.  At n=4 the search peaks at about 65
     bytes per state, against 180 with one dict of every key.
@@ -292,8 +285,8 @@ def explore(
                                 g.violations.append(Violation(chk.name, msg, idx, labels[ev]))
                 g.offsets.append(len(targets))
                 idx += 1
-            if count > size:  # relink every state into twice as many buckets
-                size = _prime_at_least(2 * count)
+            if count > size:  # relink every state into twice as many buckets as states
+                size = 2 * count
                 heads, links, all_rows = array("I", bytes(4 * size)), array("I"), struct.iter_unpack(f"{stride}s", rows)
                 for i, b in enumerate(map(mod, starmap(hash_of, all_rows), repeat(size)), 1):
                     links.append(heads[b])

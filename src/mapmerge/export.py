@@ -2,9 +2,9 @@
 streamed from the graph's arrays to a text file in chunks of 4,096 pieces
 that C-level iterators (map, zip, repeat, chain) interleave, with no Python
 frame per state or transition.  Besides the graph, a writer holds one string
-per label, one rendered string per distinct partition label and the leader
-columns of the rows; the labels are joined from per-local parts, and only
-the graph's ends, the states with no transition, are decoded, for `is_terminal`.
+per label and one rendered string per distinct partition label, joined from
+per-local parts read off the rows' leader columns in place; only the graph's
+ends, the states with no transition, are decoded, for `is_terminal`.
 
 The JSON schema is versioned as "mapmerge-graph/1" and documented in
 docs/graph_schema.md.
@@ -49,12 +49,12 @@ def _nodes(g: StateGraph, render: Callable[[str], str], ids: Iterable, flags: tu
     The label joins the parts of the state's leader ints, read off the leader columns of the rows, and each
     distinct label is rendered once.  A terminal state has no transition, so only the graph's ends are decoded,
     for `is_terminal`."""
-    m, n = g.model, g.model.n
+    m, n, rows = g.model, g.model.n, memoryview(g.rows)
     terminal = {i for i in g.ends() if is_terminal(g.state(i))}
-    on = [isinstance(s, LeaderProcState) and s.active for s in m.locals]
     # By local int: an active leader's label part, or "".
-    part = [f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if o else "" for s, o in zip(m.locals, on)]
-    columns = [map(part.__getitem__, g.rows[slot :: 2 * n]) for slot in range(n, 2 * n)]  # by leader slot
+    part = [f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if isinstance(s, LeaderProcState) and s.active
+            else "" for s in m.locals]
+    columns = [map(part.__getitem__, rows[slot :: 2 * n]) for slot in range(n, 2 * n)]  # by leader slot, in place
     labels = map(_Labels(render).__getitem__, zip(*columns))
     return zip(ids, labels, map(flags.__getitem__, map(terminal.__contains__, range(g.state_count))))
 

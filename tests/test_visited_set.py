@@ -6,6 +6,7 @@ the same graph, cut it at the same bounds, and report the same violations.
 labels along the chain of states that found it, as the reference records it."""
 
 import struct
+from collections import Counter
 from contextlib import nullcontext
 
 import pytest
@@ -110,6 +111,31 @@ def test_colliding_hashes_leave_the_graph_unchanged(monkeypatch, merge_set_max, 
     want = explore(c0, checks=[])
     monkeypatch.setattr(explorer, "_hash", colliding)
     assert graph(explore(c0, checks=[])) == graph(want)
+
+
+def walk(hashes, m: int) -> tuple:
+    """With each hash in bucket hash % m: the mean entries a hit walks, a bucket's
+    chain being newest first, and the longest chain."""
+    chains = Counter(h % m for h in hashes)
+    return sum(c * (c + 1) for c in chains.values()) / (2 * sum(chains.values())), max(chains.values())
+
+
+@pytest.mark.parametrize("merge_set_max, states", [(1, 1879), (2, 8929)], ids=["msm1", "msm2"])
+def test_row_hashes_need_no_prime_bucket_count(merge_set_max, states):
+    # explore relinks into 2 x states buckets.  hash() of a row's bytes is
+    # SipHash, even under any bucket count, where CPython hashes an int to
+    # itself mod 2**61 - 1, so a power of two sees only some bits of a key.
+    # Row hashes change with PYTHONHASHSEED: hits walk 1.13-1.48 entries.
+    g = explore(initial_config(3, merge_set_max=merge_set_max), checks=[])
+    assert g.state_count == states
+    raw, stride = g.rows.tobytes(), 4 * g.model.n
+    rows = [raw[i : i + stride] for i in range(0, len(raw), stride)]
+    power = 1 << (2 * states - 1).bit_length()  # the next power of two above 2 x states
+    for m in (2 * states, power):
+        mean, longest = walk(map(hash, rows), m)
+        assert mean <= 1.5 and longest <= 10, m
+    keys = [g.model.encode(g.state(i)) for i in range(states)]
+    assert walk(map(hash, keys), power)[0] > 10  # 29.4 and 114.8, with chains of 103 and 488
 
 
 def test_swapped_key_bytes_are_a_big_endian_row():
