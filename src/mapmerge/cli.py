@@ -125,9 +125,9 @@ def _print_human(report: dict) -> None:
         if chk["detail"]:
             print(f"         {chk['detail']}")
         if "witness" in chk:
-            print(f"         witness: {', '.join(chk['witness'])}")
+            print("         witness:", ", ".join(chk["witness"]) or "(empty)")
     if report.get("witness") is not None:
-        print(f"witness: {', '.join(report['witness'])}")
+        print("witness:", ", ".join(report["witness"]) or "(empty)")
     print(f"verdict: {report['verdict']}")
 
 

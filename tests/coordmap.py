@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ids import AgentId
+from mapmerge.ids import AgentId
 
 
 class Offset(NamedTuple):

@@ -14,16 +14,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mapmerge.coordmap import (
-    GridMap,
-    IDENTITY,
-    MergeConflictError,
-    Offset,
-    compose,
-    invert,
-    merge_grids,
-    transform,
-)
 from mapmerge.events import (
     ConfirmMerge,
     MergeCancelled,
@@ -44,6 +34,16 @@ from mapmerge.scenarios import builtin_scenarios, check_scenario
 from mapmerge.world import all_maps_merged, apply_event, enabled_events, initial_config
 
 from conftest import ACTIVE_MUTANT, PRIORITY_MUTANT, mutant
+from coordmap import (
+    GridMap,
+    IDENTITY,
+    MergeConflictError,
+    Offset,
+    compose,
+    invert,
+    merge_grids,
+    transform,
+)
 from graph_reference import states, transitions
 
 A1, A2, A3 = AgentId(1), AgentId(2), AgentId(3)

@@ -443,6 +443,26 @@ def test_trace_check_prints_its_witness(capsys, tmp_path):
     assert code == 0 and f"\nwitness: {', '.join(witness)}\nverdict: pass\n" in out
 
 
+def test_trace_check_prints_an_empty_witness(capsys, tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    code, out, _ = run(capsys, "trace-check", "--agents", "3", "--json", str(path))
+    assert code == 0 and json.loads(out)["witness"] == []
+    code, out, _ = run(capsys, "trace-check", "--agents", "3", str(path))
+    assert code == 0 and "\nwitness: (empty)\nverdict: pass\n" in out
+
+
+def test_failing_scenario_prints_an_empty_witness(capsys, tmp_path):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([{"name": "x", "trace": [], "expected": False}]))
+    argv = ("scenarios", "--agents", "3", "--scenario-file", str(path), "--name", "x")
+    code, out, _ = run(capsys, *argv, "--json")
+    (check,) = json.loads(out)["checks"]
+    assert code == 1 and check["witness"] == []
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "\n         witness: (empty)\nverdict: fail\n" in out
+
+
 def test_trace_check_absent_trace_fails(capsys, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"type": "confirm_merge", "req_leader": "A2", "other_leader": "A1"}) + "\n")

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mapmerge.coordmap import (
+from mapmerge.ids import AgentId
+
+from coordmap import (
     GridMap,
     IDENTITY,
     MergeConflictError,
@@ -11,7 +13,6 @@ from mapmerge.coordmap import (
     merge_grids,
     transform,
 )
-from mapmerge.ids import AgentId
 
 A1, A2 = AgentId(1), AgentId(2)
 

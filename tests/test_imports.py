@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package, no script and no test module
-imports a name it never uses, and importing the CLI loads no module that
-only slows its start.
+imports a name it never uses; importing the CLI loads no module that only
+slows its start; and every module of the package is loaded by the CLI or by
+a script, so none sits in the package with no program path to it.
 
 The first stands in for a linter's unused-import rule (F401), which exempts
 an import statement whose first line carries `# noqa: F401`.  The package
@@ -77,6 +78,14 @@ def test_package_import_loads_no_module_of_the_package(src_env):
     assert "mapmerge" in added and not {m for m in added if m.startswith("mapmerge.")}
 
 
-def test_cli_import_does_not_load_the_map_algebra(src_env):
-    added = added_modules(src_env, "import mapmerge.cli")
-    assert "mapmerge.cli" in added and "mapmerge.coordmap" not in added
+def test_every_package_module_is_loaded_by_a_program(src_env):
+    # A module that neither the CLI nor a script loads, directly or through other modules, runs in no verdict.
+    imports = [
+        ast.unparse(node)
+        for path in sorted(ROOT.glob("scripts/*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    added = added_modules(src_env, "\n".join(["import mapmerge.cli", *imports]))
+    modules = [f"mapmerge.{p.stem}" for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    assert [m for m in modules if m not in added] == []
