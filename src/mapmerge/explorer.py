@@ -183,13 +183,6 @@ def default_checks() -> list[Check]:
 _hash = hash  # a row's bytes -> its hash in explore's table
 
 
-def _swap16(b: bytes) -> bytes:
-    """`b` with the two bytes of each 16-bit int swapped."""
-    a = array("H", b)
-    a.byteswap()
-    return a.tobytes()
-
-
 def explore(
     c0: Configuration,
     *,
@@ -230,11 +223,10 @@ def explore(
     key0, top, hash_of = m.encode(c0), m.count_shift, _hash
     g = StateGraph(m)
     rows, events, targets, layers, labels, shifts = g.rows, g.events, g.targets, g.layers, m.labels, m.shifts
-    # A key's little-endian bytes begin with its row's, swapped on a big-endian host, whose rows store each int high
-    # byte first; its slots fix its count word, so a row tells keys apart.  row_at reads a row's local ints.
-    width, nbytes, swap = 2 * m.n, (m.key_bits + 7) // 8, sys.byteorder == "big"
-    row_at, stride = struct.Struct(f"={width}H").unpack_from, width * rows.itemsize
-    rows.extend(m.code(key0))
+    # Until the search ends, each row is the first bytes of its key's little-endian bytes, on any host; a key's slots
+    # fix its count word, so a row tells keys apart.  row_at reads a row's local ints.
+    width, nbytes, row_at, stride = 2 * m.n, m.key_bytes, m.row_struct.unpack_from, m.row_struct.size
+    rows.frombytes(key0.to_bytes(nbytes, "little")[:stride])
     # nxt: the keys of the next layer -> idx.  The table of all states: heads[h % size], h the hash of a row's bytes, is
     # 1 + the idx of the newest state in h's bucket, links[i] 1 + the next older one in state i's, and 0 ends a chain.
     nxt, heads, links = {}, array("I", [1]), array("I", [0])
@@ -256,8 +248,6 @@ def explore(
                     j = nxt.get(key2)
                     if j is None:
                         kb = key2.to_bytes(nbytes, "little")
-                        if swap:
-                            kb = _swap16(kb)
                         row = kb[:stride]
                         b = hash_of(row) % size
                         i = heads[b]
@@ -294,6 +284,8 @@ def explore(
             layer, nxt, depth = list(nxt), {}, depth + 1
     except MemoryError as exc:
         raise MemoryError(f"out of memory after {count:,} states") from exc
+    if sys.byteorder == "big":  # each row's ints, little-endian so far, are native from here on
+        rows.byteswap()
     return g
 
 

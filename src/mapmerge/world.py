@@ -133,7 +133,8 @@ class Model:
         self.shifts = bytearray()  # event int -> 1 once an entry under it changes a leader's _pair
         self.count_shift = 32 * self.n  # key >> count_shift is a key's count word
         self.key_bits = self.count_shift + BUSY.bit_length()  # the slots and the count word
-        self._row = struct.Struct(f"<{2 * self.n}H")
+        self.key_bytes = (self.key_bits + 7) // 8  # a key's little-endian length, its row's 4n bytes first
+        self.row_struct = struct.Struct(f"<{2 * self.n}H")  # a row: the slots, from a key's little-endian bytes
 
     def _label(self, e: EventLabel) -> tuple:
         entry = self._label_ids.get(e)
@@ -185,7 +186,7 @@ class Model:
 
     def code(self, key: int) -> tuple:
         """The local ints at the slots of `key`."""
-        return self._row.unpack_from(key.to_bytes(4 * self.n + 2, "little"))
+        return self.row_struct.unpack_from(key.to_bytes(self.key_bytes, "little"))
 
     def decode(self, code: tuple) -> Configuration:
         local, n = self.locals.__getitem__, self.n

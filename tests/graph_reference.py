@@ -5,18 +5,17 @@ decoded state, the rendezvous set of an event as an `isinstance` chain,
 the trace search over (key, position) tuple nodes, as it
 was before a product node was one int, and the BFS over one dict of every
 key, as it was before the visited set moved to a table of arrays, which
-also keeps the state that found each one, as `StateGraph` did before it kept
-only its BFS layers.  The differential tests compare the two on graphs and
-queries where each finds something.  `replay` checks a witness, a list of
-event labels, against the graph it came from."""
+runs every check ungated and keeps the state that found each one, as
+`StateGraph` did before it kept only its BFS layers.  The differential
+tests compare the two on graphs and queries where each finds something.
+`replay` checks a witness, a list of event labels, against the graph it
+came from."""
 
 from collections import deque
-from functools import cache
 from itertools import chain, repeat
 from typing import Iterable, Optional
 
 from mapmerge.events import (
-    EVENT_TYPES,
     BeginMerge,
     ConfirmMerge,
     Done,
@@ -365,28 +364,24 @@ def explore(
     checks: Optional[Iterable[Check]] = None,
 ) -> StateGraph:
     """Breadth-first closure of `world.Model.successors` over integer keys,
-    deduplicated on one dict of every key; each check is given the code
-    that the state's row holds.  The graph's `layers` are the first idx of
-    each BFS layer, as this search counts them, then the state count, and its
-    `found_by[idx]` is None for the initial state, else (the idx that found
-    state idx, the label int of that transition)."""
+    deduplicated on one dict of every key.  Every check runs at every state
+    or transition, its gate unread, given the code that the state's row
+    holds, so a gate that admits too little shows as a violation explore
+    misses.  The graph's `layers` are the first idx of each BFS layer, as
+    this search counts them, then the state count, and its `found_by[idx]`
+    is None for the initial state, else (the idx that found state idx, the
+    label int of that transition)."""
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
     checks = list(default_checks() if checks is None else checks)
     state = [k for k in checks if k.kind == "state"]
     trans = [k for k in checks if k.kind == "transition"]
-    # The checks to run: by count word, and by event type and the label's shift flag.
-    state_checks = cache(lambda w: [k for k in state if not k.gate or k.gate(w)])
-    checks_on = {t: [[k for k in trans if not k.gate or k.gate(t, f)] for f in (0, 1)] for t in EVENT_TYPES.values()}
-    # watched: event int -> its checks, for each label that some check admits under the shift flags in seen; it is
-    # rebuilt when a label is interned or a flag flips, as both happen while the model's tables fill.
-    watched, seen = {}, b""
 
     m = Model(c0.params)
-    key0, top = m.encode(c0), m.count_shift
+    key0 = m.encode(c0)
     index = {key0: 0}  # key -> idx
     g = StateGraph(m)
-    rows, events, targets, labels, shifts = g.rows, g.events, g.targets, m.labels, m.shifts
+    rows, events, targets, labels = g.rows, g.events, g.targets, m.labels
     g.found_by = [None]
     # Every state is expanded and appends its row, in index order (BFS order); layer_end ends the current depth.
     queue, idx, depth, layer_end = deque([key0]), 0, -1, 0  # queue: the keys of the states not yet expanded
@@ -398,10 +393,7 @@ def explore(
         code = m.code(key)
         rows.extend(code)
         succs = m.successors(key, code)
-        if shifts != seen:
-            seen = bytes(shifts)
-            watched = {ev: ks for ev, (e, f) in enumerate(zip(labels, seen)) if (ks := checks_on[type(e)][f])}
-        for chk in state_checks(key >> top):
+        for chk in state:
             msg = chk.fn(m, code, succs)
             if msg is not None:
                 g.violations.append(Violation(chk.name, msg, idx, None))
@@ -416,11 +408,10 @@ def explore(
                 queue.append(key2)
             events.append(ev)
             targets.append(j)
-            if ev in watched:
-                for chk in watched[ev]:
-                    msg = chk.fn(m, code, ev, key2)
-                    if msg is not None:
-                        g.violations.append(Violation(chk.name, msg, idx, labels[ev]))
+            for chk in trans:
+                msg = chk.fn(m, code, ev, key2)
+                if msg is not None:
+                    g.violations.append(Violation(chk.name, msg, idx, labels[ev]))
         g.offsets.append(len(targets))
         idx += 1
     return g

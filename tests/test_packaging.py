@@ -24,3 +24,8 @@ def test_every_data_file_is_package_data():
     ]
     assert "scenarios.json" in data
     assert [f for f in data if not any(fnmatch(f, g) for g in globs)] == []
+
+
+def test_the_package_version_is_the_project_version():
+    with open(PACKAGE.parents[1] / "pyproject.toml", "rb") as f:
+        assert mapmerge.__version__ == tomllib.load(f)["project"]["version"]

@@ -1,13 +1,16 @@
 """Differential test: explorer.explore, which finds a visited state through a
 hash table of arrays keyed and confirmed by the state's row, against
-graph_reference.explore, which keeps one dict of every key.  Both must build
-the same graph, cut it at the same bounds, and report the same violations.
+graph_reference.explore, which keeps one dict of every key and runs every
+check ungated.  Both must build the same graph, cut it at the same bounds,
+and report the same violations, so no gate of explore's skips one.
 `StateGraph.path_to`, which searches the BFS layers, must give each state the
 labels along the chain of states that found it, as the reference records it."""
 
-import struct
+import sys
+from array import array
 from collections import Counter
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +24,7 @@ from conftest import (
     DEMOTE_ON_MERGE_MUTANT,
     DONE_AFTER_FIRST_MERGE_MUTANT,
     OLD_AGENT_GUARD_MUTANT,
+    PRIORITY_MUTANT,
     REPLACE_SET_MUTANT,
     mutant,
 )
@@ -138,7 +142,34 @@ def test_row_hashes_need_no_prime_bucket_count(merge_set_max, states):
     assert walk(map(hash, keys), power)[0] > 10  # 29.4 and 114.8, with chains of 103 and 488
 
 
-def test_swapped_key_bytes_are_a_big_endian_row():
-    # A big-endian host stores each of a row's ints high byte first, and
-    # explore swaps a key's little-endian bytes to match.
-    assert explorer._swap16(struct.pack("<3H", 1, 2, 770)) == struct.pack(">3H", 1, 2, 770)
+# n=3 models as (initial_config flags, the mutant or None, explore bounds): the mutants' violations arise while the
+# search runs, the replace_set ones from checks that read the expanded state's row, and a bound cuts the search.
+BYTE_ORDER_MODELS = {
+    "default": ({}, None, {}),
+    "merge_set_max=2": ({"merge_set_max": 2}, None, {}),
+    "priority_mutant": ({}, PRIORITY_MUTANT, {}),
+    "replace_set_mutant": ({}, REPLACE_SET_MUTANT, {}),
+    "max_states=50": ({}, None, {"max_states": 50}),
+}
+
+
+@pytest.mark.parametrize("name", BYTE_ORDER_MODELS)
+def test_the_other_byte_order_builds_the_same_graph(monkeypatch, name):
+    # explore keeps each row in its key's little-endian bytes on any host,
+    # and a big-endian host swaps the finished rows once, so that they hold
+    # native ints.  With sys.byteorder, as explore alone reads it, set to the
+    # order this host lacks (big-endian on a little-endian host), the search
+    # is the same and only that swap is made or left out.
+    flags, spec, kwargs = BYTE_ORDER_MODELS[name]
+    with mutant(*spec) if spec else nullcontext():
+        c0 = initial_config(3, **flags)
+        want = explore(c0, **kwargs)
+        other = "little" if sys.byteorder == "big" else "big"
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "sys", SimpleNamespace(byteorder=other))
+            got = explore(c0, **kwargs)
+    assert graph(got)[1:] == graph(want)[1:]
+    assert bool(got.violations) == (spec is not None)
+    swapped = array("H", want.rows)
+    swapped.byteswap()
+    assert got.rows == swapped

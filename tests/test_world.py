@@ -20,6 +20,7 @@ from mapmerge.events import (
     ProcessRef,
     participants,
 )
+from mapmerge.explorer import Violation, explore
 from mapmerge.ids import AgentId, universe
 from mapmerge.processes import LeaderProcState
 from mapmerge.world import (
@@ -160,6 +161,38 @@ def test_partition_violation_detects_overlap():
     l0 = c.leaders[0]._replace(agent_set=frozenset({A1, A2}))
     bad = c._replace(leaders=(l0, c.leaders[1]))
     assert quiescent_partition_violation(bad) is not None
+
+
+C2 = initial_config(2)
+(_a1, _a2), (_l1, _l2) = C2.agents, C2.leaders
+_demoted = _l2._replace(active=False, agent_set=frozenset())
+# Each invariant message that no explored graph produces: the check that reports it, and a hand-built n=2 initial
+# configuration where it does.
+HAND_BUILT = {
+    "A1 missing from its own known group": (
+        "local-state",
+        C2._replace(agents=(_a1._replace(known_group=frozenset({A2})), _a2)),
+    ),
+    "A1's believed leader A2 outside its known group": (
+        "local-state",
+        C2._replace(agents=(_a1._replace(believed_leader=A2), _a2)),
+    ),
+    "active agent sets cover [A1], not the universe": ("quiescent-partition", C2._replace(leaders=(_l1, _demoted))),
+    "A2 believes demoted leader A2": (
+        "quiescent-partition",
+        C2._replace(leaders=(_l1._replace(agent_set=frozenset({A1, A2})), _demoted)),
+    ),
+    "A1 not in believed leader A2's agent set": (
+        "quiescent-partition",
+        C2._replace(agents=(_a1._replace(believed_leader=A2, known_group=frozenset({A1, A2})), _a2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("message", HAND_BUILT)
+def test_a_hand_built_state_reports_its_invariant_message(message):
+    check, c0 = HAND_BUILT[message]
+    assert Violation(check, message, 0, None) in explore(c0, max_states=1).violations
 
 
 def instance(cls):
