@@ -180,7 +180,7 @@ def cmd_explore(args) -> int:
 
 def cmd_scenarios(args) -> int:
     scenarios = list(builtin_scenarios())
-    if args.scenario_file:
+    if args.scenario_file is not None:
         text = _read_text(args.scenario_file)
         builtin = {s.name for s in scenarios}
         try:
@@ -192,7 +192,7 @@ def cmd_scenarios(args) -> int:
                 scenarios.append(s)
         except (ValueError, RecursionError) as exc:  # bad JSON (too deep, a repeated key), scenario or event
             raise InvalidEventError(f"{args.scenario_file}: {exc}") from exc
-    if args.name:
+    if args.name is not None:
         scenarios = [s for s in scenarios if s.name == args.name]
         if not scenarios:
             raise ConfigurationError(f"unknown scenario {args.name!r}")
@@ -226,7 +226,7 @@ def _read_jsonl_events(path: str, n: int) -> list:
 
 def cmd_trace_check(args) -> int:
     trace = _read_jsonl_events(args.trace_file, args.agents)
-    alphabet = frozenset(_read_jsonl_events(args.alphabet_file, args.agents)) if args.alphabet_file else None
+    alphabet = None if args.alphabet_file is None else frozenset(_read_jsonl_events(args.alphabet_file, args.agents))
     try:
         query = TraceQuery(tuple(trace), alphabet)
     except InvalidEventError as exc:

@@ -187,24 +187,15 @@ def participants(e: EventLabel) -> frozenset[ProcessRef]:
     return frozenset(ProcessRef(kind, getattr(e, field)) for kind, field in parties)
 
 
-def _field_key(v) -> int:
-    """A field's agent indices (an AgentId's own, a frozenset's sorted) as 4-bit digits from the top of 32 bits,
-    the unused digits 0: ints in the order of the index tuples, for indices below 16 and sets of up to 8."""
-    digits = (v.index,) if isinstance(v, AgentId) else sorted(a.index for a in v)
-    out = 0
-    for i in digits:
-        out = out << 4 | i
-    return out << 4 * (8 - len(digits))
-
-
-def sort_key(e: EventLabel) -> int:
+def sort_key(e: EventLabel) -> bytes:
     """Canonical total order on labels; fixes successor enumeration order.
-    The int orders as the tuple (type rank, each field's sorted agent indices): the rank sits above three 32-bit
-    fields, the absent ones 0, so every type's fields take the same width."""
-    key = _TYPE_RANK[type(e)]
+    The bytes order as the tuple (type rank, each field's sorted agent indices): each field ends in a 0, below
+    every index, so a field sorts before its extensions ({A1} before {A1,A2})."""
+    key = [_TYPE_RANK[type(e)]]
     for v in e:
-        key = key << 32 | _field_key(v)
-    return key << 32 * (3 - len(e))
+        key += (v.index,) if isinstance(v, AgentId) else sorted(a.index for a in v)
+        key.append(0)
+    return bytes(key)
 
 
 def label(e: EventLabel) -> str:

@@ -59,10 +59,8 @@ class ModelParams(NamedTuple):
 
 class Configuration(NamedTuple):
     """Immutable global state: all process states plus the model parameters.
-
-    Structural equality and hashing make configurations directly usable as
-    visited-set keys during exploration.
-    """
+    The search keys a state by one int (see `Model`) and decodes a
+    Configuration only for a check or a replay."""
 
     agents: tuple
     leaders: tuple
@@ -125,10 +123,10 @@ class Model:
         self.locals: list = []  # int -> local state
         self.labels: list = []  # int -> the shared label object
         self._local_ids: dict = {}  # local state -> int
-        self._label_ids: dict = {}  # label -> (event int, sort key int, participant slots)
+        self._label_ids: dict = {}  # label -> (event int, sort key, participant slots)
         self.faults: list = []  # local int -> local_faults, with each duty's label as its int (-1: none)
         self._terms: list = []  # local int -> its term in a key
-        self._moves: list = []  # local int -> ((event int, sort key int, partner slot or -1, delta), ...)
+        self._moves: list = []  # local int -> ((event int, sort key, partner slot or -1, delta), ...)
         self._steps: list = []  # local int -> {event int: delta, or None if refused}
         self.shifts = bytearray()  # event int -> 1 once an entry under it changes a leader's _pair
         self.count_shift = 32 * self.n  # key >> count_shift is a key's count word
@@ -203,10 +201,10 @@ class Model:
         apply_event).  No explored graph has a state where two slots offer
         one label (none at n=3 and n=4, merge-set max 1 and 2, harness on
         and off, nor at n=5), so the rule is pinned by
-        test_first_refusing_leader_keeps_remove_reasoning_about.  The entries are keyed by the labels' sort key ints,
+        test_first_refusing_leader_keeps_remove_reasoning_about.  The entries are keyed by the labels' sort keys,
         and sorting those gives the canonical order."""
         moves_of, steps_of = self._moves, self._steps
-        found: dict = {}  # sort key int -> (event int, successor key)
+        found: dict = {}  # sort key -> (event int, successor key)
         for local in reversed(code):
             for ev, sort, partner, delta in moves_of[local]:
                 if partner >= 0:

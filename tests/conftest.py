@@ -38,6 +38,19 @@ OLD_AGENT_GUARD_MUTANT = (
 )
 # The guard-sweep operand of _after_update whose drop makes a leader done after its first merge.
 DONE_AFTER_FIRST_MERGE_MUTANT = ("_after_update", ("s.agent_set == full_set(params.n)", "True"))
+# Operand #0 of leader_accept's request_merge guard dropped: a busy leader takes a new request.
+BUSY_LEADER_MUTANT = ("leader_accept", ("isinstance(ph, AwaitRequest)\n", "True\n"))
+# Mutants that each break one state invariant whose check is gated, so that the
+# differential sees every gate open: an agent leaves itself out of its known
+# group (local-state), an update_identified leaves the agent's believed leader
+# as it was (quiescent-partition), a leader never answers a cancelled request
+# (req2-cancel-answered).
+OWN_GROUP_MUTANT = ("agent_accept", ("known_group=e.new_set,", "known_group=e.new_set - {s.id},"))
+STALE_LEADER_MUTANT = ("agent_accept", ("s = s._replace(believed_leader=e.leader)", "pass"))
+UNANSWERED_CANCEL_MUTANT = (
+    "leader_moves",
+    ("for rq in sorted(s.pending_cancels)", "for rq in sorted(s.pending_cancels) if False"),
+)
 
 # The built-in scenarios' own JSON objects, as the package's scenario file holds them, by name in file order.
 BUILTIN_JSON = {

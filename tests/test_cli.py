@@ -576,6 +576,28 @@ def test_export_to_an_empty_path_fails_like_any_unwritable_path(capsys):
     assert err.count("\n") == 1 and err.startswith("mapmerge: ")
 
 
+def test_scenarios_empty_name_is_an_unknown_scenario(capsys):
+    # An empty flag value is a value: it must not select every scenario as an absent --name does.
+    code, out, err = run(capsys, "scenarios", "--agents", "3", "--name", "")
+    assert (code, out) == (2, "")
+    assert err == "mapmerge: unknown scenario ''\n"
+
+
+def test_scenarios_empty_scenario_file_fails_like_any_unreadable_path(capsys):
+    code, out, err = run(capsys, "scenarios", "--agents", "3", "--scenario-file", "")
+    assert (code, out) == (1, "")
+    assert err == "mapmerge: [Errno 2] No such file or directory: ''\n"
+
+
+def test_trace_check_empty_alphabet_file_fails_like_any_unreadable_path(capsys, tmp_path):
+    # Without the alphabet every event would be visible: a verdict on another query.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps({"type": "done", "leader": "A1"}) + "\n")
+    code, out, err = run(capsys, "trace-check", "--agents", "3", "--alphabet-file", "", str(path))
+    assert (code, out) == (1, "")
+    assert err == "mapmerge: [Errno 2] No such file or directory: ''\n"
+
+
 def test_export_opens_out_before_it_explores(capsys, monkeypatch, tmp_path):
     calls = count_calls(monkeypatch, "explore")
     code, out, err = run(capsys, "export", "--agents", "2", "--out", str(tmp_path / "missing" / "g.json"))

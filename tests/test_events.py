@@ -180,7 +180,7 @@ def tuple_key(e):
 
 def test_sort_key_orders_as_the_tuple_key():
     # Every label of every type over MAX_AGENTS agents: each agent-id field takes every id, each set field every
-    # subset, of every size from 0 to MAX_AGENTS.  The int key must be one per label and order them as the tuple.
+    # subset, of every size from 0 to MAX_AGENTS.  The key must be one per label and order them as the tuple.
     ids = universe(MAX_AGENTS)
     sets = [frozenset(c) for c in chain.from_iterable(combinations(ids, k) for k in range(MAX_AGENTS + 1))]
     labels = [

@@ -8,11 +8,20 @@ from mapmerge.events import ConfirmMerge, RemoveReasoningAbout, label
 from mapmerge.scenarios import Scenario, builtin_scenarios, check_scenario, load_scenarios, scenario_from_json
 from mapmerge.world import ConfigurationError, initial_config
 
-from conftest import ACTIVE_MUTANT, BUILTIN_JSON, DONE_AFTER_FIRST_MERGE_MUTANT, PRIORITY_MUTANT, mutant
+from conftest import (
+    ACTIVE_MUTANT,
+    BUILTIN_JSON,
+    BUSY_LEADER_MUTANT,
+    DONE_AFTER_FIRST_MERGE_MUTANT,
+    PRIORITY_MUTANT,
+    mutant,
+)
 
 BY_NAME = {s.name: s for s in builtin_scenarios()}
 # Scenarios that tell a mutant apart from the model, kept beside the tests (ROADMAP item 18).
-MUTANT_SCENARIOS = Path(__file__).with_name("mutant_scenarios.json")
+MUTANT_SCENARIOS = {
+    s.name: s for s in load_scenarios(Path(__file__).with_name("mutant_scenarios.json").read_text(encoding="utf-8"))
+}
 
 
 def test_six_builtins():
@@ -126,7 +135,7 @@ def test_mutated_model_fails_scenarios():
 def test_done_needs_the_whole_team():
     # With merge_completed and done visible at n=3, A1 is never done right after it merges with A2 alone: a leader
     # is done only once it holds the whole team.  Dropping that guard operand lets the trace through.
-    (s,) = load_scenarios(MUTANT_SCENARIOS.read_text(encoding="utf-8"))
+    s = MUTANT_SCENARIOS["done-needs-whole-team"]
     assert s.requirement_tag == "GOAL" and not s.expected
     r = check_scenario(s, initial_config(3))
     assert not r.found and r.complete
@@ -138,3 +147,16 @@ def test_done_needs_the_whole_team():
         "update_identified.A1.A2.{A1,A2}",
         "done.A1",
     ]
+
+
+def test_busy_leader_takes_no_request():
+    # A2, busy considering A1's confirmation, takes no request_merge from its own agent until it answers.  Dropping
+    # the guard operand that a leader awaits a request lets the trace through, and every built-in still passes.
+    s = MUTANT_SCENARIOS["busy-leader-takes-no-request"]
+    assert s.requirement_tag == "GOAL" and not s.expected and s.alphabet is None
+    r = check_scenario(s, initial_config(3))
+    assert not r.found and r.complete
+    with mutant(*BUSY_LEADER_MUTANT):
+        c0 = initial_config(3)
+        assert check_scenario(s, c0).found
+        assert all(check_scenario(b, c0).found == b.expected for b in builtin_scenarios())

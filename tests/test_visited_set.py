@@ -21,20 +21,33 @@ from mapmerge.world import initial_config
 import conftest
 import graph_reference
 from conftest import (
+    BUSY_LEADER_MUTANT,
     DEMOTE_ON_MERGE_MUTANT,
     DONE_AFTER_FIRST_MERGE_MUTANT,
     OLD_AGENT_GUARD_MUTANT,
+    OWN_GROUP_MUTANT,
     PRIORITY_MUTANT,
     REPLACE_SET_MUTANT,
+    STALE_LEADER_MUTANT,
+    UNANSWERED_CANCEL_MUTANT,
     mutant,
 )
 from test_explorer import DIFFERENTIAL_GRAPHS, n3_msm2
 from test_successors import VARIANTS
 
-# Each graph at n=3 as (initial_config flags, the mutant it is built under or None): every VARIANTS graph, and the
-# mutant graphs of DIFFERENTIAL_GRAPHS, all of which n3_msm2 builds.
+# The mutants whose violations open the gates of the local-state, quiescent-partition and req2-cancel-answered
+# checks, each with its violations at n=3.
+STATE_GATES = {
+    "own_group": (OWN_GROUP_MUTANT, {"local-state": 460}),
+    "stale_leader": (STALE_LEADER_MUTANT, {"quiescent-partition": 6}),
+    "unanswered_cancel": (UNANSWERED_CANCEL_MUTANT, {"req2-cancel-answered": 352}),
+}
+STATE_GATE_MODELS = {name: ({}, spec) for name, (spec, _) in STATE_GATES.items()}
+# Each graph at n=3 as (initial_config flags, the mutant it is built under or None): every VARIANTS graph, the
+# mutant graphs of DIFFERENTIAL_GRAPHS, all of which n3_msm2 builds, and the state-gate mutants.
 GRAPHS = {name: ({}, spec) if isinstance(spec, tuple) else (spec, None) for name, spec in VARIANTS.items()}
 GRAPHS.update((name, ({"merge_set_max": 2}, spec)) for name, (spec, make) in DIFFERENTIAL_GRAPHS.items() if spec)
+GRAPHS.update(STATE_GATE_MODELS)
 # "full" bounds the search at the reference's state count, which cuts nothing.
 BOUNDS = {
     "unbounded": {},
@@ -64,6 +77,8 @@ def test_explore_matches_the_dict_keyed_reference(name, bound):
         got, ref = explore(c0, **kwargs), graph_reference.explore(c0, **kwargs)
     assert graph(got) == graph(ref)
     assert got.complete == (bound in ("unbounded", "max_states=full"))
+    if name in STATE_GATES and bound == "unbounded":
+        assert Counter(v.check for v in got.violations) == STATE_GATES[name][1]
 
 
 # Every VARIANTS model and every conftest mutant, as (initial_config flags, the mutant or None); the old agent guard
@@ -73,7 +88,9 @@ MODELS.update(
     demote_on_merge=({}, DEMOTE_ON_MERGE_MUTANT),
     replace_set=({}, REPLACE_SET_MUTANT),
     done_after_first_merge=({}, DONE_AFTER_FIRST_MERGE_MUTANT),
+    busy_leader=({}, BUSY_LEADER_MUTANT),
     old_agent_guard=({"merge_set_max": 2}, OLD_AGENT_GUARD_MUTANT),
+    **STATE_GATE_MODELS,
 )
 
 
