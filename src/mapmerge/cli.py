@@ -187,7 +187,7 @@ def cmd_scenarios(args) -> int:
             for s in load_scenarios(text):
                 if s.name in builtin:
                     raise ValueError(f"scenario {s.name!r} reuses the name of a built-in scenario")
-                for e in s.trace + tuple(s.alphabet or ()):
+                for e in s.query.trace + tuple(s.query.alphabet or ()):
                     validate_event(e, args.agents)
                 scenarios.append(s)
         except (ValueError, RecursionError) as exc:  # bad JSON (too deep, a repeated key), scenario or event

@@ -16,9 +16,6 @@ class AgentId(NamedTuple):
     def name(self) -> str:
         return f"A{self.index}"
 
-    def __str__(self) -> str:
-        return self.name
-
     def __repr__(self) -> str:
         return self.name
 

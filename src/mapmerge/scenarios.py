@@ -1,7 +1,7 @@
 """The validation scenarios, and the loader that reads them.
 
-Each scenario is a concrete event trace whose existence (as a has-trace
-check under hiding) pins one known-correct behaviour of the protocol.  The
+Each scenario is a named trace query: an event trace whose existence, seen
+through the query's alphabet, pins one known-correct behaviour.  The
 six built-ins are data in `scenarios.json`, beside this module, in the
 scenario-file format that the README states: Scenarios 1 and 3 exercise the
 priority rule between a pair of agents, Scenario 2 a cancelled merge,
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .events import event_ids, from_json, reject_repeated_keys
 from .explorer import TraceQuery, TraceResult, has_trace
@@ -22,14 +22,9 @@ from .world import Configuration, ConfigurationError
 
 class Scenario(NamedTuple):
     name: str
-    description: str
-    trace: tuple
+    query: TraceQuery
     requirement_tag: str  # GOAL | REQ1 | REQ2
     expected: bool = True
-    alphabet: Optional[frozenset] = None  # None: every non-internal event is visible
-
-    def query(self) -> TraceQuery:
-        return TraceQuery(self.trace, self.alphabet)
 
 
 def builtin_scenarios() -> tuple:
@@ -39,10 +34,10 @@ def builtin_scenarios() -> tuple:
 
 def check_scenario(s: Scenario, c0: Configuration) -> TraceResult:
     """Search for one scenario's trace from the initial configuration `c0`."""
-    needed = max((a.index for e in s.trace for a in event_ids(e)), default=1)
+    needed = max((a.index for e in s.query.trace for a in event_ids(e)), default=1)
     if needed > c0.params.n:
         raise ConfigurationError(f"{s.name} names A{needed}; universe of {c0.params.n} agents is too small")
-    return has_trace(c0, s.query())
+    return has_trace(c0, s.query)
 
 
 def scenario_from_json(d: dict) -> Scenario:
@@ -65,18 +60,14 @@ def scenario_from_json(d: dict) -> Scenario:
             raise ValueError(f"scenario field 'requirement' must be REQ1, REQ2 or GOAL, got {requirement!r}")
         if not isinstance(description, str):
             raise ValueError(f"scenario field 'description' must be a string, got {description!r}")
-        s = Scenario(
+        return Scenario(
             name=d["name"],
-            description=description,
-            trace=tuple(from_json(x) for x in trace),
+            query=TraceQuery(tuple(from_json(x) for x in trace), alpha),  # checks that each trace event is visible
             requirement_tag=requirement,
             expected=expected,
-            alphabet=alpha,
         )
     except KeyError as exc:
         raise ValueError(f"scenario object missing field {exc}") from exc
-    s.query()  # each trace event must be visible through the alphabet
-    return s
 
 
 def load_scenarios(text: str) -> list:

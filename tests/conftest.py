@@ -21,6 +21,12 @@ ACTIVE_MUTANT = ("leader_accept", ("isinstance(ph, AwaitRequest) and s.active", 
 # Mutants that fire active-monotone away from merge_completed, on merge_maps:
 # the merged leader is also demoted when the maps merge, or the merging
 # leader takes the other agent set in place of the union of both.
+# DEMOTE_ON_MERGE_MUTANT fails invariants, but no scenario can show it: it only
+# moves the point where the merged leader's (active, agent_set) falls, from
+# merge_completed to merge_maps.  In between the leader waits in
+# AwaitCompletion, where no guard or move reads either field, so its graph has
+# the plain model's transitions, label for label
+# (tests/test_scenarios.py::test_demote_on_merge_shows_in_no_trace).
 DEMOTE_ON_MERGE_MUTANT = (
     "leader_accept",
     (

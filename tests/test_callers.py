@@ -1,18 +1,23 @@
 """Caller check: every public module-level function, class and constant (a
 name that a top-level assignment binds) of the package is referenced by the
 program, in `src/` or `scripts/`, somewhere other than its own definition,
-and so is every public method or property of those classes, and every
-public attribute that such a class assigns on `self`.  Tests are not
+and so is every public method or property of those classes, every
+public attribute that such a class assigns on `self`, and every public
+annotated field of such a class (a NamedTuple's fields).  Tests are not
 callers.  Module-level names are matched by module: `mod.f`
 is read by a bare `f` in `mod` itself or in a module that imported it by
 `from .mod import f` (aliased or not), and by the attribute `mod.f` or
 `pkg.mod.f`; the import alone is no read.  So neither a method nor a
 function of another module that shares the name is a caller.  A member
-counts as read when some attribute `.f` is read outside its own body, and
-an attribute assigned on `self` when some `.f` is loaded; a store is no
-read.  Dunders are out of scope.
+counts as read when some attribute `.f` is read outside its own body, a
+field when some `.f` is read outside its own class, and an attribute
+assigned on `self` when some `.f` is loaded; a store is no read.  Dunders
+are out of scope.  The fields of the `@typed_eq` classes, the event labels
+and the leader phases, need no reader: a label or phase is hashed, compared
+and written whole (`label`, `to_json` and `sort_key` read every field).
 
-`ALLOWED` holds one name, `world.enabled_events`.  The map-merge algebra
+`ALLOWED` holds `world.enabled_events` and four result fields that the
+witness report will read (ROADMAP item 4).  The map-merge algebra
 that acceptance criterion 12 checks is test support code (`tests/coordmap.py`),
 not part of the package, so it needs no entry.
 """
@@ -28,6 +33,10 @@ SCRIPTS = PACKAGE.parents[1] / "scripts"
 # Public names kept without a production caller, each with its reason.
 ALLOWED = {
     "world.enabled_events": "the reference path's offered events, read by perfbench's query walk and by the tests' oracle",
+    "explorer.Violation.idx": "ROADMAP item 4 puts it in the `explore --json` witness",
+    "explorer.Violation.event": "ROADMAP item 4 puts it in the `explore --json` witness",
+    "explorer.DivergenceWitness.prefix": "ROADMAP item 4 puts it in the `explore --json` witness",
+    "explorer.InevitabilityResult.counterexample": "ROADMAP item 4 puts it in the `explore --json` witness",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -66,11 +75,14 @@ def reads(module: str, source: str, modules: set):
 
 
 def defined(module: str, source: str):
-    """(name, key) for each public top-level function, class or constant of
-    `source` (each name that a top-level assignment binds, tuple targets
-    included), named and read as `module.name`, and for each public
+    """(name, key, owner) for each public top-level function, class or
+    constant of `source` (each name that a top-level assignment binds, tuple
+    targets included), named and read as `module.name`, and for each public
     method or property of its top-level classes and each public attribute
-    that they assign on `self`, named `module.Class.name` and read as `.name`."""
+    that they assign on `self`, named `module.Class.name` and read as `.name`;
+    reads inside the scope `owner`, the definition itself, do not count.
+    Each public annotated field of a top-level class that is not `@typed_eq`
+    is named and read alike, and its owner is the class."""
     for node in ast.parse(source).body:
         names = [node.name] if isinstance(node, DEFINITIONS) else []
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -78,7 +90,7 @@ def defined(module: str, source: str):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
         for name in names:
             if not name.startswith("_"):
-                yield f"{module}.{name}", f"{module}.{name}"
+                yield (f"{module}.{name}",) * 3
         if isinstance(node, ast.ClassDef):
             members = [m.name for m in node.body if isinstance(m, DEFINITIONS[:2])]
             members += [  # each attribute assigned on `self`
@@ -89,7 +101,12 @@ def defined(module: str, source: str):
             ]
             for name in dict.fromkeys(members):
                 if not name.startswith("_"):
-                    yield f"{module}.{node.name}.{name}", "." + name
+                    qual = f"{module}.{node.name}.{name}"
+                    yield qual, "." + name, qual
+            if not any(getattr(d, "id", None) == "typed_eq" for d in node.decorator_list):
+                for m in node.body:  # each annotated field, read outside its own class
+                    if isinstance(m, ast.AnnAssign) and not m.target.id.startswith("_"):
+                        yield f"{module}.{node.name}.{m.target.id}", "." + m.target.id, f"{module}.{node.name}"
 
 
 def uncalled(package: dict, scripts: dict) -> list:
@@ -103,8 +120,8 @@ def uncalled(package: dict, scripts: dict) -> list:
     return [
         qual
         for module, source in package.items()
-        for qual, key in defined(module, source)
-        if all(qual in scope for scope in scopes.get(key, ()))
+        for qual, key, owner in defined(module, source)
+        if all(owner in scope for scope in scopes.get(key, ()))
     ]
 
 
@@ -169,6 +186,18 @@ def test_checker_checks_attributes_assigned_on_self():
     assert uncalled(package, {}) == ["a.C.x"]
     assert uncalled(package, {"run": "from a import C\nc = C(1, 2)\nprint(c.x)\n"}) == []
     assert uncalled(package, {"run": "from a import C\nc = C(1, 2)\nc.x = 3\n"}) == ["a.C.x"]
+
+
+def test_checker_checks_record_fields():
+    package = {
+        "a": "from typing import NamedTuple\n\n"
+        "class R(NamedTuple):\n    f: int\n    g: str = ''\n    _h: int = 0\n\n"
+        "    def total(self):\n        return self.f + len(self.g)\n\n"
+        "@typed_eq\nclass E(NamedTuple):\n    x: int\n",
+        "b": "from .a import E, R\n\nprint(R(1).total(), E(2))\n",
+    }
+    assert uncalled(package, {}) == ["a.R.f", "a.R.g"]
+    assert uncalled(package, {"run": "from a import R\nprint(R(1).f)\n"}) == ["a.R.g"]
 
 
 def test_checker_checks_module_level_constants():

@@ -11,6 +11,12 @@ def test_parse_roundtrip():
     assert AgentId(7).name == "A7"
 
 
+def test_str_is_the_name():
+    # A NamedTuple's str() goes through its __repr__, so f-strings and %s print the name.
+    a = AgentId(3)
+    assert str(a) == f"{a}" == "%s" % (a,) == repr(a) == a.name == "A3"
+
+
 @pytest.mark.parametrize("bad", ["A0", "a1", "B2", "A-1", "A1x", ""])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mapmerge.events import ConfirmMerge, RemoveReasoningAbout, label
+from mapmerge.explorer import TraceQuery, explore
 from mapmerge.scenarios import Scenario, builtin_scenarios, check_scenario, load_scenarios, scenario_from_json
 from mapmerge.world import ConfigurationError, initial_config
 
@@ -12,6 +13,7 @@ from conftest import (
     ACTIVE_MUTANT,
     BUILTIN_JSON,
     BUSY_LEADER_MUTANT,
+    DEMOTE_ON_MERGE_MUTANT,
     DONE_AFTER_FIRST_MERGE_MUTANT,
     PRIORITY_MUTANT,
     mutant,
@@ -42,8 +44,8 @@ def test_builtin_passes_at_n3(s):
 def test_scenario3_shape():
     s = BY_NAME["scenario3"]
     # A denied attempt never confirms; it ends by dropping the reasoning.
-    assert not any(isinstance(e, ConfirmMerge) for e in s.trace)
-    assert isinstance(s.trace[-1], RemoveReasoningAbout)
+    assert not any(isinstance(e, ConfirmMerge) for e in s.query.trace)
+    assert isinstance(s.query.trace[-1], RemoveReasoningAbout)
 
 
 def test_scenario_too_small_universe():
@@ -65,8 +67,8 @@ PINNED = {
 
 def test_builtins_say_what_the_constructors_said():
     def digest(s):
-        alphabet = "all_visible" if s.alphabet is None else sorted(map(label, s.alphabet))
-        text = json.dumps([s.name, s.requirement_tag, s.expected, alphabet, [label(e) for e in s.trace]])
+        alphabet = "all_visible" if s.query.alphabet is None else sorted(map(label, s.query.alphabet))
+        text = json.dumps([s.name, s.requirement_tag, s.expected, alphabet, [label(e) for e in s.query.trace]])
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     assert {s.name: digest(s) for s in builtin_scenarios()} == PINNED
@@ -76,7 +78,7 @@ def test_load_scenarios_from_text():
     text = json.dumps([BUILTIN_JSON["scenario1"], BUILTIN_JSON["scenario2"]])
     loaded = load_scenarios(text)
     assert [s.name for s in loaded] == ["scenario1", "scenario2"]
-    assert loaded[0].alphabet is None
+    assert loaded[0].query.alphabet is None
 
 
 def test_load_scenarios_rejects_duplicates():
@@ -109,11 +111,9 @@ def test_negative_scenario():
     bad = ConfirmMerge(req_leader=AgentId(2), other_leader=AgentId(1))
     s = Scenario(
         "inverted-priority",
-        "a lower-priority leader must never drive a merge",
-        (bad,),
+        TraceQuery((bad,), frozenset({bad})),
         "REQ1",
         expected=False,
-        alphabet=frozenset({bad}),
     )
     r = check_scenario(s, initial_config(3))
     assert r.found == s.expected and not r.found and r.witness is None
@@ -153,10 +153,25 @@ def test_busy_leader_takes_no_request():
     # A2, busy considering A1's confirmation, takes no request_merge from its own agent until it answers.  Dropping
     # the guard operand that a leader awaits a request lets the trace through, and every built-in still passes.
     s = MUTANT_SCENARIOS["busy-leader-takes-no-request"]
-    assert s.requirement_tag == "GOAL" and not s.expected and s.alphabet is None
+    assert s.requirement_tag == "GOAL" and not s.expected and s.query.alphabet is None
     r = check_scenario(s, initial_config(3))
     assert not r.found and r.complete
     with mutant(*BUSY_LEADER_MUTANT):
         c0 = initial_config(3)
         assert check_scenario(s, c0).found
         assert all(check_scenario(b, c0).found == b.expected for b in builtin_scenarios())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("flags", [{}, {"merge_set_max": 2}, {"harness": False}], ids=["default", "msm2", "no_harness"])
+def test_demote_on_merge_shows_in_no_trace(n, flags):
+    # The reason beside DEMOTE_ON_MERGE_MUTANT in conftest: the same transitions, label for label, give the same traces
+    # under every alphabet, so no scenario can tell the mutant from the model.
+    def transitions(g):
+        return list(g.offsets), list(g.targets), [g.model.labels[ev] for ev in g.events]
+
+    plain = explore(initial_config(n, **flags), checks=[])
+    with mutant(*DEMOTE_ON_MERGE_MUTANT):
+        demoted = explore(initial_config(n, **flags), checks=[])
+    assert transitions(demoted) == transitions(plain)
+    assert any(demoted.state(i) != plain.state(i) for i in range(plain.state_count))  # the mutant was installed

@@ -48,7 +48,7 @@ def same_as_reference(c0, q, **bounds):
 @pytest.mark.parametrize("n", [3, 4])
 def test_builtin_scenarios_match_reference(n):
     for s in builtin_scenarios():
-        assert same_as_reference(initial_config(n), s.query()).found == s.expected
+        assert same_as_reference(initial_config(n), s.query).found == s.expected
 
 
 @pytest.mark.parametrize("n", [3, 4])
