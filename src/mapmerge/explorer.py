@@ -210,6 +210,8 @@ def explore(
     if (max_states is not None and max_states < 1) or (max_depth is not None and max_depth < 0):
         raise ConfigurationError("exploration bounds must be positive")
     checks = list(default_checks() if checks is None else checks)
+    if odd := [k.name for k in checks if k.kind not in ("state", "transition")]:
+        raise ValueError(f"checks {odd} have a kind other than 'state' or 'transition'")
     state = [k for k in checks if k.kind == "state"]
     trans = [k for k in checks if k.kind == "transition"]
     # The checks to run: by count word, and by event type and the label's shift flag.

@@ -13,6 +13,7 @@ docs/graph_schema.md.
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
@@ -33,17 +34,6 @@ def _write(out: TextIO, pieces: Iterator[str]) -> None:
         out.write(chunk)
 
 
-class _Labels(dict):
-    """The label parts of a state's leaders -> render(partition label), joined and rendered on first lookup."""
-
-    def __init__(self, render: Callable[[str], str]):
-        self.render = render
-
-    def __missing__(self, parts: tuple) -> str:
-        text = self[parts] = self.render(" ".join(filter(None, parts)) or "(no active leaders)")
-        return text
-
-
 def _nodes(g: StateGraph, render: Callable[[str], str], ids: Iterable, flags: tuple):
     """(the next of ids; render(partition label); flags[terminal]) of each state.
     The label joins the parts of the state's leader ints, read off the leader columns of the rows, and each
@@ -55,7 +45,7 @@ def _nodes(g: StateGraph, render: Callable[[str], str], ids: Iterable, flags: tu
     part = [f"{s.id}:{{{','.join(a.name for a in sorted(s.agent_set))}}}" if isinstance(s, LeaderProcState) and s.active
             else "" for s in m.locals]
     columns = [map(part.__getitem__, rows[slot :: 2 * n]) for slot in range(n, 2 * n)]  # by leader slot, in place
-    labels = map(_Labels(render).__getitem__, zip(*columns))
+    labels = map(cache(lambda parts: render(" ".join(filter(None, parts)) or "(no active leaders)")), zip(*columns))
     return zip(ids, labels, map(flags.__getitem__, map(terminal.__contains__, range(g.state_count))))
 
 

@@ -26,7 +26,7 @@ ACTIVE_MUTANT = ("leader_accept", ("isinstance(ph, AwaitRequest) and s.active", 
 # merge_completed to merge_maps.  In between the leader waits in
 # AwaitCompletion, where no guard or move reads either field, so its graph has
 # the plain model's transitions, label for label
-# (tests/test_scenarios.py::test_demote_on_merge_shows_in_no_trace).
+# (tests/test_scenarios.py::test_graph_identical_mutant_shows_in_no_trace).
 DEMOTE_ON_MERGE_MUTANT = (
     "leader_accept",
     (
@@ -51,6 +51,11 @@ BUSY_LEADER_MUTANT = ("leader_accept", ("isinstance(ph, AwaitRequest)\n", "True\
 # group (local-state), an update_identified leaves the agent's believed leader
 # as it was (quiescent-partition), a leader never answers a cancelled request
 # (req2-cancel-answered).
+# OWN_GROUP_MUTANT fails invariants on every model ("A1 missing from its own
+# known group"), but no scenario can show it: the self-including request_merge
+# offers that it adds are always refused, so its graph has the plain model's
+# transitions, label for label
+# (tests/test_scenarios.py::test_graph_identical_mutant_shows_in_no_trace).
 OWN_GROUP_MUTANT = ("agent_accept", ("known_group=e.new_set,", "known_group=e.new_set - {s.id},"))
 STALE_LEADER_MUTANT = ("agent_accept", ("s = s._replace(believed_leader=e.leader)", "pass"))
 UNANSWERED_CANCEL_MUTANT = (

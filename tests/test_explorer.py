@@ -139,6 +139,15 @@ def test_bad_bounds_rejected():
         explore(initial_config(2), max_depth=-1)
 
 
+def test_a_check_of_unknown_kind_is_refused():
+    # A check that runs nowhere would make a pass vacuous, so explore names it rather than drop it.
+    called = []
+    checks = [Check("typo", "State", lambda *a: called.append(a) or "boom"), *default_checks()]
+    with pytest.raises(ValueError, match="'typo'"):
+        explore(initial_config(2), checks=checks)
+    assert not called
+
+
 def test_each_path_completes_at_most_one_merge_at_n2(graph_n2):
     # At n=2 a path can contain at most one merge_completed: the active
     # leader count starts at 2 and each completion demotes exactly one.

@@ -3,7 +3,7 @@
 `export._nodes` joins each label from per-local parts read off the state's
 row and decodes only the graph's ends, the states with no transition, for
 `is_terminal`; these tests compare it with the decoded reference, count its
-decodes and pin its premise: every terminal state is an end.
+decodes and renders and pin its premise: every terminal state is an end.
 """
 
 import io
@@ -75,3 +75,13 @@ def test_export_decodes_only_the_graph_ends(monkeypatch, format):
     monkeypatch.setattr(Model, "decode", counted)
     export.export_graph(g, format, io.StringIO())
     assert decodes == ends == 1  # the terminal state, of 1,879
+
+
+def test_each_distinct_label_is_rendered_once():
+    # The memo in _nodes: 1,879 states at n=3 render only their distinct partition labels.
+    g = explore(initial_config(3), checks=[])
+    rendered = []
+    nodes = export._nodes(g, lambda s: rendered.append(s) or s, range(g.state_count), (False, True))
+    labels = [label for _, label, _ in nodes]
+    assert len(labels) == g.state_count > len(rendered)
+    assert sorted(rendered) == sorted({partition_label(c) for c in states(g)}) == sorted(set(labels))

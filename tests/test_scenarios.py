@@ -9,13 +9,14 @@ from mapmerge.explorer import TraceQuery, explore
 from mapmerge.scenarios import Scenario, builtin_scenarios, check_scenario, load_scenarios, scenario_from_json
 from mapmerge.world import ConfigurationError, initial_config
 
+import conftest
 from conftest import (
-    ACTIVE_MUTANT,
     BUILTIN_JSON,
     BUSY_LEADER_MUTANT,
     DEMOTE_ON_MERGE_MUTANT,
     DONE_AFTER_FIRST_MERGE_MUTANT,
-    PRIORITY_MUTANT,
+    OLD_AGENT_GUARD_MUTANT,
+    OWN_GROUP_MUTANT,
     mutant,
 )
 
@@ -24,6 +25,8 @@ BY_NAME = {s.name: s for s in builtin_scenarios()}
 MUTANT_SCENARIOS = {
     s.name: s for s in load_scenarios(Path(__file__).with_name("mutant_scenarios.json").read_text(encoding="utf-8"))
 }
+# initial_config flags of the scenarios written for a model other than the default.
+SCENARIO_FLAGS = {"removal-per-refused-target": {"merge_set_max": 2}}
 
 
 def test_six_builtins():
@@ -119,19 +122,6 @@ def test_negative_scenario():
     assert r.found == s.expected and not r.found and r.witness is None
 
 
-def test_mutated_model_fails_scenarios():
-    # Disabling the priority guard breaks the denial scenarios.
-    with mutant(*PRIORITY_MUTANT):
-        s = BY_NAME["scenario3"]
-        r = check_scenario(s, initial_config(3))
-    assert r.found != s.expected
-    # Disabling the active-flag guard breaks the stale-reply cancellation.
-    with mutant(*ACTIVE_MUTANT):
-        s = BY_NAME["scenario4b"]
-        r = check_scenario(s, initial_config(3))
-    assert r.found != s.expected
-
-
 def test_done_needs_the_whole_team():
     # With merge_completed and done visible at n=3, A1 is never done right after it merges with A2 alone: a leader
     # is done only once it holds the whole team.  Dropping that guard operand lets the trace through.
@@ -162,16 +152,78 @@ def test_busy_leader_takes_no_request():
         assert all(check_scenario(b, c0).found == b.expected for b in builtin_scenarios())
 
 
+def test_removal_per_refused_target():
+    # At n=3 with merge_set_max=2, A3's leader refuses both targets of one request and A3 accepts both removals.  The
+    # old agent guard refuses every removal after the first, so the trace is absent under it.
+    s = MUTANT_SCENARIOS["removal-per-refused-target"]
+    assert s.requirement_tag == "GOAL" and s.expected and len(s.query.alphabet) == 33
+    r = check_scenario(s, initial_config(3, **SCENARIO_FLAGS[s.name]))
+    assert r.found and r.complete and [label(e) for e in r.witness] == [
+        "request_merge.A3.A3.{A1,A2}",
+        "begin_merge.A3",
+        "request_leader.A3.A1",
+        "reply_leader.A1.A3.A1",
+        "remove_reasoning_about.A3.A1",
+        "request_leader.A3.A2",
+        "reply_leader.A2.A3.A2",
+        "remove_reasoning_about.A3.A2",
+    ]
+    with mutant(*OLD_AGENT_GUARD_MUTANT):
+        r = check_scenario(s, initial_config(3, **SCENARIO_FLAGS[s.name]))
+    assert not r.found and r.complete
+
+
+# Mutants whose graph is the plain model's, transition for transition and label for label: the reasons beside them in
+# conftest say why, and test_graph_identical_mutant_shows_in_no_trace pins it.
+GRAPH_IDENTICAL = {"DEMOTE_ON_MERGE_MUTANT": DEMOTE_ON_MERGE_MUTANT, "OWN_GROUP_MUTANT": OWN_GROUP_MUTANT}
+
+
+@pytest.mark.parametrize("spec", GRAPH_IDENTICAL.values(), ids=GRAPH_IDENTICAL)
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("flags", [{}, {"merge_set_max": 2}, {"harness": False}], ids=["default", "msm2", "no_harness"])
-def test_demote_on_merge_shows_in_no_trace(n, flags):
-    # The reason beside DEMOTE_ON_MERGE_MUTANT in conftest: the same transitions, label for label, give the same traces
-    # under every alphabet, so no scenario can tell the mutant from the model.
+def test_graph_identical_mutant_shows_in_no_trace(spec, n, flags):
+    # The same transitions, label for label, give the same traces under every alphabet, so no scenario can tell the
+    # mutant from the model.
     def transitions(g):
         return list(g.offsets), list(g.targets), [g.model.labels[ev] for ev in g.events]
 
     plain = explore(initial_config(n, **flags), checks=[])
-    with mutant(*DEMOTE_ON_MERGE_MUTANT):
-        demoted = explore(initial_config(n, **flags), checks=[])
-    assert transitions(demoted) == transitions(plain)
-    assert any(demoted.state(i) != plain.state(i) for i in range(plain.state_count))  # the mutant was installed
+    with mutant(*spec):
+        mutated = explore(initial_config(n, **flags), checks=[])
+    assert transitions(mutated) == transitions(plain)
+    assert any(mutated.state(i) != plain.state(i) for i in range(plain.state_count))  # the mutant was installed
+
+
+# The built-in and mutant-file scenarios that fail at n=3 under each conftest mutant, each scenario under the model
+# that it is written for (ROADMAP item 18).
+KILLED_BY = {
+    "PRIORITY_MUTANT": {"scenario3", "scenario4a", "scenario5", "removal-per-refused-target"},
+    "ACTIVE_MUTANT": {"scenario4b"},
+    "DEMOTE_ON_MERGE_MUTANT": set(),
+    "REPLACE_SET_MUTANT": {"scenario1", "scenario4a", "scenario4b", "scenario5"},
+    "OLD_AGENT_GUARD_MUTANT": {"removal-per-refused-target"},
+    "DONE_AFTER_FIRST_MERGE_MUTANT": {"done-needs-whole-team"},
+    "BUSY_LEADER_MUTANT": {"busy-leader-takes-no-request"},
+    "OWN_GROUP_MUTANT": set(),
+    "STALE_LEADER_MUTANT": {"scenario4a", "scenario5"},
+    "UNANSWERED_CANCEL_MUTANT": {"scenario2", "scenario4b"},
+}
+
+
+def test_kill_matrix_of_the_conftest_mutants():
+    everything = [*builtin_scenarios(), *MUTANT_SCENARIOS.values()]
+
+    def failing():
+        results = [(s, check_scenario(s, initial_config(3, **SCENARIO_FLAGS.get(s.name, {})))) for s in everything]
+        assert all(r.complete for _, r in results)
+        return {s.name for s, r in results if r.found != s.expected}
+
+    assert failing() == set()
+    mutants = {k: v for k, v in vars(conftest).items() if k.endswith("_MUTANT")}
+    assert set(KILLED_BY) == set(mutants)  # a new mutant needs its row
+    got = {}
+    for name, spec in mutants.items():
+        with mutant(*spec):
+            got[name] = failing()
+    assert got == KILLED_BY
+    assert {name for name, killed in got.items() if not killed} <= set(GRAPH_IDENTICAL)
